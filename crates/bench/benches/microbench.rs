@@ -58,18 +58,26 @@ fn bench_rf_predict(c: &mut Criterion) {
 }
 
 fn bench_rf_train(c: &mut Criterion) {
-    let sim = ApuSimulator::default();
-    let kernels = vec![
-        KernelCharacteristics::compute_bound("a", 15.0),
-        KernelCharacteristics::memory_bound("b", 1.5),
-    ];
-    let space = context::training_space(8);
-    let ds = Dataset::from_campaign(&sim, &kernels, &space, HwConfig::FAIL_SAFE);
-    let params = EvalOptions::fast().forest;
+    // The fit `EvalContext::build` runs: the training split of the default
+    // context's campaign, with its forest parameters and seed.
+    let deployed = EvalOptions::default();
+    let ds = Dataset::from_campaign(
+        &ApuSimulator::new(deployed.sim_params.clone()),
+        &context::training_kernels(),
+        &context::training_space(deployed.train_config_stride),
+        HwConfig::FAIL_SAFE,
+    );
+    let (train, _) = ds.split(deployed.test_fraction, deployed.seed);
     let mut group = c.benchmark_group("model");
     group.sample_size(10);
     group.bench_function("rf_train_small", |b| {
-        b.iter(|| black_box(RandomForestPredictor::train(black_box(&ds), &params, 7)))
+        b.iter(|| {
+            black_box(RandomForestPredictor::train(
+                black_box(&train),
+                &deployed.forest,
+                deployed.seed,
+            ))
+        })
     });
     group.finish();
 }

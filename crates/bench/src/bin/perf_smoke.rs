@@ -9,7 +9,9 @@
 //!   load) and once with a fresh snapshot per sweep (re-specialize and
 //!   walk everything, the raw engine number);
 //! * the RF-backed hill climb, in ns per evaluated candidate;
-//! * `RandomForest` fit wall-time, single-threaded vs auto-parallel.
+//! * `RandomForest` fit wall-time, single-threaded vs auto-parallel,
+//!   with the host's `available_parallelism` and whether the auto fit
+//!   really ran on more than one thread (`fit_parallel_measured`).
 //!
 //! The forest fits run under a live [`gpm_telemetry`] registry, and the
 //! `rf.fit` span totals are cross-checked against the bench's own
@@ -51,7 +53,9 @@ struct PerfReport {
     hill_climb_evals_per_search: f64,
     fit_wall_ms_single_thread: f64,
     fit_wall_ms_auto: f64,
+    available_parallelism: usize,
     fit_threads_auto: usize,
+    fit_parallel_measured: bool,
     fit_span_count: u64,
     fit_span_total_ms: f64,
     fit_span_coverage: f64,
@@ -176,16 +180,21 @@ fn main() {
         assert_eq!(seq, par, "parallel fit must be bit-identical");
         (fit_seq, fit_auto)
     };
-    let threads_auto = std::thread::available_parallelism().map_or(1, usize::from);
+    // What the auto fit actually ran on. On a 1-core host both fits are
+    // sequential, so the artifact says the parallel fit went unmeasured.
+    let available_parallelism = std::thread::available_parallelism().map_or(1, usize::from);
+    let threads_auto = RandomForest::resolved_fit_threads(0, params.num_trees);
+    let fit_parallel_measured = threads_auto > 1;
     let fit_span = telemetry
         .snapshot()
         .span("rf.fit")
         .expect("rf.fit span recorded");
     let fit_wall_ms = (fit_seq + fit_auto).as_secs_f64() * 1e3;
     let fit_span_ms = fit_span.total_ns as f64 / 1e6;
-    // The span opens first thing inside the fit and the timer wraps the
-    // call, so span time is a subset of wall time; anything under 90%
-    // coverage means the profiler is dropping attributable work.
+    // The span opens inside the fit, after the once-per-dataset rank
+    // encoding, and the timer wraps the call, so span time is a subset
+    // of wall time; anything under 90% coverage means the profiler is
+    // dropping attributable work.
     let fit_coverage = fit_span_ms / fit_wall_ms.max(1e-9);
 
     let gate = std::env::var("GPM_PERF_MIN_SPEEDUP")
@@ -211,7 +220,9 @@ fn main() {
         hill_climb_evals_per_search: evals_per_search as f64,
         fit_wall_ms_single_thread: fit_seq.as_secs_f64() * 1e3,
         fit_wall_ms_auto: fit_auto.as_secs_f64() * 1e3,
+        available_parallelism,
         fit_threads_auto: threads_auto,
+        fit_parallel_measured,
         fit_span_count: fit_span.count,
         fit_span_total_ms: fit_span_ms,
         fit_span_coverage: fit_coverage,
@@ -233,9 +244,15 @@ fn main() {
     );
     println!("  hill climb: {ns_per_candidate:.0} ns/candidate");
     println!(
-        "  fit: {:.0} ms single-thread, {:.0} ms on {} threads",
-        report.fit_wall_ms_single_thread, report.fit_wall_ms_auto, threads_auto
+        "  fit: {:.0} ms single-thread, {:.0} ms on {} threads ({} available)",
+        report.fit_wall_ms_single_thread,
+        report.fit_wall_ms_auto,
+        threads_auto,
+        available_parallelism
     );
+    if !fit_parallel_measured {
+        println!("  fit: auto resolved to 1 thread; the parallel fit was not measured");
+    }
     println!(
         "  rf.fit spans: {} covering {:.0} ms ({:.0}% of fit wall time)",
         fit_span.count,

@@ -8,6 +8,7 @@ use crate::features::{
 use crate::flat::{FlatForest, PrunedForest};
 use crate::forest::{ForestParams, RandomForest};
 use crate::metrics;
+use crate::tree::RankedColumns;
 use gpm_hw::HwConfig;
 use gpm_sim::predictor::{KernelSnapshot, PowerPerfEstimate, PowerPerfPredictor};
 use serde::{Deserialize, Serialize};
@@ -156,17 +157,25 @@ struct PredictScratch {
 }
 
 impl RandomForestPredictor {
-    /// Trains both forests on `dataset`.
+    /// Trains both forests on `dataset`, rank-encoding its feature matrix
+    /// once for the two fits.
     ///
     /// # Panics
     ///
     /// Panics if the dataset is empty.
     pub fn train(dataset: &Dataset, params: &ForestParams, seed: u64) -> RandomForestPredictor {
         assert!(!dataset.is_empty(), "cannot train on an empty dataset");
-        let xs = dataset.xs();
-        let time_forest = RandomForest::fit(&xs, &dataset.ys_log_time(), params, seed);
-        let power_forest =
-            RandomForest::fit(&xs, &dataset.ys_power(), params, seed.wrapping_add(1));
+        let columns =
+            RankedColumns::from_rows(dataset.samples().iter().map(|s| s.features.as_slice()));
+        let time_forest =
+            RandomForest::fit_ranked(&columns, &dataset.ys_log_time(), params, seed, 0);
+        let power_forest = RandomForest::fit_ranked(
+            &columns,
+            &dataset.ys_power(),
+            params,
+            seed.wrapping_add(1),
+            0,
+        );
         RandomForestPredictor::from_forests(time_forest, power_forest)
     }
 

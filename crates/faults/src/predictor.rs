@@ -38,15 +38,16 @@ impl<P> FaultyPredictor<P> {
     pub fn inner(&self) -> &P {
         &self.inner
     }
-}
 
-impl<P: PowerPerfPredictor> PowerPerfPredictor for FaultyPredictor<P> {
-    fn predict(&self, snapshot: &KernelSnapshot, cfg: HwConfig) -> PowerPerfEstimate {
-        let mut est = self.inner.predict(snapshot, cfg);
+    /// Applies the plan's spike, if any, to the inner estimate `est` of
+    /// (`snapshot`, `cfg`).
+    fn spike(
+        &self,
+        snapshot: &KernelSnapshot,
+        cfg: HwConfig,
+        mut est: PowerPerfEstimate,
+    ) -> PowerPerfEstimate {
         let ch = self.plan.predictor_spike;
-        if ch.is_off() {
-            return est;
-        }
         let mut words = [0u64; NUM_COUNTERS + 4];
         words[0] = TAG_SPIKE;
         for (w, v) in words[1..=NUM_COUNTERS]
@@ -72,6 +73,33 @@ impl<P: PowerPerfPredictor> PowerPerfPredictor for FaultyPredictor<P> {
         }
         est
     }
+}
+
+impl<P: PowerPerfPredictor> PowerPerfPredictor for FaultyPredictor<P> {
+    fn predict(&self, snapshot: &KernelSnapshot, cfg: HwConfig) -> PowerPerfEstimate {
+        let est = self.inner.predict(snapshot, cfg);
+        if self.plan.predictor_spike.is_off() {
+            return est;
+        }
+        self.spike(snapshot, cfg, est)
+    }
+
+    /// Forwards to the inner batch engine, then spikes each row exactly
+    /// as [`predict`](PowerPerfPredictor::predict) would.
+    fn predict_batch(
+        &self,
+        snapshot: &KernelSnapshot,
+        cfgs: &[HwConfig],
+        out: &mut Vec<PowerPerfEstimate>,
+    ) {
+        self.inner.predict_batch(snapshot, cfgs, out);
+        if self.plan.predictor_spike.is_off() {
+            return;
+        }
+        for (est, &cfg) in out.iter_mut().zip(cfgs) {
+            *est = self.spike(snapshot, cfg, *est);
+        }
+    }
 
     fn name(&self) -> &str {
         self.inner.name()
@@ -82,6 +110,7 @@ impl<P: PowerPerfPredictor> PowerPerfPredictor for FaultyPredictor<P> {
 mod tests {
     use super::*;
     use gpm_sim::{ApuSimulator, KernelCharacteristics, OraclePredictor};
+    use std::cell::Cell;
 
     fn snapshot() -> KernelSnapshot {
         let sim = ApuSimulator::noiseless();
@@ -114,6 +143,65 @@ mod tests {
             let b = wrapped.predict(&snap, cfg);
             assert_eq!(a.time_s.to_bits(), b.time_s.to_bits());
             assert_eq!(a.gpu_power_w.to_bits(), b.gpu_power_w.to_bits());
+        }
+    }
+
+    /// Counts `predict_batch` calls so a test can see the wrapper forward
+    /// them.
+    struct CountingOracle {
+        inner: OraclePredictor,
+        batches: Cell<usize>,
+    }
+
+    impl PowerPerfPredictor for CountingOracle {
+        fn predict(&self, snapshot: &KernelSnapshot, cfg: HwConfig) -> PowerPerfEstimate {
+            self.inner.predict(snapshot, cfg)
+        }
+
+        fn predict_batch(
+            &self,
+            snapshot: &KernelSnapshot,
+            cfgs: &[HwConfig],
+            out: &mut Vec<PowerPerfEstimate>,
+        ) {
+            self.batches.set(self.batches.get() + 1);
+            self.inner.predict_batch(snapshot, cfgs, out);
+        }
+    }
+
+    #[test]
+    fn batch_is_bit_identical_to_the_scalar_loop() {
+        let snap = snapshot();
+        let cfgs: Vec<HwConfig> = gpm_hw::ConfigSpace::paper_campaign().iter().collect();
+        for plan in [FaultPlan::zero(5), FaultPlan::uniform(9, 0.5)] {
+            let wrapped = FaultyPredictor::new(
+                CountingOracle {
+                    inner: oracle(),
+                    batches: Cell::new(0),
+                },
+                &plan,
+            );
+            let mut batch = Vec::new();
+            wrapped.predict_batch(&snap, &cfgs, &mut batch);
+            assert_eq!(wrapped.inner().batches.get(), 1, "batch not forwarded");
+            assert_eq!(batch.len(), cfgs.len());
+            let mut nan = 0;
+            for (est, &cfg) in batch.iter().zip(&cfgs) {
+                let scalar = wrapped.predict(&snap, cfg);
+                assert_eq!(est.time_s.to_bits(), scalar.time_s.to_bits(), "{cfg}");
+                assert_eq!(
+                    est.gpu_power_w.to_bits(),
+                    scalar.gpu_power_w.to_bits(),
+                    "{cfg}"
+                );
+                nan += usize::from(est.time_s.is_nan());
+            }
+            // The half-rate plan must exercise the non-finite spike.
+            assert_eq!(
+                nan > 0,
+                !plan.predictor_spike.is_off(),
+                "NaN spikes under {plan:?}"
+            );
         }
     }
 

@@ -43,9 +43,9 @@ pub fn amortization(
     let max_runs = re_executions.iter().copied().max().unwrap_or(0) + 1;
 
     // Collect per-run (energy, wall) sequences for both schemes.
-    let mut mpc_gov = MpcGovernor::new(ctx.rf.clone(), sim.params().clone(), MpcConfig::default());
+    let mut mpc_gov = MpcGovernor::new(&ctx.rf, sim.params().clone(), MpcConfig::default());
     let mut ppk_gov = PpkGovernor::new(
-        ctx.rf.clone(),
+        &ctx.rf,
         sim.params().clone(),
         space,
         OverheadModel::default(),

@@ -47,7 +47,7 @@ use gpm_faults::{no_faults, FaultInjector, FaultKey, FaultPlan};
 use gpm_governors::{Governor, KernelContext, PerfTarget};
 use gpm_hw::HwConfig;
 use gpm_sim::{EnergyBreakdown, KernelOutcome, Platform};
-use gpm_telemetry::{Counter, Histo, Telemetry};
+use gpm_telemetry::{Counter, Histo, SpanGuard, Telemetry};
 use gpm_trace::{noop_sink, FailSafeReason, FaultChannelKind, TraceEvent, TraceSink};
 use gpm_workloads::Workload;
 use std::sync::Arc;
@@ -306,8 +306,11 @@ fn replay(
     };
 
     let mut prev_config: Option<HwConfig> = None;
+    // One guard spans every dispatch: each iteration's `reopen` closes
+    // the previous dispatch's span and opens this one on one clock read.
+    let mut dispatch_span = SpanGuard::inert();
     for (position, kernel) in workload.kernels().iter().enumerate() {
-        let _dispatch_span = gpm_telemetry::span("env.dispatch");
+        dispatch_span.reopen("env.dispatch");
         let ctx = KernelContext {
             position,
             run_index,
@@ -491,6 +494,7 @@ fn replay(
         let truth = provide_truth.then_some(kernel);
         governor.observe(&ctx, executed, observed.as_ref().unwrap_or(&outcome), truth);
     }
+    drop(dispatch_span);
     governor.end_run();
     if tracing {
         sink.record(&TraceEvent::RunEnd {

@@ -205,7 +205,7 @@ impl ExecEnv {
             }
             Scheme::PpkRf => {
                 let mut gov = PpkGovernor::new(
-                    FaultyPredictor::new(ctx.rf.clone(), plan),
+                    FaultyPredictor::new(&ctx.rf, plan),
                     sim.params().clone(),
                     space,
                     OverheadModel::default(),
@@ -221,7 +221,7 @@ impl ExecEnv {
                     ..MpcConfig::default()
                 };
                 let mut gov = MpcGovernor::new(
-                    FaultyPredictor::new(ctx.rf.clone(), plan),
+                    FaultyPredictor::new(&ctx.rf, plan),
                     sim.params().clone(),
                     cfg,
                 );
@@ -237,7 +237,7 @@ impl ExecEnv {
                     ..MpcConfig::default()
                 };
                 let mut gov = MpcGovernor::new(
-                    FaultyPredictor::new(ctx.rf.clone(), plan),
+                    FaultyPredictor::new(&ctx.rf, plan),
                     sim.params().clone(),
                     cfg,
                 );
@@ -253,7 +253,7 @@ impl ExecEnv {
                     ..MpcConfig::default()
                 };
                 let mut gov = MpcGovernor::new(
-                    FaultyPredictor::new(ctx.rf.clone(), plan),
+                    FaultyPredictor::new(&ctx.rf, plan),
                     sim.params().clone(),
                     cfg,
                 );

@@ -11,6 +11,7 @@ use crate::metrics;
 use crate::tree::RankedColumns;
 use gpm_hw::HwConfig;
 use gpm_sim::predictor::{KernelSnapshot, PowerPerfEstimate, PowerPerfPredictor};
+use gpm_sim::{CounterSet, NUM_COUNTERS};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,15 +64,15 @@ pub struct RandomForestPredictor {
     power_forest: RandomForest,
     time_flat: FlatForest,
     power_flat: FlatForest,
-    /// Process-unique tag for the thread-local specialization cache; never
-    /// reused across predictor constructions, so a stale cache entry can
-    /// only ever match the forests it was built from. Clones share the tag
-    /// — their forests are identical, so cache hits stay correct.
+    /// Process-unique tag for the thread-local value memo and
+    /// specialization cache; never reused across predictor constructions,
+    /// so a stale cache entry can only ever match the forests it was
+    /// built from. Clones share the tag — their forests are identical, so
+    /// cache hits stay correct.
     generation: u64,
 }
 
-/// Source of [`RandomForestPredictor::generation`] tags; starts at 1 so 0
-/// can mean "nothing cached".
+/// Source of [`RandomForestPredictor::generation`] tags (never 0).
 static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
 
 impl PartialEq for RandomForestPredictor {
@@ -119,10 +120,117 @@ impl Deserialize for RandomForestPredictor {
 }
 
 thread_local! {
-    /// Per-thread scratch for the hot path: feature rows and per-forest
-    /// outputs live here so `predict`/`predict_batch` allocate nothing in
-    /// steady state while staying `&self`.
+    /// Per-thread scratch for the hot path: feature rows, per-forest
+    /// outputs and the value memo live here so `predict`/`predict_batch`
+    /// allocate nothing in steady state while staying `&self`.
     static SCRATCH: RefCell<PredictScratch> = RefCell::new(PredictScratch::default());
+}
+
+/// Snapshots the per-thread value memo holds before it starts over. The
+/// largest single suite evaluation touches 20 distinct snapshots.
+const MEMO_SNAPSHOTS: usize = 64;
+
+/// Everything a forest estimate depends on besides the configuration:
+/// the predictor's [`generation`](RandomForestPredictor::generation) and
+/// the exact bits of the snapshot's counters.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct SnapshotKey {
+    generation: u64,
+    counters: [u64; NUM_COUNTERS],
+}
+
+impl SnapshotKey {
+    fn new(generation: u64, counters: &CounterSet) -> SnapshotKey {
+        SnapshotKey {
+            generation,
+            counters: counters.values().map(f64::to_bits),
+        }
+    }
+}
+
+/// Candidates the calling thread's value memo served and walked, summed
+/// over every predictor since the thread started; see
+/// [`RandomForestPredictor::thread_memo_stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Candidates served from the memo.
+    pub hits: u64,
+    /// Candidates priced by a forest walk (and then memoized).
+    pub misses: u64,
+}
+
+impl MemoStats {
+    /// Share of candidates served from the memo; 0 when nothing was priced.
+    pub fn hit_share(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
+/// Per-snapshot value memo: for a fixed (predictor, snapshot) pair the
+/// estimate is a pure function of the configuration, so each of the
+/// [`HwConfig::DENSE_COUNT`] lattice points is walked at most once per
+/// snapshot while the snapshot stays memoized. Both `predict` and
+/// `predict_batch` read and fill it with the same post-clamp estimates.
+#[derive(Default)]
+struct ValueMemo {
+    /// The memoized snapshots, one slot each, at most [`MEMO_SNAPSHOTS`].
+    keys: Vec<SnapshotKey>,
+    /// `keys.len() * DENSE_COUNT` estimates, slot-major by dense index;
+    /// `None` = not priced yet.
+    values: Vec<Option<PowerPerfEstimate>>,
+    /// Slot of the last lookup: consecutive calls nearly always price the
+    /// same snapshot.
+    last: usize,
+    stats: MemoStats,
+}
+
+impl ValueMemo {
+    /// The slot holding `key`'s estimates. An unknown key claims the next
+    /// slot with every estimate unpriced; when all slots are taken the
+    /// memo is cleared wholesale first.
+    fn slot(&mut self, key: &SnapshotKey) -> usize {
+        if self.keys.get(self.last) == Some(key) {
+            return self.last;
+        }
+        self.last = match self.keys.iter().position(|k| k == key) {
+            Some(slot) => slot,
+            None => {
+                if self.keys.len() == MEMO_SNAPSHOTS {
+                    self.keys.clear();
+                }
+                let slot = self.keys.len();
+                self.keys.push(*key);
+                self.values.truncate(slot * HwConfig::DENSE_COUNT);
+                self.values.resize((slot + 1) * HwConfig::DENSE_COUNT, None);
+                slot
+            }
+        };
+        self.last
+    }
+
+    /// The estimates of the snapshot in `slot`, by dense index.
+    fn snapshot_mut(&mut self, slot: usize) -> &mut [Option<PowerPerfEstimate>] {
+        &mut self.values[slot * HwConfig::DENSE_COUNT..(slot + 1) * HwConfig::DENSE_COUNT]
+    }
+
+    fn entry(&mut self, slot: usize, cfg: HwConfig) -> &mut Option<PowerPerfEstimate> {
+        &mut self.snapshot_mut(slot)[cfg.dense_index()]
+    }
+
+    /// The memoized estimate for `cfg`, counting the hit or miss.
+    fn lookup(&mut self, slot: usize, cfg: HwConfig) -> Option<PowerPerfEstimate> {
+        let est = *self.entry(slot, cfg);
+        match est {
+            Some(_) => self.stats.hits += 1,
+            None => self.stats.misses += 1,
+        }
+        est
+    }
 }
 
 #[derive(Default)]
@@ -130,30 +238,20 @@ struct PredictScratch {
     buf: FeatureBuffer,
     time_pruned: PrunedForest,
     power_pruned: PrunedForest,
+    /// Snapshot the pruned forests were specialized for. Governor
+    /// searches sweep candidates for one snapshot over several
+    /// `predict_batch` calls, so the specialization is re-derived only
+    /// when a batch has unpriced rows for a different snapshot (or
+    /// predictor).
+    specialized: Option<SnapshotKey>,
     /// Compact row-major config suffixes (6 values per candidate) — the
     /// only per-row data the pruned walks read.
     suffix: Vec<f64>,
     time_out: Vec<f64>,
     power_out: Vec<f64>,
-    /// Generation of the predictor the pruned forests were specialized
-    /// for (0 = nothing cached), plus the exact bit pattern of the
-    /// counter prefix they were specialized against. Governor searches
-    /// sweep candidates for one snapshot over several `predict_batch`
-    /// calls, so the specialization is re-derived only when the snapshot
-    /// (or the predictor) actually changes.
-    cached_generation: u64,
-    cached_prefix: Vec<u64>,
-    /// Per-snapshot value memo: for a fixed (predictor, snapshot) pair
-    /// the estimate for a config is a pure function of the config, so
-    /// each of the [`HwConfig::DENSE_COUNT`] lattice points is walked at
-    /// most once per snapshot. `memo_epoch[dense_index] == epoch` marks a
-    /// live entry; bumping `epoch` on re-specialization invalidates the
-    /// whole table in O(1).
-    memo: Vec<PowerPerfEstimate>,
-    memo_epoch: Vec<u64>,
-    epoch: u64,
-    /// Dense indices of batch rows missing from the memo, in walk order.
-    pending: Vec<u32>,
+    /// (row, config) of batch rows missing from the memo, in walk order.
+    pending: Vec<(usize, HwConfig)>,
+    memo: ValueMemo,
 }
 
 impl RandomForestPredictor {
@@ -238,11 +336,18 @@ impl RandomForestPredictor {
     }
 
     /// This predictor's cache-identity tag: process-unique and strictly
-    /// increasing across assemblies, never 0 (the thread-local scratch's
-    /// "empty" sentinel). Two predictors share specialization state only
-    /// if their generations are equal — i.e. never.
+    /// increasing across assemblies. Two predictors share memoized
+    /// estimates or specialization state only if their generations are
+    /// equal — i.e. only a predictor and its clones.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// The calling thread's value-memo counts, over every predictor since
+    /// the thread started. Take a difference of two readings to attribute
+    /// a stretch of work.
+    pub fn thread_memo_stats() -> MemoStats {
+        SCRATCH.with(|scratch| scratch.borrow().memo.stats)
     }
 
     /// Convenience: split, train, and report in one call.
@@ -263,13 +368,21 @@ impl PowerPerfPredictor for RandomForestPredictor {
     fn predict(&self, snapshot: &KernelSnapshot, cfg: HwConfig) -> PowerPerfEstimate {
         SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
+            let slot = scratch
+                .memo
+                .slot(&SnapshotKey::new(self.generation, &snapshot.counters));
+            if let Some(est) = scratch.memo.lookup(slot, cfg) {
+                return est;
+            }
             scratch.buf.begin_snapshot(&snapshot.counters);
             scratch.buf.push_config(cfg);
             let row = scratch.buf.matrix().row(0);
-            PowerPerfEstimate {
+            let est = PowerPerfEstimate {
                 time_s: self.time_flat.predict(row).exp().max(1e-9),
                 gpu_power_w: self.power_flat.predict(row).max(0.1),
-            }
+            };
+            *scratch.memo.entry(slot, cfg) = Some(est);
+            est
         })
     }
 
@@ -281,85 +394,71 @@ impl PowerPerfPredictor for RandomForestPredictor {
     ) {
         SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
-            if cfgs.is_empty() {
-                out.clear();
+            let key = SnapshotKey::new(self.generation, &snapshot.counters);
+            let slot = scratch.memo.slot(&key);
+            // Copy what this snapshot has priced already and queue the
+            // rest for one walk; their placeholders are overwritten
+            // below. Duplicate candidates in one batch are walked per
+            // occurrence and store the same value.
+            let PredictScratch {
+                memo,
+                pending,
+                suffix,
+                ..
+            } = scratch;
+            let priced = memo.snapshot_mut(slot);
+            pending.clear();
+            suffix.clear();
+            out.clear();
+            out.extend(cfgs.iter().enumerate().map(|(row, &cfg)| {
+                priced[cfg.dense_index()].unwrap_or_else(|| {
+                    pending.push((row, cfg));
+                    suffix.extend_from_slice(&encode_config_features(cfg));
+                    PowerPerfEstimate {
+                        time_s: f64::NAN,
+                        gpu_power_w: f64::NAN,
+                    }
+                })
+            }));
+            let misses = scratch.pending.len() as u64;
+            scratch.memo.stats.misses += misses;
+            scratch.memo.stats.hits += cfgs.len() as u64 - misses;
+            if scratch.pending.is_empty() {
                 return;
             }
             // Every row of the batch shares the snapshot's counter
-            // prefix, so prefix splits resolve once per batch and the
+            // prefix, so prefix splits resolve once per snapshot and the
             // per-row walk only compares config features — the batch
             // never materializes full feature rows at all, just the
-            // compact config suffixes. The specialized forests are cached
-            // against the exact prefix bits: repeated sweeps over the
-            // same snapshot (hill-climb rounds, MPC horizon steps) skip
-            // re-specialization entirely.
-            let prefix = encode_counter_features(&snapshot.counters);
-            const PREFIX_LEN: usize = crate::features::NUM_FEATURES - NUM_CONFIG_FEATURES;
-            let hit = scratch.cached_generation == self.generation
-                && scratch.cached_prefix.len() == PREFIX_LEN
-                && scratch
-                    .cached_prefix
-                    .iter()
-                    .zip(&prefix)
-                    .all(|(&bits, v)| bits == v.to_bits());
-            if !hit {
+            // compact config suffixes.
+            if scratch.specialized != Some(key) {
+                let prefix = encode_counter_features(&snapshot.counters);
+                const PREFIX_LEN: usize = crate::features::NUM_FEATURES - NUM_CONFIG_FEATURES;
                 self.time_flat
                     .specialize_into(&prefix, PREFIX_LEN, &mut scratch.time_pruned);
                 self.power_flat
                     .specialize_into(&prefix, PREFIX_LEN, &mut scratch.power_pruned);
-                scratch.cached_generation = self.generation;
-                scratch.cached_prefix.clear();
-                scratch
-                    .cached_prefix
-                    .extend(prefix.iter().map(|v| v.to_bits()));
-                scratch.epoch += 1;
+                scratch.specialized = Some(key);
             }
-            if scratch.memo.len() != HwConfig::DENSE_COUNT {
-                scratch.memo.resize(
-                    HwConfig::DENSE_COUNT,
-                    PowerPerfEstimate {
-                        time_s: 0.0,
-                        gpu_power_w: 0.0,
-                    },
-                );
-                scratch.memo_epoch.resize(HwConfig::DENSE_COUNT, 0);
+            scratch
+                .time_pruned
+                .predict_suffix_batch_into(&scratch.suffix, &mut scratch.time_out);
+            scratch
+                .power_pruned
+                .predict_suffix_batch_into(&scratch.suffix, &mut scratch.power_out);
+            for ((&(row, cfg), &log_time), &power) in scratch
+                .pending
+                .iter()
+                .zip(&scratch.time_out)
+                .zip(&scratch.power_out)
+            {
+                let est = PowerPerfEstimate {
+                    time_s: log_time.exp().max(1e-9),
+                    gpu_power_w: power.max(0.1),
+                };
+                *scratch.memo.entry(slot, cfg) = Some(est);
+                out[row] = est;
             }
-            // Walk only the configs this snapshot hasn't priced yet;
-            // everything else is a memo copy. Duplicate candidates in one
-            // batch are walked per occurrence and scatter the same value.
-            scratch.suffix.clear();
-            scratch.pending.clear();
-            for &cfg in cfgs {
-                let dense = cfg.dense_index();
-                if scratch.memo_epoch[dense] != scratch.epoch {
-                    scratch.pending.push(dense as u32);
-                    scratch
-                        .suffix
-                        .extend_from_slice(&encode_config_features(cfg));
-                }
-            }
-            if !scratch.pending.is_empty() {
-                scratch
-                    .time_pruned
-                    .predict_suffix_batch_into(&scratch.suffix, &mut scratch.time_out);
-                scratch
-                    .power_pruned
-                    .predict_suffix_batch_into(&scratch.suffix, &mut scratch.power_out);
-                for ((&dense, &log_time), &power) in scratch
-                    .pending
-                    .iter()
-                    .zip(&scratch.time_out)
-                    .zip(&scratch.power_out)
-                {
-                    scratch.memo[dense as usize] = PowerPerfEstimate {
-                        time_s: log_time.exp().max(1e-9),
-                        gpu_power_w: power.max(0.1),
-                    };
-                    scratch.memo_epoch[dense as usize] = scratch.epoch;
-                }
-            }
-            out.clear();
-            out.extend(cfgs.iter().map(|cfg| scratch.memo[cfg.dense_index()]));
         });
     }
 
@@ -444,30 +543,48 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The seed formula: one-shot encoding + nested forest traversal +
+    /// exp/clamp, touching no thread-local state.
+    fn nested_reference(
+        rf: &RandomForestPredictor,
+        snap: &KernelSnapshot,
+        cfg: HwConfig,
+    ) -> PowerPerfEstimate {
+        let features = crate::features::encode_features(&snap.counters, cfg);
+        PowerPerfEstimate {
+            time_s: rf.time_forest().predict(&features).exp().max(1e-9),
+            gpu_power_w: rf.power_forest().predict(&features).max(0.1),
+        }
+    }
+
+    fn assert_bits_eq(est: PowerPerfEstimate, reference: PowerPerfEstimate, what: &str) {
+        assert_eq!(est.time_s.to_bits(), reference.time_s.to_bits(), "{what}");
+        assert_eq!(
+            est.gpu_power_w.to_bits(),
+            reference.gpu_power_w.to_bits(),
+            "{what}"
+        );
+    }
+
     #[test]
     fn predict_matches_nested_reference_path() {
-        // The flat hot path must reproduce the seed formula bit-for-bit:
-        // one-shot encoding + nested forest traversal + exp/clamp.
+        // The flat hot path must reproduce the seed formula bit-for-bit,
+        // on the walk that fills the memo and on the hit that reads it.
         let (_, _, ds) = campaign();
         let rf = RandomForestPredictor::train(&ds, &ForestParams::default(), 11);
-        let snap = gpm_sim::predictor::KernelSnapshot::counters_only(
+        let snap = KernelSnapshot::counters_only(
             gpm_sim::CounterSet::from_values([1e8, 40.0, 60.0, 1e5, 6.0, 3.0, 1e6, 1e6]),
             HwConfig::FAIL_SAFE,
             1.0,
         );
-        for cfg in &ConfigSpace::paper_campaign() {
-            let features = crate::features::encode_features(&snap.counters, cfg);
-            let reference = PowerPerfEstimate {
-                time_s: rf.time_forest().predict(&features).exp().max(1e-9),
-                gpu_power_w: rf.power_forest().predict(&features).max(0.1),
-            };
-            let est = rf.predict(&snap, cfg);
-            assert_eq!(est.time_s.to_bits(), reference.time_s.to_bits(), "{cfg}");
-            assert_eq!(
-                est.gpu_power_w.to_bits(),
-                reference.gpu_power_w.to_bits(),
-                "{cfg}"
-            );
+        for _ in 0..2 {
+            for cfg in &ConfigSpace::paper_campaign() {
+                assert_bits_eq(
+                    rf.predict(&snap, cfg),
+                    nested_reference(&rf, &snap, cfg),
+                    &format!("{cfg}"),
+                );
+            }
         }
     }
 
@@ -475,7 +592,7 @@ mod tests {
     fn predict_batch_bit_identical_to_scalar_loop() {
         let (_, _, ds) = campaign();
         let rf = RandomForestPredictor::train(&ds, &ForestParams::default(), 11);
-        let snap = gpm_sim::predictor::KernelSnapshot::counters_only(
+        let snap = KernelSnapshot::counters_only(
             gpm_sim::CounterSet::from_values([1e7, 30.0, 55.0, 1e4, 2.0, 1.0, 1e5, 1e5]),
             HwConfig::FAIL_SAFE,
             1.0,
@@ -484,45 +601,91 @@ mod tests {
         let mut batch = Vec::new();
         rf.predict_batch(&snap, &cfgs, &mut batch);
         assert_eq!(batch.len(), cfgs.len());
-        for (est, &cfg) in batch.iter().zip(&cfgs) {
-            let scalar = rf.predict(&snap, cfg);
-            assert_eq!(est.time_s.to_bits(), scalar.time_s.to_bits(), "{cfg}");
-            assert_eq!(
-                est.gpu_power_w.to_bits(),
-                scalar.gpu_power_w.to_bits(),
-                "{cfg}"
-            );
+        // The scalar loop runs on a fresh thread, whose empty memo makes
+        // every call a full flat-forest walk rather than a read of the
+        // batch's memoized values.
+        let scalar: Vec<PowerPerfEstimate> = std::thread::scope(|s| {
+            s.spawn(|| cfgs.iter().map(|&cfg| rf.predict(&snap, cfg)).collect())
+                .join()
+                .unwrap()
+        });
+        for ((&est, &reference), cfg) in batch.iter().zip(&scalar).zip(&cfgs) {
+            assert_bits_eq(est, reference, &format!("{cfg}"));
         }
     }
 
     #[test]
     fn specialization_cache_invalidates_on_snapshot_and_predictor_change() {
-        // Alternates two snapshots and two predictors on one thread; the
-        // thread-local specialization cache must miss on every switch and
-        // stay bit-identical to the scalar path throughout.
+        // Interleaves scalar and batched pricing over more distinct
+        // snapshots than the value memo holds, under two predictors, on
+        // one thread: the memo must tell the predictors apart, start
+        // over when full without serving a reclaimed slot's old values,
+        // and match the nested reference throughout.
         let (_, _, ds) = campaign();
         let rf_a = RandomForestPredictor::train(&ds, &ForestParams::default(), 11);
         let rf_b = RandomForestPredictor::train(&ds, &ForestParams::default(), 23);
-        let snap_a = gpm_sim::predictor::KernelSnapshot::counters_only(
-            gpm_sim::CounterSet::from_values([1e7, 30.0, 55.0, 1e4, 2.0, 1.0, 1e5, 1e5]),
-            HwConfig::FAIL_SAFE,
-            1.0,
-        );
-        let snap_b = gpm_sim::predictor::KernelSnapshot::counters_only(
-            gpm_sim::CounterSet::from_values([9e8, 80.0, 20.0, 9e5, 15.0, 1.0, 9e6, 1e5]),
-            HwConfig::FAIL_SAFE,
-            1.0,
-        );
-        let cfgs: Vec<HwConfig> = ConfigSpace::paper_campaign().iter().collect();
+        let snaps: Vec<KernelSnapshot> = (0..MEMO_SNAPSHOTS / 2 + 5)
+            .map(|i| {
+                let f = 1.0 + i as f64 * 0.37;
+                KernelSnapshot::counters_only(
+                    gpm_sim::CounterSet::from_values([
+                        1e7 * f,
+                        (30.0 + 7.0 * i as f64) % 100.0,
+                        (55.0 + 13.0 * i as f64) % 100.0,
+                        1e4 * f,
+                        (i % 16) as f64,
+                        (i % 5) as f64,
+                        1e5 * f * f,
+                        1e5 * f,
+                    ]),
+                    HwConfig::FAIL_SAFE,
+                    1.0,
+                )
+            })
+            .collect();
+        // Two (predictor, snapshot) keys per snapshot: the memo wraps
+        // more than once per round.
+        assert!(2 * snaps.len() > MEMO_SNAPSHOTS);
+        let cfgs: Vec<HwConfig> = ConfigSpace::paper_campaign().iter().step_by(7).collect();
+        let references: Vec<Vec<[PowerPerfEstimate; 2]>> = snaps
+            .iter()
+            .map(|snap| {
+                cfgs.iter()
+                    .map(|&cfg| {
+                        [
+                            nested_reference(&rf_a, snap, cfg),
+                            nested_reference(&rf_b, snap, cfg),
+                        ]
+                    })
+                    .collect()
+            })
+            .collect();
         let mut batch = Vec::new();
-        for _ in 0..2 {
-            for rf in [&rf_a, &rf_b] {
-                for snap in [&snap_a, &snap_b] {
-                    rf.predict_batch(snap, &cfgs, &mut batch);
-                    for (est, &cfg) in batch.iter().zip(&cfgs) {
-                        let scalar = rf.predict(snap, cfg);
-                        assert_eq!(est.time_s.to_bits(), scalar.time_s.to_bits(), "{cfg}");
-                        assert_eq!(est.gpu_power_w.to_bits(), scalar.gpu_power_w.to_bits());
+        for round in 0..3 {
+            for (i, snap) in snaps.iter().enumerate() {
+                for (p, rf) in [&rf_a, &rf_b].into_iter().enumerate() {
+                    let what =
+                        |cfg: HwConfig| format!("round {round} snapshot {i} predictor {p} {cfg}");
+                    let check_batch = |batch: &mut Vec<PowerPerfEstimate>| {
+                        rf.predict_batch(snap, &cfgs, batch);
+                        for (j, &cfg) in cfgs.iter().enumerate() {
+                            assert_bits_eq(batch[j], references[i][j][p], &what(cfg));
+                        }
+                    };
+                    let check_scalar = |step: usize| {
+                        for (j, &cfg) in cfgs.iter().enumerate().skip(step % 2).step_by(2) {
+                            assert_bits_eq(rf.predict(snap, cfg), references[i][j][p], &what(cfg));
+                        }
+                    };
+                    // Alternate which path fills the snapshot's memo, and
+                    // let the scalar path fill only half of it so the
+                    // batch that follows mixes hits and walks.
+                    if (round + i + p) % 2 == 0 {
+                        check_batch(&mut batch);
+                        check_scalar(i);
+                    } else {
+                        check_scalar(i);
+                        check_batch(&mut batch);
                     }
                 }
             }

@@ -3,10 +3,12 @@
 //! with a strictly newer generation tag, and the thread-local
 //! specialization + per-snapshot value memos never serve state cached
 //! for an older predictor — batched predictions after a retrain are
-//! bit-identical to the fresh predictor's scalar path.
+//! bit-identical to the fresh predictor's nested-forest reference.
 
 use gpm_hw::{ConfigSpace, HwConfig};
-use gpm_model::{ForestParams, RandomForest, RandomForestPredictor, TreeParams, NUM_FEATURES};
+use gpm_model::{
+    encode_features, ForestParams, RandomForest, RandomForestPredictor, TreeParams, NUM_FEATURES,
+};
 use gpm_sim::predictor::{KernelSnapshot, PowerPerfPredictor};
 use gpm_sim::CounterSet;
 use proptest::prelude::*;
@@ -62,13 +64,19 @@ fn snapshot(seed: u64) -> KernelSnapshot {
     KernelSnapshot::counters_only(CounterSet::from_values(values), HwConfig::FAIL_SAFE, 1.0)
 }
 
-/// Scalar reference: the predictor's own per-call path (fresh feature
-/// row each time, no batch memo involvement beyond a single row).
-fn scalar_sweep(rf: &RandomForestPredictor, snap: &KernelSnapshot, cfgs: &[HwConfig]) -> Vec<u64> {
+/// Reference: one-shot encoding + nested forest traversal + exp/clamp,
+/// touching none of the thread-local memo state under test.
+fn reference_sweep(
+    rf: &RandomForestPredictor,
+    snap: &KernelSnapshot,
+    cfgs: &[HwConfig],
+) -> Vec<u64> {
     cfgs.iter()
         .flat_map(|&cfg| {
-            let est = rf.predict(snap, cfg);
-            [est.time_s.to_bits(), est.gpu_power_w.to_bits()]
+            let features = encode_features(&snap.counters, cfg);
+            let time_s = rf.time_forest().predict(&features).exp().max(1e-9);
+            let gpu_power_w = rf.power_forest().predict(&features).max(0.1);
+            [time_s.to_bits(), gpu_power_w.to_bits()]
         })
         .collect()
 }
@@ -108,8 +116,8 @@ proptest! {
 
     /// The stale-serve property itself: prime the thread-local memo with
     /// predictor A, retrain to B on the same thread, and batch-predict
-    /// the same snapshot/configs — every value must match B's scalar
-    /// path bit-for-bit (a stale `PrunedForest` or memo row from A would
+    /// the same snapshot/configs — every value must match B's nested
+    /// reference bit-for-bit (a stale `PrunedForest` or memo row from A would
     /// leak A's values). Interleaving A afterwards must restore A's
     /// values just as exactly.
     #[test]
@@ -132,8 +140,8 @@ proptest! {
         // predictor (and its generation) changed.
         let b = fit_predictor(seed ^ 0xB00_57ED, threads);
         let b_batched = batched_sweep(&b, &snap, &cfgs);
-        let b_scalar = scalar_sweep(&b, &snap, &cfgs);
-        prop_assert_eq!(&b_batched, &b_scalar, "B served stale state primed by A");
+        let b_reference = reference_sweep(&b, &snap, &cfgs);
+        prop_assert_eq!(&b_batched, &b_reference, "B served stale state primed by A");
         prop_assert_ne!(&b_batched, &a_first, "distinct forests predicted identically");
 
         // Swap back to A: its values must round-trip exactly, through

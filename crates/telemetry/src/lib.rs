@@ -21,8 +21,8 @@
 //! * [`mod@span`] — RAII span guards ([`Telemetry::span`] or the free
 //!   [`span()`] routed through the thread's *current* handle) recording
 //!   count, total, and **self** time (total minus child spans) into
-//!   per-thread span trees — the hot path takes one uncontended lock and
-//!   allocates nothing once a span name has been seen.
+//!   per-thread span trees — the hot path takes no lock and allocates
+//!   nothing once a span path has been seen.
 //! * [`export`] — three renderers over a snapshot: Prometheus text
 //!   exposition (plus [`export::validate_prometheus`]), chrome://tracing
 //!   JSON (loadable in Perfetto), and folded stacks for flamegraphs.

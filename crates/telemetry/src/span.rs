@@ -4,9 +4,14 @@
 //! thread's active-span stack, dropping it attributes the elapsed wall
 //! time to the span's path (its ancestry) and to the parent's child
 //! time, so snapshots can report both **total** and **self** time per
-//! path. The hot path is allocation-free once a path has been seen: the
-//! guard takes one uncontended per-thread lock and indexes into a node
-//! arena keyed by `&'static str` names.
+//! path. The hot path takes no lock and allocates nothing once a path
+//! has been seen: the stack and the path lookup are thread-private, and
+//! the per-path counters are atomics that only the owning thread writes
+//! (a plain load and store) inside a per-thread sequence lock, so a
+//! snapshot on another thread reads every node's count and times from
+//! one consistent point without stopping the writer. Only creating a
+//! path locks. Back-to-back spans, such as one per loop iteration, can
+//! share a clock read through [`SpanGuard::reopen`].
 //!
 //! Spans route through the thread's *current* registry, established
 //! with [`Telemetry::enter`]. Library code (forest fit, governor
@@ -18,7 +23,8 @@ use crate::registry::{EventRing, Inner, SpanRow, Telemetry};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::sync::atomic::Ordering;
+use std::rc::Rc;
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
@@ -31,59 +37,118 @@ pub(crate) struct SpanEvent {
     pub(crate) dur_ns: u64,
 }
 
-/// One span-tree node: a `&'static str` name under a parent path.
+/// One span-tree node: a `&'static str` name under a parent path. Its
+/// counters change only inside the owning [`ThreadSlot`]'s sequence
+/// lock.
 struct Node {
     name: &'static str,
     parent: Option<usize>,
-    children: Vec<(&'static str, usize)>,
-    count: u64,
-    total_ns: u64,
-    child_ns: u64,
+    count: AtomicU64,
+    total_ns: AtomicU64,
+    child_ns: AtomicU64,
+}
+
+/// Adds `v` to a counter that only the calling thread writes: a plain
+/// load and store, no read-modify-write.
+fn bump(cell: &AtomicU64, v: u64) {
+    cell.store(cell.load(Ordering::Relaxed) + v, Ordering::Relaxed);
 }
 
 /// An active (not yet finished) span on the thread's stack.
 struct Frame {
     node: usize,
-    start_ns: u64,
+    start: Instant,
     child_ns: u64,
 }
 
-#[derive(Default)]
-struct ThreadSpans {
-    nodes: Vec<Node>,
-    roots: Vec<(&'static str, usize)>,
-    stack: Vec<Frame>,
-}
-
-/// Per-(thread, registry) span state. Only this thread writes; the
-/// snapshotting thread reads under the same mutex, which is therefore
-/// uncontended in steady state. The registry's epoch and event ring are
-/// cached here so a span guard needs only this one (thread-private,
-/// cache-warm) allocation — no pointer chase into the shared `Inner`.
+/// The part of one (thread, registry) span tree that snapshots read:
+/// every node the thread has created, in creation order.
 pub(crate) struct ThreadSlot {
     tid: u64,
     epoch: Instant,
     events: Option<Arc<EventRing>>,
-    spans: Mutex<ThreadSpans>,
+    nodes: Mutex<Vec<Arc<Node>>>,
+    /// Sequence lock over the nodes' counters: odd while the owning
+    /// thread is closing a span, bumped to the next even value after.
+    seq: AtomicU64,
+}
+
+impl ThreadSlot {
+    /// Applies one closed span to `node` inside the sequence lock. Only
+    /// the owning thread calls this. Pairing with [`ThreadSlot::read`]:
+    /// the final `Release` store publishes the counters to a reader's
+    /// `Acquire` load of `seq`; the `Release` fence after the odd store
+    /// pairs with the reader's `Acquire` fence, so a reader that saw any
+    /// counter store also sees `seq` changed and retries.
+    fn record(&self, node: &Node, dur: u64, child_ns: u64) {
+        let seq = self.seq.load(Ordering::Relaxed);
+        self.seq.store(seq + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        bump(&node.count, 1);
+        bump(&node.total_ns, dur);
+        bump(&node.child_ns, child_ns);
+        self.seq.store(seq + 2, Ordering::Release);
+    }
+
+    /// `(count, total_ns, child_ns)` of every node in `nodes`, read
+    /// between two span closes of the owning thread.
+    fn read(&self, nodes: &[Arc<Node>]) -> Vec<(u64, u64, u64)> {
+        loop {
+            let before = self.seq.load(Ordering::Acquire);
+            if before.is_multiple_of(2) {
+                let values = nodes
+                    .iter()
+                    .map(|n| {
+                        (
+                            n.count.load(Ordering::Relaxed),
+                            n.total_ns.load(Ordering::Relaxed),
+                            n.child_ns.load(Ordering::Relaxed),
+                        )
+                    })
+                    .collect();
+                fence(Ordering::Acquire);
+                if self.seq.load(Ordering::Relaxed) == before {
+                    return values;
+                }
+            }
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// The owning thread's side of a [`ThreadSlot`]: the path lookup and
+/// the active stack, which no other thread ever reads.
+struct LocalSpans {
+    slot: Arc<ThreadSlot>,
+    tree: RefCell<LocalTree>,
+}
+
+#[derive(Default)]
+struct LocalTree {
+    /// The slot's nodes, index-aligned with `ThreadSlot::nodes`.
+    nodes: Vec<Arc<Node>>,
+    children: Vec<Vec<(&'static str, usize)>>,
+    roots: Vec<(&'static str, usize)>,
+    stack: Vec<Frame>,
 }
 
 thread_local! {
     /// Stack of registries made current via [`Telemetry::enter`], with
-    /// this thread's slot in each resolved once at enter time.
-    static CURRENT: RefCell<Vec<(Telemetry, Arc<ThreadSlot>)>> = const { RefCell::new(Vec::new()) };
-    /// Registry → slot cache so repeated [`Telemetry::span`] /
+    /// this thread's spans in each resolved once at enter time.
+    static CURRENT: RefCell<Vec<(Telemetry, Rc<LocalSpans>)>> = const { RefCell::new(Vec::new()) };
+    /// Registry → spans cache so repeated [`Telemetry::span`] /
     /// [`Telemetry::enter`] calls skip the registry's thread list lock.
-    static SLOTS: RefCell<Vec<(Weak<Inner>, Arc<ThreadSlot>)>> = const { RefCell::new(Vec::new()) };
+    static SLOTS: RefCell<Vec<(Weak<Inner>, Rc<LocalSpans>)>> = const { RefCell::new(Vec::new()) };
 }
 
-fn slot_for_thread(t: &Telemetry) -> Arc<ThreadSlot> {
+fn spans_for_thread(t: &Telemetry) -> Rc<LocalSpans> {
     SLOTS.with(|cache| {
         let mut cache = cache.borrow_mut();
         cache.retain(|(weak, _)| weak.strong_count() > 0);
-        for (weak, slot) in cache.iter() {
+        for (weak, local) in cache.iter() {
             if let Some(inner) = weak.upgrade() {
                 if Arc::ptr_eq(&inner, &t.inner) {
-                    return Arc::clone(slot);
+                    return Rc::clone(local);
                 }
             }
         }
@@ -92,11 +157,16 @@ fn slot_for_thread(t: &Telemetry) -> Arc<ThreadSlot> {
             tid: threads.len() as u64,
             epoch: t.inner.epoch,
             events: t.inner.events.clone(),
-            spans: Mutex::new(ThreadSpans::default()),
+            nodes: Mutex::new(Vec::new()),
+            seq: AtomicU64::new(0),
         });
         threads.push(Arc::clone(&slot));
-        cache.push((Arc::downgrade(&t.inner), Arc::clone(&slot)));
-        slot
+        let local = Rc::new(LocalSpans {
+            slot,
+            tree: RefCell::default(),
+        });
+        cache.push((Arc::downgrade(&t.inner), Rc::clone(&local)));
+        local
     })
 }
 
@@ -105,8 +175,8 @@ impl Telemetry {
     /// guard drops; the free [`span()`] then records into it. Nested
     /// enters stack (innermost wins), and the guard is not `Send`.
     pub fn enter(&self) -> EnterGuard {
-        let slot = slot_for_thread(self);
-        CURRENT.with(|c| c.borrow_mut().push((self.clone(), slot)));
+        let local = spans_for_thread(self);
+        CURRENT.with(|c| c.borrow_mut().push((self.clone(), local)));
         EnterGuard {
             _not_send: PhantomData,
         }
@@ -115,7 +185,7 @@ impl Telemetry {
     /// Opens a span directly on this registry (no thread-current
     /// indirection). Prefer the free [`span()`] in library code.
     pub fn span(&self, name: &'static str) -> SpanGuard {
-        SpanGuard::begin(slot_for_thread(self), name)
+        SpanGuard::begin(spans_for_thread(self), name)
     }
 
     /// The thread's current registry, if one is entered.
@@ -144,122 +214,154 @@ impl Drop for EnterGuard {
 /// no allocation, no lock.
 pub fn span(name: &'static str) -> SpanGuard {
     CURRENT.with(|c| match c.borrow().last() {
-        Some((_, slot)) => SpanGuard::begin(Arc::clone(slot), name),
-        None => SpanGuard {
-            active: None,
-            _not_send: PhantomData,
-        },
+        Some((_, local)) => SpanGuard::begin(Rc::clone(local), name),
+        None => SpanGuard { active: None },
     })
 }
 
 /// RAII span: dropping it attributes the elapsed time to the span path.
+/// Not `Send`: it closes on the thread that opened it.
 #[must_use = "dropping the guard immediately closes the span"]
 pub struct SpanGuard {
-    /// `(this thread's slot, stack depth of our frame)`.
-    active: Option<(Arc<ThreadSlot>, usize)>,
-    _not_send: PhantomData<*const ()>,
+    /// `(this thread's spans, stack depth of our frame)`.
+    active: Option<(Rc<LocalSpans>, usize)>,
 }
 
 impl SpanGuard {
-    fn begin(slot: Arc<ThreadSlot>, name: &'static str) -> SpanGuard {
-        let now = slot.epoch.elapsed().as_nanos() as u64;
+    fn begin(local: Rc<LocalSpans>, name: &'static str) -> SpanGuard {
+        SpanGuard::begin_at(local, name, Instant::now())
+    }
+
+    fn begin_at(local: Rc<LocalSpans>, name: &'static str, start: Instant) -> SpanGuard {
         let depth = {
-            let mut spans = slot.spans.lock().unwrap_or_else(|p| p.into_inner());
-            let parent = spans.stack.last().map(|f| f.node);
-            let node = spans.child_node(parent, name);
-            spans.stack.push(Frame {
+            let mut tree = local.tree.borrow_mut();
+            let parent = tree.stack.last().map(|f| f.node);
+            let node = tree.child_node(&local.slot, parent, name);
+            tree.stack.push(Frame {
                 node,
-                start_ns: now,
+                start,
                 child_ns: 0,
             });
-            spans.stack.len()
+            tree.stack.len()
         };
         SpanGuard {
-            active: Some((slot, depth)),
-            _not_send: PhantomData,
+            active: Some((local, depth)),
         }
+    }
+
+    /// A guard with no span open; [`SpanGuard::reopen`] opens one.
+    pub fn inert() -> SpanGuard {
+        SpanGuard { active: None }
+    }
+
+    /// Closes this guard's span and opens `name` in its place at the
+    /// same depth, on one clock read: the close time of the one is the
+    /// open time of the other. Meant for spans that follow each other
+    /// back to back, such as the iterations of a loop. An inert guard
+    /// opens `name` on the thread's current registry, like [`span()`].
+    pub fn reopen(&mut self, name: &'static str) {
+        *self = match self.active.take() {
+            Some((local, depth)) => {
+                let now = Instant::now();
+                close(&local, depth, now);
+                SpanGuard::begin_at(local, name, now)
+            }
+            None => span(name),
+        };
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some((slot, depth)) = self.active.take() else {
-            return;
+        if let Some((local, depth)) = self.active.take() {
+            close(&local, depth, Instant::now());
+        }
+    }
+}
+
+/// Closes the span at stack `depth` at time `now`.
+fn close(local: &LocalSpans, depth: usize, now: Instant) {
+    let mut tree = local.tree.borrow_mut();
+    let LocalTree { nodes, stack, .. } = &mut *tree;
+    // Out-of-order drops (guard held past a later sibling) close
+    // every span opened after ours as well, so the stack and the
+    // tree stay consistent.
+    while stack.len() >= depth {
+        let Some(frame) = stack.pop() else {
+            break;
         };
-        let now = slot.epoch.elapsed().as_nanos() as u64;
-        let mut spans = slot.spans.lock().unwrap_or_else(|p| p.into_inner());
-        // Out-of-order drops (guard held past a later sibling) close
-        // every span opened after ours as well, so the stack and the
-        // tree stay consistent.
-        while spans.stack.len() >= depth {
-            let frame = match spans.stack.pop() {
-                Some(f) => f,
-                None => break,
+        let dur = now.saturating_duration_since(frame.start).as_nanos() as u64;
+        let node = &nodes[frame.node];
+        let slot = &local.slot;
+        slot.record(node, dur, frame.child_ns);
+        if let Some(parent) = stack.last_mut() {
+            parent.child_ns += dur;
+        }
+        if let Some(ring) = &slot.events {
+            let mut events = ring.events.lock().unwrap_or_else(|p| p.into_inner());
+            let ev = SpanEvent {
+                name: node.name,
+                tid: slot.tid,
+                start_ns: frame.start.saturating_duration_since(slot.epoch).as_nanos() as u64,
+                dur_ns: dur,
             };
-            let dur = now.saturating_sub(frame.start_ns);
-            let node = &mut spans.nodes[frame.node];
-            node.count += 1;
-            node.total_ns += dur;
-            node.child_ns += frame.child_ns;
-            let name = node.name;
-            if let Some(parent) = spans.stack.last_mut() {
-                parent.child_ns += dur;
-            }
-            if let Some(ring) = &slot.events {
-                let mut events = ring.events.lock().unwrap_or_else(|p| p.into_inner());
-                let ev = SpanEvent {
-                    name,
-                    tid: slot.tid,
-                    start_ns: frame.start_ns,
-                    dur_ns: dur,
-                };
-                if events.len() < ring.capacity {
-                    events.push(ev);
-                } else {
-                    let i = ring.cursor.fetch_add(1, Ordering::Relaxed) % ring.capacity;
-                    events[i] = ev;
-                }
+            if events.len() < ring.capacity {
+                events.push(ev);
+            } else {
+                let i = ring.cursor.fetch_add(1, Ordering::Relaxed) % ring.capacity;
+                events[i] = ev;
             }
         }
     }
 }
 
-impl ThreadSpans {
+impl LocalTree {
     /// The node for `name` under `parent`, creating it on first sight
-    /// (the only allocation on the span path).
-    fn child_node(&mut self, parent: Option<usize>, name: &'static str) -> usize {
+    /// (the only allocation and the only lock on the span path).
+    fn child_node(
+        &mut self,
+        slot: &ThreadSlot,
+        parent: Option<usize>,
+        name: &'static str,
+    ) -> usize {
         let siblings = match parent {
-            Some(p) => &self.nodes[p].children,
+            Some(p) => &self.children[p],
             None => &self.roots,
         };
         if let Some(&(_, idx)) = siblings.iter().find(|(n, _)| *n == name) {
             return idx;
         }
         let idx = self.nodes.len();
-        self.nodes.push(Node {
+        let node = Arc::new(Node {
             name,
             parent,
-            children: Vec::new(),
-            count: 0,
-            total_ns: 0,
-            child_ns: 0,
+            count: AtomicU64::new(0),
+            total_ns: AtomicU64::new(0),
+            child_ns: AtomicU64::new(0),
         });
+        slot.nodes
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .push(Arc::clone(&node));
+        self.nodes.push(node);
+        self.children.push(Vec::new());
         match parent {
-            Some(p) => self.nodes[p].children.push((name, idx)),
+            Some(p) => self.children[p].push((name, idx)),
             None => self.roots.push((name, idx)),
         }
         idx
     }
+}
 
-    fn path_of(&self, mut idx: usize) -> String {
-        let mut names = vec![self.nodes[idx].name];
-        while let Some(p) = self.nodes[idx].parent {
-            names.push(self.nodes[p].name);
-            idx = p;
-        }
-        names.reverse();
-        names.join(";")
+/// The `;`-joined path of node `idx`.
+fn path_of(nodes: &[Arc<Node>], mut idx: usize) -> String {
+    let mut names = vec![nodes[idx].name];
+    while let Some(p) = nodes[idx].parent {
+        names.push(nodes[p].name);
+        idx = p;
     }
+    names.reverse();
+    names.join(";")
 }
 
 /// Flattens every thread's span tree into path-keyed rows, merging
@@ -269,21 +371,21 @@ pub(crate) fn collect_spans(inner: &Inner) -> Vec<SpanRow> {
     let mut by_path: HashMap<String, SpanRow> = HashMap::new();
     let threads = inner.threads.lock().unwrap_or_else(|p| p.into_inner());
     for slot in threads.iter() {
-        let spans = slot.spans.lock().unwrap_or_else(|p| p.into_inner());
-        for (idx, node) in spans.nodes.iter().enumerate() {
-            if node.count == 0 {
+        let nodes = slot.nodes.lock().unwrap_or_else(|p| p.into_inner());
+        for (idx, (count, total_ns, child_ns)) in slot.read(&nodes).into_iter().enumerate() {
+            if count == 0 {
                 continue;
             }
-            let path = spans.path_of(idx);
+            let path = path_of(&nodes, idx);
             let row = by_path.entry(path.clone()).or_insert_with(|| SpanRow {
                 path,
                 count: 0,
                 total_ns: 0,
                 self_ns: 0,
             });
-            row.count += node.count;
-            row.total_ns += node.total_ns;
-            row.self_ns += node.total_ns.saturating_sub(node.child_ns);
+            row.count += count;
+            row.total_ns += total_ns;
+            row.self_ns += total_ns.saturating_sub(child_ns);
         }
     }
     by_path.into_values().collect()
@@ -404,9 +506,69 @@ mod tests {
             let _s = t.span("steady");
         }
         let threads = t.inner.threads.lock().unwrap();
-        let spans = threads[0].spans.lock().unwrap();
-        assert_eq!(spans.nodes.len(), 1);
-        assert_eq!(spans.nodes[0].count, 100);
+        let nodes = threads[0].nodes.lock().unwrap();
+        assert_eq!(nodes.len(), 1);
+        assert_eq!(nodes[0].count.load(Ordering::Relaxed), 100);
+    }
+
+    #[test]
+    fn snapshot_waits_for_a_close_in_progress() {
+        let t = Telemetry::new();
+        drop(t.span("slow"));
+        let slot = Arc::clone(&t.inner.threads.lock().unwrap()[0]);
+        let node = Arc::clone(&slot.nodes.lock().unwrap()[0]);
+        let before = (
+            node.count.load(Ordering::Relaxed),
+            node.total_ns.load(Ordering::Relaxed),
+        );
+        // Stop a close half way: count bumped, times not yet.
+        let seq = slot.seq.load(Ordering::Relaxed);
+        slot.seq.store(seq + 1, Ordering::Relaxed);
+        bump(&node.count, 1);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                bump(&node.total_ns, 1_000_000);
+                slot.seq.store(seq + 2, Ordering::Release);
+            });
+            let row = t.snapshot().span("slow").unwrap().clone();
+            assert_eq!(row.count, before.0 + 1);
+            assert_eq!(row.total_ns, before.1 + 1_000_000);
+        });
+    }
+
+    #[test]
+    fn reopen_chains_siblings_on_one_clock_read() {
+        let t = Telemetry::with_events(16);
+        {
+            let _e = t.enter();
+            let mut iter = SpanGuard::inert();
+            for _ in 0..3 {
+                iter.reopen("iter");
+                let _child = span("child");
+            }
+            drop(iter);
+            drop(span("after"));
+        }
+        let snap = t.snapshot();
+        assert_eq!(snap.span("iter").unwrap().count, 3);
+        let mut paths: Vec<_> = snap.spans.iter().map(|s| s.path.as_str()).collect();
+        paths.sort_unstable();
+        assert_eq!(paths, ["after", "iter", "iter;child"]);
+        // Each occurrence ends on the very instant the next one starts.
+        let events = t.inner.events.as_ref().unwrap().events.lock().unwrap();
+        let iters: Vec<_> = events.iter().filter(|e| e.name == "iter").collect();
+        assert_eq!(iters.len(), 3);
+        for pair in iters.windows(2) {
+            assert_eq!(pair[0].start_ns + pair[0].dur_ns, pair[1].start_ns);
+        }
+    }
+
+    #[test]
+    fn reopen_without_a_registry_stays_inert() {
+        let mut g = SpanGuard::inert();
+        g.reopen("nobody.listening");
+        assert!(g.active.is_none());
     }
 
     #[test]

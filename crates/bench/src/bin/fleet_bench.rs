@@ -24,13 +24,14 @@
 //! `127.0.0.1:PORT/metrics` for the duration of the run, so a soak can
 //! be watched from a real Prometheus scraper.
 //!
-//! Emits `results/BENCH_fleet.json` either way. `GPM_BENCH_FAST=1`
-//! selects the fast training context (CI default). Build with
+//! Emits `results/BENCH_fleet.json` either way. `--fast` selects the
+//! fast training context (CI default). Build with
 //! `--release`; debug numbers are meaningless.
 
-use gpm_bench::{bench_context, emit_artifact, fast_from_env};
 use gpm_fleet::{FleetReport, FleetScenario, FleetService};
 use gpm_telemetry::{Telemetry, TelemetrySnapshot};
+use gpm_xp::emit_artifact;
+use gpm_xp::suite::bench_context;
 use serde::Serialize;
 use std::io::{Read, Write};
 use std::net::TcpListener;
@@ -127,6 +128,7 @@ fn serve_prometheus(port: u16, telemetry: Telemetry) {
 
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
+    let fast = argv.iter().any(|a| a == "--fast");
     let soak_secs: Option<f64> = argv
         .iter()
         .position(|a| a == "--soak")
@@ -142,9 +144,9 @@ fn main() {
             .expect("--telemetry-port needs a port number")
     });
 
-    let ctx = bench_context(fast_from_env());
+    let ctx = bench_context(fast);
     let seed = 0xF1EE7u64;
-    let (shards, jobs_per_shard) = if fast_from_env() { (8, 2) } else { (12, 4) };
+    let (shards, jobs_per_shard) = if fast { (8, 2) } else { (12, 4) };
     let scenario = FleetScenario::mixed(seed, shards, jobs_per_shard);
 
     // One fleet-level registry spans the whole process (soak + sweep);

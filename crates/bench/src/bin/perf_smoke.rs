@@ -37,7 +37,6 @@
 //! regressions on the MPC hot path. Build with `--release`; debug
 //! numbers are meaningless.
 
-use gpm_bench::emit_artifact;
 use gpm_harness::{context, EvalContext, EvalOptions, ExecEnv, Scheme};
 use gpm_hw::{ConfigSpace, HwConfig};
 use gpm_model::{
@@ -47,6 +46,7 @@ use gpm_mpc::HorizonMode;
 use gpm_sim::predictor::{KernelSnapshot, PowerPerfPredictor};
 use gpm_sim::PowerPerfEstimate;
 use gpm_workloads::workload_by_name;
+use gpm_xp::emit_artifact;
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::{Duration, Instant};

@@ -13,7 +13,7 @@
 //!
 //! `--rates` is a comma-separated list of per-channel fault rates (all
 //! five channels fire at the same rate, nominal intensity). `--fast`
-//! (or env `GPM_BENCH_FAST=1`) uses the reduced measurement campaign.
+//! uses the reduced measurement campaign.
 //!
 //! Graceful-degradation gate (exit status): every swept point must
 //! complete without panics and with finite accounting, and every point
@@ -24,13 +24,14 @@
 //! (also gated). The degradation curve is written to `--json` for CI
 //! artifact upload.
 
-use gpm_bench::{bench_context, emit_artifact, fast_from_env};
 use gpm_harness::Scheme;
 use gpm_mpc::HorizonMode;
 use gpm_workloads::workload_by_name;
+use gpm_xp::emit_artifact;
 use gpm_xp::experiments::robustness::{
     degradation_curve, degradation_gate_failures, render_curve, RobustnessReport,
 };
+use gpm_xp::suite::bench_context;
 use std::process::ExitCode;
 
 struct Args {
@@ -49,7 +50,7 @@ fn parse_args() -> Args {
         seed: 0xFA_15AFE,
         max_slowdown: 1.5,
         json: None,
-        fast: fast_from_env(),
+        fast: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {

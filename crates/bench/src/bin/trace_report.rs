@@ -22,15 +22,13 @@
 //! `--json` exports the summary (plus energy/performance comparison) as a
 //! JSON report; `--jsonl` streams every raw event to a JSON Lines file;
 //! `--telemetry-out` writes the registry's Prometheus text exposition.
-//! `--fast` (or env `GPM_BENCH_FAST=1`) uses the reduced measurement
-//! campaign, for CI smoke runs.
+//! `--fast` uses the reduced measurement campaign, for CI smoke runs.
 //!
 //! Exits non-zero when the trace-derived statistics disagree with
 //! `MpcStats`, when the telemetry layer disagrees with the trace layer,
 //! or when the context's baseline cache fails to collapse the repeated
 //! Turbo Core baseline resolutions into a single simulation.
 
-use gpm_bench::{bench_context, emit_artifact, fast_from_env};
 use gpm_harness::env::ExecEnv;
 use gpm_harness::metrics::Comparison;
 use gpm_harness::report::trace_summary_table;
@@ -39,6 +37,8 @@ use gpm_mpc::HorizonMode;
 use gpm_telemetry::Telemetry;
 use gpm_trace::{AggregateSink, FanoutSink, JsonlSink, TraceSink, TraceSummary};
 use gpm_workloads::workload_by_name;
+use gpm_xp::emit_artifact;
+use gpm_xp::suite::bench_context;
 use serde::Serialize;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -70,7 +70,7 @@ fn parse_args() -> Args {
         json: None,
         jsonl: None,
         telemetry_out: None,
-        fast: fast_from_env(),
+        fast: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {

@@ -19,7 +19,7 @@ use crate::optimizer::{optimize_window_exact, optimize_window_with};
 use crate::search_order::{average_full_horizon, search_order, ProfiledKernel};
 use crate::stats::MpcStats;
 use gpm_faults::{no_faults, FaultInjector, FaultKey};
-use gpm_governors::search::{hill_climb_with_memo, EnergyEvaluator, EvalMemo};
+use gpm_governors::search::{hill_climb, EnergyEvaluator, EvalMemo};
 use gpm_governors::{Governor, GovernorDecision, KernelContext, OverheadModel, PerfTarget};
 use gpm_hw::HwConfig;
 use gpm_pattern::PatternExtractor;
@@ -270,7 +270,7 @@ impl<P: PowerPerfPredictor> MpcGovernor<P> {
             .time_cap(ctx.elapsed_gi, ctx.elapsed_kernel_s, last.ginstructions);
         let (best, stats) = {
             let _span = gpm_telemetry::span("search.hill_climb");
-            hill_climb_with_memo(
+            hill_climb(
                 &self.evaluator,
                 &last,
                 HwConfig::FAIL_SAFE,

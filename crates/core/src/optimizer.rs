@@ -10,9 +10,7 @@
 //! the window is provisional and will be re-optimized when the horizon
 //! slides.
 
-use gpm_governors::search::{
-    hill_climb_with_memo, ConfigEstimate, EnergyEvaluator, EvalMemo, SearchStats,
-};
+use gpm_governors::search::{hill_climb, ConfigEstimate, EnergyEvaluator, EvalMemo, SearchStats};
 use gpm_governors::to::ToSolver;
 use gpm_governors::PerfTarget;
 use gpm_hw::{ConfigSpace, HwConfig};
@@ -150,7 +148,7 @@ pub fn optimize_window_with<P: PowerPerfPredictor>(
         // were the last one standing; never negative protection needed —
         // hill_climb handles infeasible caps by returning None.
         let cap = cap_shared;
-        let (best, stats) = hill_climb_with_memo(eval, snap, HwConfig::FAIL_SAFE, cap, memo);
+        let (best, stats) = hill_climb(eval, snap, HwConfig::FAIL_SAFE, cap, memo);
         evaluations += stats.evaluations;
         search.merge(&stats);
         let est = match best {
@@ -280,7 +278,7 @@ pub fn optimize_window_exact<P: PowerPerfPredictor>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpm_governors::search::hill_climb;
+    use gpm_governors::search::{hill_climb, EvalMemo};
     use gpm_hw::{ConfigSpace, HwConfig};
     use gpm_sim::predictor::KernelSnapshot;
     use gpm_sim::{ApuSimulator, KernelCharacteristics, OraclePredictor, SimParams};
@@ -341,7 +339,13 @@ mod tests {
         let target = target_for(&fx, 1, 1.5);
         let plan = optimize_window(&fx.eval, &fx.snapshots, &[0], 0, 1, 0.0, 0.0, &target).unwrap();
         let cap = target.time_cap(0.0, 0.0, fx.snapshots[&0].ginstructions);
-        let (direct, _) = hill_climb(&fx.eval, &fx.snapshots[&0], HwConfig::FAIL_SAFE, cap);
+        let (direct, _) = hill_climb(
+            &fx.eval,
+            &fx.snapshots[&0],
+            HwConfig::FAIL_SAFE,
+            cap,
+            &mut EvalMemo::new(),
+        );
         assert_eq!(plan.config, direct.unwrap().config);
         assert!(!plan.fail_safe);
         assert_eq!(plan.window.len(), 1);

@@ -8,9 +8,7 @@
 //! throughput phase changes — the failure mode that motivates MPC.
 
 use crate::governor::{Governor, GovernorDecision, KernelContext, OverheadModel};
-use crate::search::{
-    exhaustive_best, hill_climb_with_memo, EnergyEvaluator, EvalMemo, SearchStats,
-};
+use crate::search::{exhaustive_best, hill_climb, EnergyEvaluator, EvalMemo, SearchStats};
 use gpm_hw::{ConfigSpace, HwConfig};
 use gpm_sim::predictor::{KernelSnapshot, PowerPerfPredictor};
 use gpm_sim::{KernelCharacteristics, KernelOutcome, SimParams};
@@ -128,7 +126,7 @@ impl<P: PowerPerfPredictor> Governor for PpkGovernor<P> {
             }
             PpkSearch::HillClimb => {
                 let _span = gpm_telemetry::span("search.hill_climb");
-                hill_climb_with_memo(
+                hill_climb(
                     &self.evaluator,
                     &last,
                     HwConfig::FAIL_SAFE,

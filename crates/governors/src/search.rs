@@ -210,29 +210,7 @@ pub fn exhaustive_best<P: PowerPerfPredictor>(
     })
 }
 
-/// The paper's greedy hill-climbing optimizer (Section IV-A1a).
-///
-/// Starting from `start` (normally the fail-safe configuration), the
-/// algorithm first estimates each knob's *energy sensitivity* — the
-/// predicted energy change for a one-step move toward lower power — and
-/// orders knobs by decreasing sensitivity. It then sweeps each knob in
-/// turn, stepping down while predicted energy keeps decreasing and the
-/// time cap stays satisfied, stopping at the first energy increase.
-///
-/// Returns the best feasible estimate found (`None` when even `start`
-/// violates the cap) and the number of predictor evaluations — bounded by
-/// roughly `Σ|knob|` per the paper's 19×-cheaper-than-exhaustive claim.
-pub fn hill_climb<P: PowerPerfPredictor>(
-    eval: &EnergyEvaluator<P>,
-    snapshot: &KernelSnapshot,
-    start: HwConfig,
-    time_cap_s: f64,
-) -> (Option<ConfigEstimate>, u64) {
-    let (best, stats) = hill_climb_stats(eval, snapshot, start, time_cap_s);
-    (best, stats.evaluations)
-}
-
-/// Dense per-candidate memo backing [`hill_climb_with_memo`]: one slot
+/// Dense per-candidate memo backing [`hill_climb`]: one slot
 /// per point of the full [`HwConfig::DENSE_COUNT`] lattice, stamped with
 /// an epoch so a new search invalidates every entry in O(1) without
 /// releasing the allocation.
@@ -283,26 +261,26 @@ impl Default for EvalMemo {
     }
 }
 
-/// [`hill_climb`] with full per-knob telemetry: identical search, but also
-/// reports where the candidate budget went ([`SearchStats`]).
-pub fn hill_climb_stats<P: PowerPerfPredictor>(
-    eval: &EnergyEvaluator<P>,
-    snapshot: &KernelSnapshot,
-    start: HwConfig,
-    time_cap_s: f64,
-) -> (Option<ConfigEstimate>, SearchStats) {
-    hill_climb_with_memo(eval, snapshot, start, time_cap_s, &mut EvalMemo::new())
-}
-
-/// [`hill_climb_stats`] against a caller-provided [`EvalMemo`], the form
-/// the governors' hot paths use so repeated climbs within and across
-/// decisions reuse one allocation.
+/// The paper's greedy hill-climbing optimizer (Section IV-A1a).
 ///
-/// The memo is re-scoped on entry, so results and evaluation counts are
-/// identical to [`hill_climb_stats`] regardless of what the memo saw
-/// before — `SearchStats::evaluations` still counts exactly the cache
+/// Starting from `start` (normally the fail-safe configuration), the
+/// algorithm first estimates each knob's *energy sensitivity* — the
+/// predicted energy change for a one-step move toward lower power — and
+/// orders knobs by decreasing sensitivity. It then sweeps each knob in
+/// turn, stepping down while predicted energy keeps decreasing and the
+/// time cap stays satisfied, stopping at the first energy increase.
+///
+/// Returns the best feasible estimate found (`None` when even `start`
+/// violates the cap) and the search's [`SearchStats`]: predictor
+/// evaluations — bounded by roughly `Σ|knob|` per the paper's
+/// 19×-cheaper-than-exhaustive claim — and where the walk spent them.
+///
+/// `memo` only saves allocation: governors hoist one and hand it to every
+/// climb, one-off callers pass `&mut EvalMemo::new()`. It is re-scoped on
+/// entry, so results and evaluation counts never depend on what the memo
+/// saw before — `SearchStats::evaluations` counts exactly the cache
 /// misses of *this* invocation (the count the overhead model charges).
-pub fn hill_climb_with_memo<P: PowerPerfPredictor>(
+pub fn hill_climb<P: PowerPerfPredictor>(
     eval: &EnergyEvaluator<P>,
     snapshot: &KernelSnapshot,
     start: HwConfig,
@@ -479,12 +457,29 @@ mod tests {
         let start = HwConfig::FAIL_SAFE;
         let start_est = eval.estimate(&snap, start);
         let cap = start_est.time_s * 1.3;
-        let (best, evals) = hill_climb(&eval, &snap, start, cap);
+        let mut memo = EvalMemo::new();
+        let (best, stats) = hill_climb(&eval, &snap, start, cap, &mut memo);
         let best = best.unwrap();
         assert!(best.energy_j <= start_est.energy_j);
         assert!(best.time_s <= cap);
         // The 19× claim: far fewer evaluations than the 336-point space.
-        assert!(evals <= 40, "hill climb used {evals} evaluations");
+        assert!(
+            stats.evaluations <= 40,
+            "hill climb used {} evaluations",
+            stats.evaluations
+        );
+        // Every knob's sensitivity probe visits at least one candidate.
+        assert!(stats.visits.cpu_pstate > 0);
+        assert!(stats.visits.nb_state > 0);
+        assert!(stats.visits.gpu_dpm > 0);
+        assert!(stats.visits.cu_count > 0);
+        // Visits may revisit cached candidates, so they bound evaluations.
+        assert!(stats.visits.total() + 1 >= stats.evaluations);
+        // A repeat climb on the used memo reports the same search.
+        assert_eq!(
+            hill_climb(&eval, &snap, start, cap, &mut memo),
+            (Some(best), stats)
+        );
     }
 
     #[test]
@@ -495,7 +490,13 @@ mod tests {
         let (eval, snap) = setup(KernelCharacteristics::unscalable("us", 0.02));
         let space = ConfigSpace::full();
         let (exh, _) = exhaustive_best(&eval, &snap, &space, f64::INFINITY);
-        let (hc, _) = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, f64::INFINITY);
+        let (hc, _) = hill_climb(
+            &eval,
+            &snap,
+            HwConfig::FAIL_SAFE,
+            f64::INFINITY,
+            &mut EvalMemo::new(),
+        );
         let ratio = hc.unwrap().energy_j / exh.unwrap().energy_j;
         assert!(ratio < 1.25, "hill climb {ratio}× worse than exhaustive");
     }
@@ -503,36 +504,13 @@ mod tests {
     #[test]
     fn hill_climb_infeasible_start_returns_none() {
         let (eval, snap) = setup(KernelCharacteristics::compute_bound("cb", 20.0));
-        let (best, evals) = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, 1e-12);
-        assert!(best.is_none());
-        assert_eq!(evals, 1);
-    }
-
-    #[test]
-    fn hill_climb_stats_matches_hill_climb_and_counts_visits() {
-        let (eval, snap) = setup(KernelCharacteristics::unscalable("us", 0.02));
-        let start = HwConfig::FAIL_SAFE;
-        let cap = eval.estimate(&snap, start).time_s * 1.3;
-        let (best_a, evals) = hill_climb(&eval, &snap, start, cap);
-        let (best_b, stats) = hill_climb_stats(&eval, &snap, start, cap);
-        assert_eq!(
-            best_a, best_b,
-            "telemetry variant changed the search result"
+        let (best, stats) = hill_climb(
+            &eval,
+            &snap,
+            HwConfig::FAIL_SAFE,
+            1e-12,
+            &mut EvalMemo::new(),
         );
-        assert_eq!(evals, stats.evaluations);
-        // Every knob's sensitivity probe visits at least one candidate.
-        assert!(stats.visits.cpu_pstate > 0);
-        assert!(stats.visits.nb_state > 0);
-        assert!(stats.visits.gpu_dpm > 0);
-        assert!(stats.visits.cu_count > 0);
-        // Visits may revisit cached candidates, so they bound evaluations.
-        assert!(stats.visits.total() + 1 >= stats.evaluations);
-    }
-
-    #[test]
-    fn hill_climb_stats_infeasible_reports_no_visits() {
-        let (eval, snap) = setup(KernelCharacteristics::compute_bound("cb", 20.0));
-        let (best, stats) = hill_climb_stats(&eval, &snap, HwConfig::FAIL_SAFE, 1e-12);
         assert!(best.is_none());
         assert_eq!(stats.evaluations, 1);
         assert_eq!(stats.visits.total(), 0);
@@ -566,9 +544,9 @@ mod tests {
             for cap_scale in [1.1, 1.5, f64::INFINITY] {
                 let cap = eval.estimate(&snap, HwConfig::FAIL_SAFE).time_s * cap_scale;
                 let (fresh_best, fresh_stats) =
-                    hill_climb_stats(&eval, &snap, HwConfig::FAIL_SAFE, cap);
+                    hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, cap, &mut EvalMemo::new());
                 let (reused_best, reused_stats) =
-                    hill_climb_with_memo(&eval, &snap, HwConfig::FAIL_SAFE, cap, &mut memo);
+                    hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, cap, &mut memo);
                 assert_eq!(fresh_best, reused_best);
                 assert_eq!(fresh_stats, reused_stats);
             }
@@ -581,9 +559,9 @@ mod tests {
         let mut memo = EvalMemo::new();
         memo.epoch = u32::MAX - 1;
         let cap = f64::INFINITY;
-        let (a, stats_a) = hill_climb_with_memo(&eval, &snap, HwConfig::FAIL_SAFE, cap, &mut memo);
-        let (b, stats_b) = hill_climb_with_memo(&eval, &snap, HwConfig::FAIL_SAFE, cap, &mut memo);
-        let (c, stats_c) = hill_climb_with_memo(&eval, &snap, HwConfig::FAIL_SAFE, cap, &mut memo);
+        let (a, stats_a) = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, cap, &mut memo);
+        let (b, stats_b) = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, cap, &mut memo);
+        let (c, stats_c) = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, cap, &mut memo);
         assert_eq!(a, b);
         assert_eq!(b, c);
         assert_eq!(stats_a, stats_b);
@@ -627,7 +605,13 @@ mod tests {
     #[test]
     fn anomalous_start_estimate_fails_safe() {
         let (eval, snap) = poisoned_setup(HwConfig::FAIL_SAFE);
-        let (best, stats) = hill_climb_stats(&eval, &snap, HwConfig::FAIL_SAFE, f64::INFINITY);
+        let (best, stats) = hill_climb(
+            &eval,
+            &snap,
+            HwConfig::FAIL_SAFE,
+            f64::INFINITY,
+            &mut EvalMemo::new(),
+        );
         assert!(best.is_none());
         assert_eq!(stats.anomalies, 1);
     }
@@ -639,7 +623,13 @@ mod tests {
         let mut poison = HwConfig::FAIL_SAFE;
         poison.nb = gpm_hw::NbState::Nb3;
         let (eval, snap) = poisoned_setup(poison);
-        let (best, stats) = hill_climb_stats(&eval, &snap, HwConfig::FAIL_SAFE, f64::INFINITY);
+        let (best, stats) = hill_climb(
+            &eval,
+            &snap,
+            HwConfig::FAIL_SAFE,
+            f64::INFINITY,
+            &mut EvalMemo::new(),
+        );
         let best = best.expect("climb survives a poisoned candidate");
         assert!(best.is_plausible());
         assert_ne!(best.config, poison);

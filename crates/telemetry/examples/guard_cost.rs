@@ -7,8 +7,8 @@
 //! registry entered, which is what uninstrumented library callers pay.
 //!
 //! These are the numbers behind the overhead budget discussion in
-//! `docs/TELEMETRY.md`; the end-to-end gate lives in the
-//! `telemetry_overhead` bench binary. Run with `--release`.
+//! `docs/TELEMETRY.md`; the end-to-end gate is the registered
+//! `telemetry_overhead` experiment. Run with `--release`.
 
 use gpm_telemetry::{span, Telemetry};
 use std::time::Instant;

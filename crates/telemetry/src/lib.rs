@@ -54,7 +54,8 @@
 //! a handle never changes a governor decision (pinned by the
 //! `execenv_equivalence` and `fleet_determinism` suites), and measured
 //! overhead on the steady-state MPC hot path is gated below 5% by the
-//! `telemetry_overhead` bench.
+//! registered `telemetry_overhead` experiment (`reproduce --filter
+//! telemetry_overhead`).
 
 #![warn(missing_docs)]
 

@@ -45,20 +45,20 @@ pub fn emit_artifact<T: Serialize + ?Sized>(path: impl AsRef<Path>, value: &T) {
     eprintln!("wrote {}", path.display());
 }
 
-/// Writes an SVG chart to `path` (creating parent directories as
-/// needed).
+/// Writes a text artifact — an SVG chart, a Prometheus exposition, a
+/// profile — to `path` (creating parent directories as needed).
 ///
 /// # Panics
 ///
 /// Panics when the file cannot be written.
-pub fn emit_svg(path: impl AsRef<Path>, svg: &str) {
+pub fn emit_text(path: impl AsRef<Path>, text: &str) {
     let path = path.as_ref();
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("create chart directory");
+            std::fs::create_dir_all(parent).expect("create artifact directory");
         }
     }
-    std::fs::write(path, svg).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    std::fs::write(path, text).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     eprintln!("wrote {}", path.display());
 }
 

@@ -1,6 +1,6 @@
 //! Paper figures 2–15 as registry run functions.
 
-use crate::artifact::emit_svg;
+use crate::artifact::emit_text;
 use crate::experiment::{metric, ExperimentOutput, XpEnv};
 use crate::suite::{evaluate_suite_with, relative_rows, rows_details, suite_average, BenchRow};
 use gpm_harness::amortize::amortization;
@@ -117,7 +117,7 @@ pub fn fig3(_env: &XpEnv) -> ExperimentOutput {
         &svg_series,
         "normalized throughput",
     );
-    emit_svg("results/fig3.svg", &svg);
+    emit_text("results/fig3.svg", &svg);
     ExperimentOutput::new(out, metrics)
 }
 
@@ -240,8 +240,8 @@ pub fn fig8(env: &XpEnv) -> ExperimentOutput {
         "speedup",
         Some(1.0),
     );
-    emit_svg("results/fig8a.svg", &savings);
-    emit_svg("results/fig8b.svg", &speedup);
+    emit_text("results/fig8a.svg", &savings);
+    emit_text("results/fig8b.svg", &speedup);
 
     ExperimentOutput::new(
         out,

@@ -1,5 +1,5 @@
-//! The experiment implementations — the ported bodies of the legacy
-//! per-figure report binaries, now run functions over [`crate::XpEnv`].
+//! The experiment implementations: one run function over
+//! [`crate::XpEnv`] per registered experiment.
 //!
 //! Grouping mirrors the paper: `figures` and `tables` reproduce numbered
 //! exhibits, `ablations` the Section IV/VI design studies, `extensions`

@@ -3,7 +3,14 @@
 //! a clean environment (interleaved A/B, min-of-rounds), verifies the
 //! instrumented run is decision-byte-identical, and round-trips the
 //! registry through the Prometheus text exposition validator.
+//!
+//! Writes the run's profile next to its JSON artifact, through
+//! working-directory-relative paths: `results/telemetry_prom.txt`
+//! (Prometheus text), `results/telemetry_flame.folded` (folded stacks,
+//! pipe through `flamegraph.pl`), and `results/telemetry_trace.json`
+//! (chrome://tracing JSON, loadable in Perfetto).
 
+use crate::artifact::emit_text;
 use crate::experiment::{metric, ExperimentOutput, XpEnv};
 use gpm_harness::report::{fmt, Table};
 use gpm_harness::{ExecEnv, Scheme};
@@ -13,20 +20,13 @@ use gpm_workloads::workload_by_name;
 use std::fmt::Write;
 use std::time::Instant;
 
-/// Default ceiling on acceptable hot-path overhead, percent
-/// (`GPM_TELEMETRY_MAX_OVERHEAD_PCT` overrides). The paper-fidelity
-/// budget is 5%; fast mode shrinks decisions to a few microseconds, so
-/// the fixed ~100 ns/span cost is relatively inflated and gets
-/// headroom. Debug builds inflate the per-span constant further (no
-/// inlining, TLS checks) and loosen both ceilings; the release
-/// `telemetry_overhead` bench binary is the tight production gate.
+/// Ceiling on acceptable hot-path overhead, percent. The
+/// paper-fidelity budget is 5%; fast mode shrinks decisions to a few
+/// microseconds, so the fixed ~100 ns/span cost is relatively inflated
+/// and gets headroom. Debug builds inflate the per-span constant further
+/// (no inlining, TLS checks) and loosen both ceilings; release builds
+/// are the production gate.
 fn max_overhead_pct(fast: bool) -> f64 {
-    if let Some(pct) = std::env::var("GPM_TELEMETRY_MAX_OVERHEAD_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        return pct;
-    }
     match (fast, cfg!(debug_assertions)) {
         (false, false) => 5.0,
         (false, true) => 25.0,
@@ -60,7 +60,10 @@ pub fn telemetry_overhead(env: &XpEnv) -> ExperimentOutput {
     // its own thread because the runner scopes this experiment under
     // the per-experiment registry — on that thread even a plain
     // `ExecEnv` fires spans, and the clean side must be truly dark.
+    // The event ring takes a lock per span close, so it stays off during
+    // the timed passes; one untimed pass afterwards records the trace.
     let telemetry = Telemetry::new();
+    let traced = Telemetry::with_events(1 << 16);
     let (clean_fp, instrumented_fp, best_clean_s, best_instr_s) = std::thread::scope(|s| {
         s.spawn(|| {
             let clean_env = ExecEnv::new();
@@ -87,6 +90,10 @@ pub fn telemetry_overhead(env: &XpEnv) -> ExperimentOutput {
                     instrumented_fp = b;
                 }
             }
+            let traced_env = ExecEnv::new().with_telemetry(traced.clone());
+            for w in &workloads {
+                traced_env.evaluate(env.ctx(), w, scheme);
+            }
             (clean_fp, instrumented_fp, best_clean_s, best_instr_s)
         })
         .join()
@@ -103,6 +110,9 @@ pub fn telemetry_overhead(env: &XpEnv) -> ExperimentOutput {
     let prom_check = validate_prometheus(&prom);
     let dispatches = snapshot.counter("gpm_dispatches_total").unwrap_or(0);
     let dispatch_spans = snapshot.span("env.dispatch").map_or(0, |s| s.count);
+    emit_text("results/telemetry_prom.txt", &prom);
+    emit_text("results/telemetry_flame.folded", &snapshot.to_folded());
+    emit_text("results/telemetry_trace.json", &traced.chrome_trace());
 
     let mut table = Table::new(vec!["side", "best pass s"]);
     table.row(vec!["clean".into(), fmt(best_clean_s, 4)]);

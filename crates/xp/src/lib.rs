@@ -12,9 +12,8 @@
 //! completed work for resume, and exits nonzero when any metric drifts
 //! outside its band.
 //!
-//! The `reproduce` binary (in `gpm-bench`) is the entry point; the
-//! legacy per-figure binaries are thin wrappers over
-//! [`cli::run_single`].
+//! The `reproduce` binary (in `gpm-bench`) is the entry point:
+//! `reproduce --filter <name>` runs one experiment and prints its report.
 
 pub mod artifact;
 pub mod cli;
@@ -25,7 +24,7 @@ pub mod registry;
 pub mod runner;
 pub mod suite;
 
-pub use artifact::{emit_artifact, emit_svg, ARTIFACT_SCHEMA_VERSION};
+pub use artifact::{emit_artifact, emit_text, ARTIFACT_SCHEMA_VERSION};
 pub use experiment::{
     check_gates, metric, Expectation, Experiment, ExperimentOutput, GateResult, Metric, Mode,
     Source, XpEnv,

@@ -327,11 +327,6 @@ pub fn registry_names() -> Vec<&'static str> {
     registry().iter().map(|e| e.name).collect()
 }
 
-/// Looks up one experiment by exact name.
-pub fn find(name: &str) -> Option<Experiment> {
-    registry().into_iter().find(|e| e.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,7 +356,7 @@ mod tests {
     fn static_experiments_run_and_pass_their_gates() {
         use crate::experiment::{check_gates, Mode, XpEnv};
         for name in ["table1", "table2", "table4"] {
-            let e = find(name).unwrap();
+            let e = registry().into_iter().find(|e| e.name == name).unwrap();
             assert!(!e.needs_ctx);
             let env = XpEnv::new(Mode::Fast, None);
             let out = (e.run)(&env);

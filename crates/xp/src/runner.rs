@@ -452,6 +452,14 @@ mod tests {
         assert!(!names.contains(&"fig2"));
         let multi = select(&["table1".to_string(), "table2".to_string()]);
         assert_eq!(multi.len(), 2);
+        // `--filter <name>` runs exactly the named experiment.
+        for e in &all {
+            let only: Vec<_> = select(&[e.name.to_string()])
+                .iter()
+                .map(|s| s.name)
+                .collect();
+            assert_eq!(only, [e.name]);
+        }
     }
 
     #[test]

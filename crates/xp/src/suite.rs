@@ -6,12 +6,6 @@ use gpm_harness::metrics::{summarize, Comparison};
 use gpm_harness::{EvalContext, EvalOptions, Scheme, SchemeOutcome};
 use gpm_workloads::{suite, Workload};
 
-/// Whether the reduced (`fast`) measurement campaign was requested via
-/// the `GPM_BENCH_FAST` environment variable (any value but `0`).
-pub fn fast_from_env() -> bool {
-    std::env::var("GPM_BENCH_FAST").is_ok_and(|v| v != "0")
-}
-
 /// Builds the shared evaluation context in full or fast mode, printing
 /// the mode and the trained model's held-out accuracy (compare Section
 /// VI-D).

@@ -4,25 +4,25 @@
 //! gpm list                               # the 15-benchmark suite
 //! gpm schemes                            # available power-management schemes
 //! gpm run --workload kmeans --scheme mpc [--fast] [--json]
-//! gpm sweep --kernel peak                # Figure 2-style NB×CU sweep
 //! gpm trace --workload Spmv              # Figure 3 throughput trace
-//! gpm accuracy [--fast]                  # Random-Forest accuracy report
 //! ```
+//!
+//! The paper's exhibits (the Figure 2 sweeps, the predictor's accuracy,
+//! ...) are registered experiments: `reproduce --filter <name>` in
+//! `gpm-bench` runs one and prints its report.
 //!
 //! Argument parsing is deliberately dependency-free; outputs are aligned
 //! tables or (`--json`) machine-readable JSON.
 
 use gpm::governors::EqualizerMode;
 use gpm::harness::metrics::Comparison;
-use gpm::harness::report::{fmt, Table};
-use gpm::harness::traces::{fig2_sweep, fig3_trace};
+use gpm::harness::report::Table;
+use gpm::harness::traces::fig3_trace;
 use gpm::harness::{EvalContext, EvalOptions, ExecEnv, Scheme};
 use gpm::model::ErrorSpec;
 use gpm::mpc::HorizonMode;
 use gpm::sim::ApuSimulator;
-use gpm::workloads::{
-    astar, max_flops, read_global_memory_coalesced, suite, workload_by_name, write_candidates,
-};
+use gpm::workloads::{suite, workload_by_name};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -35,9 +35,7 @@ USAGE:
   gpm schemes                                  list available schemes
   gpm run --workload <NAME> --scheme <SCHEME>  evaluate a scheme vs Turbo Core
           [--fast] [--json] [--cache <FILE>]
-  gpm sweep --kernel <compute|memory|peak|unscalable>
   gpm trace --workload <NAME>                  normalized throughput trace
-  gpm accuracy [--fast]                        predictor accuracy report
   gpm help                                     this text
 ";
 
@@ -52,9 +50,7 @@ fn main() -> ExitCode {
         "list" => cmd_list(),
         "schemes" => cmd_schemes(),
         "run" => return cmd_run(&flags),
-        "sweep" => return cmd_sweep(&flags),
         "trace" => return cmd_trace(&flags),
-        "accuracy" => cmd_accuracy(&flags),
         "help" | "--help" | "-h" => print!("{USAGE}"),
         other => {
             eprintln!("unknown command `{other}`\n");
@@ -258,37 +254,6 @@ fn cmd_run(flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_sweep(flags: &HashMap<String, String>) -> ExitCode {
-    let kernel = match flags.get("kernel").map(String::as_str) {
-        Some("compute") => max_flops(),
-        Some("memory") => read_global_memory_coalesced(),
-        Some("peak") => write_candidates(),
-        Some("unscalable") => astar(),
-        other => {
-            eprintln!("sweep requires --kernel <compute|memory|peak|unscalable>, got {other:?}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let sim = ApuSimulator::default();
-    let mut table = Table::new(vec!["NB", "CUs", "speedup", "energy (J)", "optimal"]);
-    for p in fig2_sweep(&sim, &kernel) {
-        table.row(vec![
-            p.nb.to_string(),
-            p.cu.to_string(),
-            fmt(p.speedup, 2),
-            fmt(p.energy_j, 3),
-            if p.energy_optimal {
-                "*".into()
-            } else {
-                String::new()
-            },
-        ]);
-    }
-    println!("{kernel}");
-    println!("{}", table.render());
-    ExitCode::SUCCESS
-}
-
 fn cmd_trace(flags: &HashMap<String, String>) -> ExitCode {
     let Some(name) = flags.get("workload") else {
         eprintln!("trace requires --workload <NAME>");
@@ -304,26 +269,4 @@ fn cmd_trace(flags: &HashMap<String, String>) -> ExitCode {
         println!("{:>3}  {:>6.2}  {}", i + 1, v, bar);
     }
     ExitCode::SUCCESS
-}
-
-fn cmd_accuracy(flags: &HashMap<String, String>) {
-    let options = if flags.contains_key("fast") {
-        EvalOptions::fast()
-    } else {
-        EvalOptions::default()
-    };
-    let ctx = EvalContext::build(options);
-    println!(
-        "Random Forest held-out accuracy: time MAPE {:.1}%, power MAPE {:.1}%",
-        ctx.rf_report.time_mape * 100.0,
-        ctx.rf_report.power_mape * 100.0
-    );
-    println!(
-        "R²: time {:.3}, power {:.3} ({} train / {} test samples)",
-        ctx.rf_report.time_r2,
-        ctx.rf_report.power_r2,
-        ctx.rf_report.train_samples,
-        ctx.rf_report.test_samples
-    );
-    println!("(the paper reports 25% performance MAPE and 12% power MAPE, Section VI-D)");
 }

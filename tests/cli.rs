@@ -52,14 +52,6 @@ fn run_produces_valid_json() {
 }
 
 #[test]
-fn sweep_marks_one_energy_optimum() {
-    let (stdout, _, ok) = gpm(&["sweep", "--kernel", "peak"]);
-    assert!(ok);
-    let marks = stdout.matches('*').count();
-    assert_eq!(marks, 1, "expected exactly one optimal mark:\n{stdout}");
-}
-
-#[test]
 fn trace_prints_one_row_per_invocation() {
     let (stdout, _, ok) = gpm(&["trace", "--workload", "Spmv"]);
     assert!(ok);

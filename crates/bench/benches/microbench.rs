@@ -151,18 +151,21 @@ fn bench_to_solver(c: &mut Criterion) {
                 .collect()
         })
         .collect();
-    let budget: f64 = w
-        .kernels()
-        .iter()
-        .map(|k| sim.evaluate_exact(k, HwConfig::MAX_PERF).time_s)
-        .sum();
+    // The fail-safe plan's time with 5% slack: feasible, so the bench
+    // times a full solve and trace-back rather than an early exit.
+    let budget: f64 = 1.05
+        * w.kernels()
+            .iter()
+            .map(|k| sim.evaluate_exact(k, HwConfig::FAIL_SAFE).time_s)
+            .sum::<f64>();
+    assert!(
+        ToSolver::default().solve(&options, budget).is_some(),
+        "the TO bench budget must be feasible"
+    );
     let mut group = c.benchmark_group("to");
     group.sample_size(10);
     group.bench_function("dp_solve_spmv", |b| {
         b.iter(|| black_box(ToSolver::default().solve(black_box(&options), budget)))
-    });
-    group.bench_function("lagrangian_solve_spmv", |b| {
-        b.iter(|| black_box(ToSolver::solve_lagrangian(black_box(&options), budget)))
     });
     group.finish();
 }

@@ -2,6 +2,7 @@
 //! Random Forest predictor (Section IV-A3's "trained offline" step),
 //! and the shared per-workload Turbo Core baseline cache.
 
+use crate::forest_cache::ForestCache;
 use crate::run::RunResult;
 use gpm_governors::PerfTarget;
 use gpm_hw::{ConfigSpace, CuCount, GpuDpm, HwConfig, NbState};
@@ -215,18 +216,35 @@ impl EvalContext {
     /// cores; bit-identical to the sequential path) and trains the
     /// predictor.
     pub fn build(options: EvalOptions) -> EvalContext {
+        EvalContext::build_cached(options, &ForestCache::new())
+    }
+
+    /// [`EvalContext::build`] with the forest fit taken from `forests`
+    /// when an identical training input was fitted there before. The
+    /// campaign always runs; the returned context always has a fresh
+    /// Turbo Core baseline cache.
+    pub fn build_cached(options: EvalOptions, forests: &ForestCache) -> EvalContext {
         let sim = ApuSimulator::new(options.sim_params.clone());
         let kernels = training_kernels();
         let space = training_space(options.train_config_stride);
         let dataset =
             crate::campaign::parallel_campaign_auto(&sim, &kernels, &space, HwConfig::FAIL_SAFE);
-        let (rf, rf_report) = RandomForestPredictor::train_and_evaluate(
-            &dataset,
+        let (rf, rf_report) = forests.fit(
+            dataset,
             &options.forest,
             options.test_fraction,
             options.seed,
         );
         EvalContext::assemble(sim, rf, rf_report, options)
+    }
+
+    /// A copy of this context with an empty Turbo Core baseline cache of
+    /// its own, for experiments that count baseline simulations.
+    pub fn with_fresh_baselines(&self) -> EvalContext {
+        EvalContext {
+            baselines: Arc::new(BaselineCache::default()),
+            ..self.clone()
+        }
     }
 
     /// Wires up the derived shared state (campaign space, baseline
@@ -374,6 +392,26 @@ mod tests {
         let stats = ctx.baseline_stats();
         assert_eq!(stats.computed, 1);
         assert_eq!(stats.hits, 1);
+    }
+
+    #[test]
+    fn fresh_baselines_are_empty_and_leave_the_original_alone() {
+        let ctx = EvalContext::build(EvalOptions::fast());
+        let w = gpm_workloads::workload_by_name("Spmv").unwrap();
+        let (warm, _) = ctx.resolve_baseline(&w);
+        let fresh = ctx.with_fresh_baselines();
+        assert_eq!(fresh.baseline_stats(), BaselineCacheStats::default());
+        let (cold, hit) = fresh.resolve_baseline(&w);
+        assert!(!hit);
+        assert_eq!(warm.0, cold.0);
+        assert_eq!(fresh.rf, ctx.rf);
+        assert_eq!(
+            ctx.baseline_stats(),
+            BaselineCacheStats {
+                computed: 1,
+                hits: 0
+            }
+        );
     }
 
     #[test]

@@ -23,6 +23,9 @@
 //! * [`context`] — one-time setup shared by experiments: the simulator,
 //!   the offline-trained Random Forest, the hoisted campaign space, and
 //!   the per-workload baseline cache ([`context::EvalContext`]).
+//! * [`forest_cache`] — forests memoized on their exact training inputs,
+//!   so a run fits each distinct forest once
+//!   ([`forest_cache::ForestCache`]).
 //! * [`schemes`] — named scheme constructors (PPK/MPC × oracle/RF/error
 //!   models, TO) evaluated through [`env::ExecEnv::evaluate`].
 //! * [`metrics`] — energy-savings / speedup arithmetic and geometric means.
@@ -35,6 +38,7 @@ pub mod amortize;
 pub mod campaign;
 pub mod context;
 pub mod env;
+pub mod forest_cache;
 pub mod metrics;
 pub mod report;
 pub mod run;
@@ -45,6 +49,7 @@ pub mod traces;
 pub use campaign::{parallel_campaign, parallel_campaign_auto};
 pub use context::{training_kernels, training_space, BaselineCacheStats, EvalContext, EvalOptions};
 pub use env::ExecEnv;
+pub use forest_cache::ForestCache;
 pub use metrics::{energy_savings_pct, geo_mean, speedup, Comparison};
 pub use run::{KernelRun, RunResult};
 pub use schemes::{turbo_core_baseline, Scheme, SchemeOutcome};

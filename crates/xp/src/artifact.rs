@@ -23,6 +23,7 @@ pub const ARTIFACT_SCHEMA_VERSION: u64 = 1;
 /// cannot be written — report emission is not recoverable for the
 /// benchmark binaries.
 pub fn emit_artifact<T: Serialize + ?Sized>(path: impl AsRef<Path>, value: &T) {
+    let _span = gpm_telemetry::span("artifact.write");
     let path = path.as_ref();
     let mut root = serde_json::to_value(value).expect("artifact serializes");
     match &mut root {
@@ -40,6 +41,7 @@ pub fn emit_artifact<T: Serialize + ?Sized>(path: impl AsRef<Path>, value: &T) {
             std::fs::create_dir_all(parent).expect("create artifact directory");
         }
     }
+    // `root` is already a tree, so the printer borrows it.
     let text = serde_json::to_string_pretty(&root).expect("artifact serializes");
     std::fs::write(path, text).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     eprintln!("wrote {}", path.display());
@@ -52,6 +54,7 @@ pub fn emit_artifact<T: Serialize + ?Sized>(path: impl AsRef<Path>, value: &T) {
 ///
 /// Panics when the file cannot be written.
 pub fn emit_text(path: impl AsRef<Path>, text: &str) {
+    let _span = gpm_telemetry::span("artifact.write");
     let path = path.as_ref();
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {

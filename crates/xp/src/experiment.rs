@@ -9,7 +9,7 @@
 //! [`EvalContext`] and fails when any metric drifts outside its band.
 
 use gpm_harness::env::ExecEnv;
-use gpm_harness::{EvalContext, EvalOptions};
+use gpm_harness::{EvalContext, EvalOptions, ForestCache};
 use gpm_telemetry::{Telemetry, TelemetrySnapshot};
 use gpm_trace::{AggregateSink, TraceSink, TraceSummary};
 use serde::{Deserialize, Serialize};
@@ -201,21 +201,24 @@ impl ExperimentOutput {
 
 /// The per-run environment handed to an experiment: the shared
 /// [`EvalContext`] (when the experiment declares it needs one), the
-/// evaluation [`Mode`], and a per-experiment trace aggregate every
-/// scheme evaluation feeds.
+/// run's [`ForestCache`], the evaluation [`Mode`], and a per-experiment
+/// trace aggregate every scheme evaluation feeds.
 pub struct XpEnv<'a> {
     mode: Mode,
     ctx: Option<&'a EvalContext>,
+    forests: &'a ForestCache,
     sink: Arc<AggregateSink>,
     telemetry: Telemetry,
 }
 
 impl<'a> XpEnv<'a> {
-    /// Builds an environment for one experiment run.
-    pub fn new(mode: Mode, ctx: Option<&'a EvalContext>) -> XpEnv<'a> {
+    /// Builds an environment for one experiment run; `forests` is the
+    /// run's cache of trained forests.
+    pub fn new(mode: Mode, ctx: Option<&'a EvalContext>, forests: &'a ForestCache) -> XpEnv<'a> {
         XpEnv {
             mode,
             ctx,
+            forests,
             sink: Arc::new(AggregateSink::new()),
             telemetry: Telemetry::new(),
         }
@@ -236,6 +239,19 @@ impl<'a> XpEnv<'a> {
     /// sensitivity).
     pub fn options(&self) -> EvalOptions {
         self.mode.options()
+    }
+
+    /// Builds a context for `options`: the campaign runs, and the forest
+    /// fit comes from the run's [`ForestCache`] when an identical
+    /// training input was fitted before in this run.
+    pub fn context(&self, options: EvalOptions) -> EvalContext {
+        let _span = gpm_telemetry::span("xp.context_build");
+        EvalContext::build_cached(options, self.forests)
+    }
+
+    /// The run's cache of trained forests.
+    pub fn forests(&self) -> &'a ForestCache {
+        self.forests
     }
 
     /// The shared evaluation context.

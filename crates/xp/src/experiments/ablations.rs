@@ -6,9 +6,9 @@ use gpm_governors::search::{exhaustive_best, hill_climb, EnergyEvaluator, EvalMe
 use gpm_governors::OverheadModel;
 use gpm_harness::metrics::{summarize, Comparison};
 use gpm_harness::report::{fmt, Table};
-use gpm_harness::{context, turbo_core_baseline, Scheme};
+use gpm_harness::{context, parallel_campaign_auto, turbo_core_baseline, Scheme};
 use gpm_hw::{ConfigSpace, HwConfig};
-use gpm_model::{permutation_importance, Dataset, RandomForestPredictor, FEATURE_NAMES};
+use gpm_model::{permutation_importance, RandomForestPredictor, FEATURE_NAMES};
 use gpm_mpc::{HorizonMode, MpcConfig, MpcGovernor, WindowSolver};
 use gpm_sim::predictor::KernelSnapshot;
 use gpm_sim::{ApuSimulator, OraclePredictor, SimParams};
@@ -235,14 +235,19 @@ pub fn model_accuracy(env: &XpEnv) -> ExperimentOutput {
         space.len(),
         kernels.len() * space.len()
     );
-    let dataset = Dataset::from_campaign(&sim, &kernels, &space, HwConfig::FAIL_SAFE);
-
-    let (_, report) = RandomForestPredictor::train_and_evaluate(
-        &dataset,
-        &options.forest,
-        options.test_fraction,
-        options.seed,
-    );
+    // The same campaign and random split as the shared context, so the
+    // run's forest cache already holds this fit.
+    let (dataset, report) = {
+        let _span = gpm_telemetry::span("xp.context_build");
+        let dataset = parallel_campaign_auto(&sim, &kernels, &space, HwConfig::FAIL_SAFE);
+        let (_, report) = env.forests().fit(
+            dataset.clone(),
+            &options.forest,
+            options.test_fraction,
+            options.seed,
+        );
+        (dataset, report)
+    };
     let mut out = format!(
         "Random split: time MAPE {:.1}%  power MAPE {:.1}%  time R2 {:.3}  power R2 {:.3}\n\
          (paper reports 25% performance MAPE and 12% power MAPE)\n\n",

@@ -142,9 +142,10 @@ pub fn render_curve(workload: &str, curve: &[DegradationPoint]) -> String {
 }
 
 /// The registry experiment: the default kmeans sweep with the standard
-/// rates and the graceful-degradation gate folded into metrics. Builds
-/// its own context so the baseline-cache single-compute assertion stays
-/// valid (the shared registry context is warmed by other experiments).
+/// rates and the graceful-degradation gate folded into metrics. Runs on
+/// the shared context with a baseline cache of its own, so the
+/// baseline-cache single-compute assertion stays valid (the shared cache
+/// is warmed by other experiments).
 pub fn robustness(env: &XpEnv) -> ExperimentOutput {
     let rates: &[f64] = if env.is_fast() {
         &[0.0, 0.05, 0.20]
@@ -154,7 +155,7 @@ pub fn robustness(env: &XpEnv) -> ExperimentOutput {
     let seed = 0xFA_15AFE;
     let max_slowdown = 1.5;
     let workload = workload_by_name("kmeans").expect("suite workload");
-    let ctx = EvalContext::build(env.options());
+    let ctx = env.ctx().with_fresh_baselines();
     let scheme = Scheme::MpcRf {
         horizon: HorizonMode::default(),
     };

@@ -288,7 +288,7 @@ pub fn registry() -> Vec<Experiment> {
             "robustness",
             "extension",
             "Fault-injection degradation curve with the graceful-degradation gate",
-            false,
+            true,
             robustness::robustness,
             vec![Expectation {
                 metric: "gate_failures",
@@ -358,7 +358,8 @@ mod tests {
         for name in ["table1", "table2", "table4"] {
             let e = registry().into_iter().find(|e| e.name == name).unwrap();
             assert!(!e.needs_ctx);
-            let env = XpEnv::new(Mode::Fast, None);
+            let forests = gpm_harness::ForestCache::new();
+            let env = XpEnv::new(Mode::Fast, None, &forests);
             let out = (e.run)(&env);
             let gates = check_gates(&e.expectations, &out.metrics, Mode::Fast);
             for g in &gates {

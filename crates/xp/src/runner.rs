@@ -6,7 +6,7 @@
 use crate::artifact::{emit_artifact, ARTIFACT_SCHEMA_VERSION};
 use crate::experiment::{check_gates, fingerprint, Experiment, GateResult, Metric, Mode, XpEnv};
 use crate::registry::registry;
-use gpm_harness::EvalContext;
+use gpm_harness::{EvalContext, ForestCache};
 use gpm_trace::TraceSummary;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -201,9 +201,14 @@ fn load_checkpoint(exp: &Experiment, cfg: &RunConfig) -> Option<ExperimentRecord
 
 /// Runs one experiment to a record (catching panics so one crash does
 /// not take down the suite).
-fn run_one(exp: &Experiment, mode: Mode, ctx: Option<&EvalContext>) -> ExperimentRecord {
+fn run_one(
+    exp: &Experiment,
+    mode: Mode,
+    ctx: Option<&EvalContext>,
+    forests: &ForestCache,
+) -> ExperimentRecord {
     let started = std::time::Instant::now();
-    let env = XpEnv::new(mode, ctx);
+    let env = XpEnv::new(mode, ctx, forests);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         // Scope the whole run under the experiment's registry so any
         // span fired on this thread (model fits, searches, dispatches)
@@ -295,7 +300,8 @@ struct AggregateReport {
 /// overlap with cheap ones regardless of registry order. All
 /// context-sharing experiments read one [`EvalContext`], so Turbo Core
 /// baselines computed by the first experiment are cache hits for every
-/// later one.
+/// later one. Experiments that build contexts of their own share the
+/// run's [`ForestCache`], so each distinct forest is fitted once per run.
 pub fn run_suite(cfg: &RunConfig) -> SuiteReport {
     let selected = select(&cfg.filter);
     assert!(
@@ -317,6 +323,9 @@ pub fn run_suite(cfg: &RunConfig) -> SuiteReport {
         .collect();
     let resumed = slots.iter().filter(|s| s.is_some()).count();
 
+    // One forest cache per run: the shared context seeds it, and every
+    // experiment context with the same training input reuses that fit.
+    let forests = ForestCache::new();
     // Build the shared context only if a pending experiment needs it.
     let needs_ctx = selected
         .iter()
@@ -327,7 +336,7 @@ pub fn run_suite(cfg: &RunConfig) -> SuiteReport {
             "building shared evaluation context ({} mode; campaign + RF training)...",
             cfg.mode
         );
-        EvalContext::build(cfg.mode.options())
+        EvalContext::build_cached(cfg.mode.options(), &forests)
     });
 
     let pending: Vec<usize> = slots
@@ -355,7 +364,7 @@ pub fn run_suite(cfg: &RunConfig) -> SuiteReport {
                 };
                 let exp = &selected[idx];
                 eprintln!("[{}] running {} ({})", cfg.mode, exp.name, exp.paper_ref);
-                let record = run_one(exp, cfg.mode, ctx.as_ref());
+                let record = run_one(exp, cfg.mode, ctx.as_ref(), &forests);
                 eprintln!(
                     "[{}] {} {} in {} ms",
                     cfg.mode,
@@ -537,6 +546,48 @@ mod tests {
             assert_eq!(a.metrics, b.metrics);
             assert_eq!(a.text, b.text);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_run_fits_each_distinct_forest_once() {
+        let dir = std::env::temp_dir().join("gpm_xp_runner_fit_test");
+        std::fs::remove_dir_all(&dir).ok();
+        let cfg = RunConfig {
+            mode: Mode::Fast,
+            filter: [
+                "transition_cost",
+                "stability",
+                "robustness",
+                "model_accuracy",
+            ]
+            .map(String::from)
+            .to_vec(),
+            jobs: 2,
+            out_dir: dir.clone(),
+            resume: false,
+            aggregate_path: None,
+        };
+        let report = run_suite(&cfg);
+        assert!(report.all_passed);
+        let fits = |name: &str| {
+            let record = report.records.iter().find(|r| r.name == name).unwrap();
+            record
+                .phases
+                .iter()
+                .find(|p| p.phase == "rf.fit")
+                .map_or(0, |p| p.count)
+        };
+        // Each fit trains two forests (time and power), one span each.
+        // The shared context's fit happens before any experiment runs:
+        // all three transition scales, the default noise seed, the
+        // robustness sweep and the random split reuse it. What is left is
+        // two non-default noise seeds, two leave-one-kernel-out probes
+        // and the permutation-importance split.
+        assert_eq!(fits("transition_cost"), 0);
+        assert_eq!(fits("robustness"), 0);
+        assert_eq!(fits("stability"), 4);
+        assert_eq!(fits("model_accuracy"), 6);
         std::fs::remove_dir_all(&dir).ok();
     }
 

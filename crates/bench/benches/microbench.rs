@@ -57,28 +57,39 @@ fn bench_rf_predict(c: &mut Criterion) {
     });
 }
 
-fn bench_rf_train(c: &mut Criterion) {
-    // The fit `EvalContext::build` runs: the training split of the default
-    // context's campaign, with its forest parameters and seed.
-    let deployed = EvalOptions::default();
+/// The training split of `options`' campaign: what `EvalContext::build`
+/// fits its forests to.
+fn training_split(options: &EvalOptions) -> Dataset {
     let ds = Dataset::from_campaign(
-        &ApuSimulator::new(deployed.sim_params.clone()),
+        &ApuSimulator::new(options.sim_params.clone()),
         &context::training_kernels(),
-        &context::training_space(deployed.train_config_stride),
+        &context::training_space(options.train_config_stride),
         HwConfig::FAIL_SAFE,
     );
-    let (train, _) = ds.split(deployed.test_fraction, deployed.seed);
+    ds.split(options.test_fraction, options.seed).0
+}
+
+fn bench_rf_train(c: &mut Criterion) {
+    // The fits `EvalContext::build` runs, with each context's forest
+    // parameters and seed: the default context's, and the fast one that
+    // `reproduce --fast` trains.
     let mut group = c.benchmark_group("model");
     group.sample_size(10);
-    group.bench_function("rf_train_small", |b| {
-        b.iter(|| {
-            black_box(RandomForestPredictor::train(
-                black_box(&train),
-                &deployed.forest,
-                deployed.seed,
-            ))
-        })
-    });
+    for (name, options) in [
+        ("rf_train_small", EvalOptions::default()),
+        ("rf_train_fast", EvalOptions::fast()),
+    ] {
+        let train = training_split(&options);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                black_box(RandomForestPredictor::train(
+                    black_box(&train),
+                    &options.forest,
+                    options.seed,
+                ))
+            })
+        });
+    }
     group.finish();
 }
 

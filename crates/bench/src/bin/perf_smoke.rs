@@ -19,8 +19,9 @@
 //!   timed evaluation runs on a fresh thread, so its memo starts empty
 //!   and every hit is a repeat inside that one evaluation;
 //! * `RandomForest` fit wall-time, single-threaded vs auto-parallel,
-//!   with the host's `available_parallelism` and whether the auto fit
-//!   really ran on more than one thread (`fit_parallel_measured`).
+//!   with the host's `available_parallelism`, whether the auto fit
+//!   really ran on more than one thread (`fit_parallel_measured`), and
+//!   the instruction-set tier the split search ran on (`fit_simd_tier`).
 //!
 //! The forest fits run under a live [`gpm_telemetry`] registry, and the
 //! `rf.fit` span totals are cross-checked against the bench's own
@@ -78,6 +79,7 @@ struct PerfReport {
     available_parallelism: usize,
     fit_threads_auto: usize,
     fit_parallel_measured: bool,
+    fit_simd_tier: &'static str,
     fit_span_count: u64,
     fit_span_total_ms: f64,
     fit_span_coverage: f64,
@@ -327,6 +329,7 @@ fn main() {
         available_parallelism,
         fit_threads_auto: threads_auto,
         fit_parallel_measured,
+        fit_simd_tier: gpm_model::fit_simd_tier(),
         fit_span_count: fit_span.count,
         fit_span_total_ms: fit_span_ms,
         fit_span_coverage: fit_coverage,
@@ -358,11 +361,12 @@ fn main() {
         memo.hit_share() * 100.0
     );
     println!(
-        "  fit: {:.0} ms single-thread, {:.0} ms on {} threads ({} available)",
+        "  fit: {:.0} ms single-thread, {:.0} ms on {} threads ({} available), {} split search",
         report.fit_wall_ms_single_thread,
         report.fit_wall_ms_auto,
         threads_auto,
-        available_parallelism
+        available_parallelism,
+        report.fit_simd_tier
     );
     if !fit_parallel_measured {
         println!("  fit: auto resolved to 1 thread; the parallel fit was not measured");

@@ -1,7 +1,7 @@
 //! Random Forest regression: bagged CART trees with feature subsampling
 //! (Breiman 2001, the algorithm the paper selected for its predictor).
 
-use crate::tree::{FitScratch, RankedColumns, RegressionTree, TreeParams};
+use crate::tree::{FitScratch, RankedColumns, RegressionTree, SimdTier, TreeParams};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -129,6 +129,7 @@ impl RandomForest {
         let num_trees = bags.len();
         let threads = RandomForest::resolved_fit_threads(threads, num_trees);
         let tree_seed = |t: usize| seed ^ (t as u64).wrapping_mul(0x9e37);
+        let tier = SimdTier::detected();
         let fit_chunk = |first: usize, bags: &mut [Vec<u32>]| -> Vec<RegressionTree> {
             let mut scratch = FitScratch::default();
             bags.iter_mut()
@@ -141,6 +142,7 @@ impl RandomForest {
                         &tree_params,
                         tree_seed(first + off),
                         &mut scratch,
+                        tier,
                     )
                 })
                 .collect()

@@ -39,6 +39,8 @@
 //! assert!((pred - 90.0).abs() < 15.0);
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod dataset;
 pub mod error_model;
 pub mod features;
@@ -60,4 +62,4 @@ pub use forest::{ForestParams, RandomForest};
 pub use importance::{permutation_importance, FeatureImportance};
 pub use metrics::{mape, r2, rmse};
 pub use rf_predictor::{MemoStats, RandomForestPredictor, TrainReport};
-pub use tree::{RegressionTree, TreeParams};
+pub use tree::{fit_simd_tier, RegressionTree, TreeParams};

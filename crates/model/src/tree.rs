@@ -7,16 +7,24 @@
 //!
 //! Training never sorts a node's samples. `RankedColumns` maps every
 //! column to ranks into its sorted distinct values once per dataset, so a
-//! node finds the distinct values it holds with a stamp array (sorting
-//! only those few ranks), and a threshold's left child is the samples
-//! whose rank lies below a bound. The node's targets are then swept once,
-//! in sample order, per group of `LANES` thresholds:
-//! each lane adds a sample's target, or `-0.0` when the sample goes right,
+//! node counts its samples per rank, noting each rank on its first sample
+//! (sorting only those few ranks), and a threshold's left child is the
+//! samples whose rank lies below a bound. The node's targets are then
+//! swept once, in sample order, per group of `LANES` thresholds: each
+//! lane adds a sample's target, or `-0.0` when the sample goes right,
 //! which leaves a sum unchanged. Every left sum is therefore the same
 //! sequence of additions a per-threshold rescan would make, so the fitted
-//! tree is bit-identical to it. The order matters: features that induce the
-//! same partition tie on SSE, and the strict `<` that keeps the first of
-//! them sees different last bits under any other summation order.
+//! tree is bit-identical to it. The order matters: features that induce
+//! the same partition tie on SSE, and the strict `<` that keeps the first
+//! of them sees different last bits under any other summation order.
+//!
+//! The split search is compiled once per instruction-set tier (AVX2 and
+//! the portable baseline) and each fit runs the widest copy the CPU
+//! supports ([`fit_simd_tier`] names it), so one operation of an 8-lane
+//! sweep step is two AVX2 instructions instead of four SSE2 ones. The
+//! lanes make the same IEEE additions, multiplications and divisions at
+//! every width (Rust never fuses them into FMAs), so every tier grows the
+//! same tree bit for bit.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -102,11 +110,17 @@ impl RegressionTree {
             params,
             seed,
             &mut FitScratch::default(),
+            SimdTier::detected(),
         )
     }
 
     /// Fits a tree to the samples `rows` of `columns` (repeats allowed, in
-    /// the order the samples were drawn). `rows` is reordered in place.
+    /// the order the samples were drawn), searching splits with `tier`'s
+    /// build. `rows` is reordered in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this CPU cannot run `tier`.
     pub(crate) fn fit_ranked(
         columns: &RankedColumns,
         ys: &[f64],
@@ -114,13 +128,16 @@ impl RegressionTree {
         params: &TreeParams,
         seed: u64,
         scratch: &mut FitScratch,
+        tier: SimdTier,
     ) -> RegressionTree {
+        assert!(tier.is_supported(), "this CPU cannot run the {tier:?} tier");
         let mut fitter = Fitter {
             columns,
             ys,
             params,
             rng: StdRng::seed_from_u64(seed),
             scratch,
+            tier,
             nodes: Vec::new(),
         };
         fitter.build(rows, 0);
@@ -206,6 +223,61 @@ const POS_NAN: u32 = u32::MAX;
 /// every lane's two sums stay in registers.
 const LANES: usize = 8;
 
+/// An instruction set the split search is compiled for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SimdTier {
+    /// The target's baseline (SSE2 on x86-64), and the only tier off x86.
+    Portable,
+    /// 256-bit vectors: one 8-lane step is two instructions.
+    Avx2,
+}
+
+impl SimdTier {
+    /// Every tier, widest first.
+    pub(crate) const ALL: [SimdTier; 2] = [SimdTier::Avx2, SimdTier::Portable];
+
+    /// Whether this CPU can run the tier.
+    pub(crate) fn is_supported(self) -> bool {
+        match self {
+            SimdTier::Portable => true,
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            SimdTier::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+            SimdTier::Avx2 => false,
+        }
+    }
+
+    /// The widest tier this CPU can run.
+    pub(crate) fn detected() -> SimdTier {
+        SimdTier::ALL
+            .into_iter()
+            .find(|tier| tier.is_supported())
+            .unwrap_or(SimdTier::Portable)
+    }
+
+    /// The tier's name as reports print it.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            SimdTier::Portable => "portable",
+            SimdTier::Avx2 => "avx2",
+        }
+    }
+}
+
+/// The instruction-set tier forest fits on this CPU search splits with:
+/// `"avx2"` or `"portable"`. Every tier grows the same trees bit for bit;
+/// only the fit time differs.
+///
+/// # Examples
+///
+/// ```
+/// let tier = gpm_model::fit_simd_tier();
+/// assert!(["avx2", "portable"].contains(&tier));
+/// ```
+pub fn fit_simd_tier() -> &'static str {
+    SimdTier::detected().name()
+}
+
 /// A feature matrix rank-encoded once per dataset.
 ///
 /// Column `f` keeps its distinct non-NaN values sorted the way a node
@@ -286,10 +358,9 @@ pub(crate) struct FitScratch {
     /// as `f64`, so the sweep's comparisons yield masks as wide as its
     /// sums. NaN samples read `+inf` and go right of every threshold.
     ranks: Vec<f64>,
-    /// Per rank: the node's sample count, valid where `stamp == epoch`.
+    /// Per rank, the last scored node's sample count: nonzero only at the
+    /// ranks in `present`, which the next call zeroes.
     count: Vec<u32>,
-    stamp: Vec<u32>,
-    epoch: u32,
     /// Ranks present at the node, ascending.
     present: Vec<u32>,
     candidates: Vec<Candidate>,
@@ -321,6 +392,9 @@ struct Fitter<'a> {
     params: &'a TreeParams,
     rng: StdRng,
     scratch: &'a mut FitScratch,
+    /// Which build of the split search runs; `fit_ranked` checked that
+    /// this CPU supports it.
+    tier: SimdTier,
     nodes: Vec<Node>,
 }
 
@@ -344,21 +418,23 @@ impl Fitter<'_> {
         };
 
         // Stable partition, so each child keeps the sample order its sums
-        // are accumulated in.
+        // are accumulated in. Every row is written to both sides and only
+        // its side's cursor advances: the branch would mispredict on
+        // about every other row.
         let ranks = &self.columns.ranks[split.feature];
         let spill = &mut self.scratch.spill;
         spill.clear();
-        let mut left = 0;
+        spill.resize(rows.len(), 0);
+        let (mut left, mut right) = (0, 0);
         for i in 0..rows.len() {
             let row = rows[i];
-            if ranks[row as usize] < split.bound {
-                rows[left] = row;
-                left += 1;
-            } else {
-                spill.push(row);
-            }
+            let goes_left = ranks[row as usize] < split.bound;
+            rows[left] = row;
+            spill[right] = row;
+            left += usize::from(goes_left);
+            right += usize::from(!goes_left);
         }
-        rows[left..].copy_from_slice(spill);
+        rows[left..].copy_from_slice(&spill[..right]);
         let (left_rows, right_rows) = rows.split_at_mut(left);
 
         // Reserve this node's slot before recursing.
@@ -377,8 +453,29 @@ impl Fitter<'_> {
 
     /// The split with the least child SSE, earliest in (shuffled feature,
     /// ascending threshold) order on ties; `None` when no split improves
-    /// on the parent.
+    /// on the parent. Runs the fit's tier of [`search`](Fitter::search).
     fn best_split(&mut self, rows: &[u32], sum: f64) -> Option<Split> {
+        match self.tier {
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            SimdTier::Avx2 => {
+                // SAFETY: `fit_ranked` only builds a fitter for a tier that
+                // `is_supported` found this CPU runs: AVX2.
+                unsafe { self.search_avx2(rows, sum) }
+            }
+            _ => self.search(rows, sum),
+        }
+    }
+
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2")]
+    fn search_avx2(&mut self, rows: &[u32], sum: f64) -> Option<Split> {
+        self.search(rows, sum)
+    }
+
+    /// The body of [`best_split`](Fitter::best_split), inlined into each
+    /// tier's build so the sweep is compiled for that tier's vectors.
+    #[inline(always)]
+    fn search(&mut self, rows: &[u32], sum: f64) -> Option<Split> {
         let num_features = self.columns.num_features();
         let s = &mut *self.scratch;
         s.features.clear();
@@ -435,6 +532,7 @@ impl FitScratch {
     /// (their SSE is NaN), ones with the same left child as the previous
     /// one (an equal SSE loses the strict-`<` tie), and ones that leave a
     /// child under `min_samples_leaf`.
+    #[inline(always)]
     fn collect_candidates(
         &mut self,
         columns: &RankedColumns,
@@ -444,20 +542,19 @@ impl FitScratch {
     ) {
         let values = &columns.values[feature];
         let column = &columns.ranks[feature];
-        if self.stamp.len() < values.len() {
-            self.stamp.resize(values.len(), 0);
+        for &r in &self.present {
+            self.count[r as usize] = 0;
+        }
+        if self.count.len() < values.len() {
             self.count.resize(values.len(), 0);
         }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
+        let count = &mut self.count[..values.len()];
 
-        self.ranks.clear();
         self.present.clear();
+        self.ranks.clear();
+        self.ranks.resize(rows.len(), 0.0);
         let (mut neg_nan, mut pos_nan) = (0usize, 0usize);
-        for &row in rows {
+        for (rank, &row) in self.ranks.iter_mut().zip(rows) {
             let r = column[row as usize];
             if r >= NEG_NAN {
                 if r == NEG_NAN {
@@ -465,17 +562,15 @@ impl FitScratch {
                 } else {
                     pos_nan += 1;
                 }
-                self.ranks.push(f64::INFINITY);
+                *rank = f64::INFINITY;
                 continue;
             }
-            self.ranks.push(f64::from(r));
+            *rank = f64::from(r);
             let at = r as usize;
-            if self.stamp[at] != self.epoch {
-                self.stamp[at] = self.epoch;
-                self.count[at] = 0;
+            if count[at] == 0 {
                 self.present.push(r);
             }
-            self.count[at] += 1;
+            count[at] += 1;
         }
         // One entry per distinct value, so this sorts at most a column's
         // distinct values (121 on the deployed data), not the node.
@@ -530,6 +625,7 @@ impl FitScratch {
     /// Left-child sums of targets and squared targets for up to [`LANES`]
     /// candidates, accumulated in sample order. A lane adds `-0.0` for a
     /// sample that goes right, which leaves its sum bit-for-bit unchanged.
+    #[inline(always)]
     fn sweep(&self, group: &[Candidate]) -> ([f64; LANES], [f64; LANES]) {
         // Unused lanes keep bound 0, which no rank is below.
         let mut bound = [0.0f64; LANES];
@@ -749,14 +845,30 @@ mod tests {
         );
     }
 
-    #[test]
-    fn ranked_fit_matches_the_oracle_bit_for_bit() {
+    /// One oracle case: a bootstrap bag (repeated rows, in draw order) of a
+    /// mixed dataset, the parameters to fit it with, and the oracle's tree.
+    struct OracleCase<'a> {
+        /// The whole dataset, rank-encoded, and its targets.
+        columns: &'a RankedColumns,
+        ys: &'a [f64],
+        bag: Vec<u32>,
+        bag_xs: Vec<Vec<f64>>,
+        bag_ys: Vec<f64>,
+        params: TreeParams,
+        seed: u64,
+        reference: RegressionTree,
+        what: String,
+    }
+
+    /// Calls `check` on every oracle case: three mixed datasets, 1–64
+    /// thresholds, leaves of 1–5 samples, with and without feature
+    /// subsampling.
+    fn for_each_oracle_case(mut check: impl FnMut(&OracleCase)) {
         // The largest set gives the continuous column far more distinct
         // values than any feature of the deployed data.
         for (data_seed, n) in [(0u64, 240), (1, 240), (2, 1200)] {
             let (xs, ys) = mixed_dataset(data_seed, n);
             let columns = RankedColumns::from_rows(xs.iter().map(Vec::as_slice));
-            let mut scratch = FitScratch::default();
             let mut rng = StdRng::seed_from_u64(data_seed ^ 0xba9);
             for threshold_candidates in [1, 6, 14, 24, 64] {
                 for min_samples_leaf in 1..=5 {
@@ -768,34 +880,67 @@ mod tests {
                             threshold_candidates,
                         };
                         let seed = rng.next_u64();
-                        // A bootstrap bag: repeated rows, in draw order.
                         let bag: Vec<u32> = (0..xs.len())
                             .map(|_| rng.gen_range(0..xs.len() as u32))
                             .collect();
                         let bag_xs: Vec<Vec<f64>> =
                             bag.iter().map(|&r| xs[r as usize].clone()).collect();
                         let bag_ys: Vec<f64> = bag.iter().map(|&r| ys[r as usize]).collect();
-                        let reference = oracle::fit(&bag_xs, &bag_ys, &params, seed);
-                        let ranked = RegressionTree::fit_ranked(
-                            &columns,
-                            &ys,
-                            &mut bag.clone(),
-                            &params,
+                        check(&OracleCase {
+                            columns: &columns,
+                            ys: &ys,
+                            reference: oracle::fit(&bag_xs, &bag_ys, &params, seed),
+                            what: format!("data {data_seed}, {params:?}, bagged"),
+                            bag,
+                            bag_xs,
+                            bag_ys,
+                            params,
                             seed,
-                            &mut scratch,
-                        );
-                        let what = format!("data {data_seed}, {params:?}, bagged");
-                        assert_same_tree(&ranked, &reference, &what);
-                        // The public entry point ranks the bag's own rows.
-                        assert_same_tree(
-                            &RegressionTree::fit(&bag_xs, &bag_ys, &params, seed),
-                            &reference,
-                            &what,
-                        );
+                        });
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn ranked_fit_matches_the_oracle_bit_for_bit() {
+        // The public entry point ranks the bag's own rows.
+        for_each_oracle_case(|case| {
+            let fitted = RegressionTree::fit(&case.bag_xs, &case.bag_ys, &case.params, case.seed);
+            assert_same_tree(&fitted, &case.reference, &case.what);
+        });
+    }
+
+    #[test]
+    fn every_supported_simd_tier_matches_the_oracle_bit_for_bit() {
+        let (tiers, missing): (Vec<SimdTier>, Vec<SimdTier>) = SimdTier::ALL
+            .into_iter()
+            .partition(|tier| tier.is_supported());
+        println!(
+            "simd tiers checked against the oracle: {:?}; not supported by this CPU: {:?}",
+            tiers.iter().map(|tier| tier.name()).collect::<Vec<_>>(),
+            missing.iter().map(|tier| tier.name()).collect::<Vec<_>>()
+        );
+        assert_eq!(tiers[0], SimdTier::detected());
+        assert!(tiers.contains(&SimdTier::Portable));
+        // Each tier fits the bag's rows of the whole dataset's ranks.
+        let mut scratch = FitScratch::default();
+        for_each_oracle_case(|case| {
+            for &tier in &tiers {
+                let fitted = RegressionTree::fit_ranked(
+                    case.columns,
+                    case.ys,
+                    &mut case.bag.clone(),
+                    &case.params,
+                    case.seed,
+                    &mut scratch,
+                    tier,
+                );
+                let what = format!("{}, {tier:?} tier", case.what);
+                assert_same_tree(&fitted, &case.reference, &what);
+            }
+        });
     }
 
     #[test]

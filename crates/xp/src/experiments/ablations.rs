@@ -270,17 +270,20 @@ pub fn model_accuracy(env: &XpEnv) -> ExperimentOutput {
         ]
     };
     let mut sums = (0.0, 0.0);
-    for probe in probes {
-        let (train, test) = dataset.split_leave_kernel_out(probe);
-        let rf = RandomForestPredictor::train(&train, &options.forest, options.seed);
-        let r = rf.evaluate(&test, train.len());
-        sums.0 += r.time_mape;
-        sums.1 += r.power_mape;
-        table.row(vec![
-            probe.to_string(),
-            fmt(r.time_mape * 100.0, 1),
-            fmt(r.power_mape * 100.0, 1),
-        ]);
+    {
+        let _span = gpm_telemetry::span("xp.model_accuracy.loko");
+        for probe in probes {
+            let (train, test) = dataset.split_leave_kernel_out(probe);
+            let rf = RandomForestPredictor::train(&train, &options.forest, options.seed);
+            let r = rf.evaluate(&test, train.len());
+            sums.0 += r.time_mape;
+            sums.1 += r.power_mape;
+            table.row(vec![
+                probe.to_string(),
+                fmt(r.time_mape * 100.0, 1),
+                fmt(r.power_mape * 100.0, 1),
+            ]);
+        }
     }
     let loko_time = sums.0 / probes.len() as f64 * 100.0;
     table.row(vec![
@@ -290,10 +293,15 @@ pub fn model_accuracy(env: &XpEnv) -> ExperimentOutput {
     ]);
     writeln!(out, "Leave-one-kernel-out accuracy:\n{}", table.render()).unwrap();
 
-    let (train, test) = dataset.split(0.2, options.seed);
-    let rf = RandomForestPredictor::train(&train, &options.forest, options.seed);
-    let time_imp = permutation_importance(rf.time_forest(), &test, |s| s.time_s.max(1e-12).ln(), 7);
-    let power_imp = permutation_importance(rf.power_forest(), &test, |s| s.gpu_power_w, 7);
+    let (time_imp, power_imp) = {
+        let _span = gpm_telemetry::span("model.permutation_importance");
+        let (train, test) = dataset.split(0.2, options.seed);
+        let rf = RandomForestPredictor::train(&train, &options.forest, options.seed);
+        (
+            permutation_importance(rf.time_forest(), &test, |s| s.time_s.max(1e-12).ln(), 7),
+            permutation_importance(rf.power_forest(), &test, |s| s.gpu_power_w, 7),
+        )
+    };
     let mut imp_table = Table::new(vec!["feature", "time importance", "power importance"]);
     for (i, name) in FEATURE_NAMES.iter().enumerate() {
         imp_table.row(vec![

@@ -333,8 +333,9 @@ pub fn run_suite(cfg: &RunConfig) -> SuiteReport {
         .any(|(e, s)| e.needs_ctx && s.is_none());
     let ctx = needs_ctx.then(|| {
         eprintln!(
-            "building shared evaluation context ({} mode; campaign + RF training)...",
-            cfg.mode
+            "building shared evaluation context ({} mode; campaign + RF training, {} split search)...",
+            cfg.mode,
+            gpm_model::fit_simd_tier()
         );
         EvalContext::build_cached(cfg.mode.options(), &forests)
     });

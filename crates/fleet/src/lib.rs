@@ -19,7 +19,8 @@
 //! worker scheduling only changes *which thread* runs a shard, and
 //! reports are assembled in shard order. `tests/fleet_determinism.rs`
 //! enforces the contract by diffing full artifacts across worker counts,
-//! and `fleet_bench` re-checks it on every benchmark run.
+//! and the `fleet_scaling` experiment re-checks it on every `reproduce`
+//! run.
 //!
 //! ```no_run
 //! use gpm_fleet::{FleetScenario, FleetService};

@@ -60,8 +60,10 @@ fn warm_baseline_cache_does_not_change_artifacts() {
 }
 
 /// Soak: replaying the same seeded scenario many times on one service
-/// never drifts from the first artifact. `GPM_FLEET_SOAK_ITERS`
-/// overrides the iteration count (CI's fleet-soak job raises it).
+/// never drifts from the first artifact, and each round also replays a
+/// scenario under a fresh rotated seed twice, byte for byte.
+/// `GPM_FLEET_SOAK_ITERS` overrides the iteration count (CI's
+/// fleet-soak job raises it).
 #[test]
 fn repeated_replays_never_drift() {
     let iters: usize = std::env::var("GPM_FLEET_SOAK_ITERS")
@@ -74,6 +76,12 @@ fn repeated_replays_never_drift() {
     for i in 1..iters {
         let again = svc.run(&scenario).to_artifact_json();
         assert_eq!(first, again, "artifact drifted on replay {i}");
+        let rotated = FleetScenario::mixed(0xF1EE7 ^ (i as u64).wrapping_mul(0x9e37_79b9), 8, 2);
+        assert_eq!(
+            svc.run(&rotated).to_artifact_json(),
+            svc.run(&rotated).to_artifact_json(),
+            "rotated-seed artifact drifted on round {i}"
+        );
     }
 }
 

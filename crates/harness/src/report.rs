@@ -119,84 +119,6 @@ pub fn pct(value: f64) -> String {
     format!("{value:+.1}%")
 }
 
-/// Renders a [`gpm_trace::TraceSummary`] as a metric/value table — the
-/// trace-summary section appended to scheme reports and printed by the
-/// `trace_report` binary.
-pub fn trace_summary_table(s: &gpm_trace::TraceSummary) -> Table {
-    let mut t = Table::new(vec!["metric", "value"]);
-    t.row(vec!["runs".into(), s.runs.to_string()]);
-    t.row(vec![
-        "baseline simulations".into(),
-        s.baseline_simulations.to_string(),
-    ]);
-    t.row(vec![
-        "baseline cache hits".into(),
-        s.baseline_cache_hits.to_string(),
-    ]);
-    t.row(vec!["dispatches".into(), s.dispatches.to_string()]);
-    t.row(vec!["decisions".into(), s.decisions.to_string()]);
-    t.row(vec![
-        "horizon decisions".into(),
-        s.horizon_decisions.to_string(),
-    ]);
-    t.row(vec!["mean horizon".into(), fmt(s.mean_horizon, 3)]);
-    t.row(vec![
-        "overhead per decision (us)".into(),
-        fmt(s.overhead_per_decision_s * 1e6, 2),
-    ]);
-    t.row(vec![
-        "horizon evaluations".into(),
-        s.horizon_evaluations.to_string(),
-    ]);
-    t.row(vec![
-        "total evaluations".into(),
-        s.total_evaluations.to_string(),
-    ]);
-    t.row(vec!["searches".into(), s.searches.to_string()]);
-    t.row(vec![
-        "knob visits (cpu pstate)".into(),
-        s.knob_visits.cpu_pstate.to_string(),
-    ]);
-    t.row(vec![
-        "knob visits (nb state)".into(),
-        s.knob_visits.nb_state.to_string(),
-    ]);
-    t.row(vec![
-        "knob visits (gpu dpm)".into(),
-        s.knob_visits.gpu_dpm.to_string(),
-    ]);
-    t.row(vec![
-        "knob visits (cu count)".into(),
-        s.knob_visits.cu_count.to_string(),
-    ]);
-    t.row(vec![
-        "pruned candidates".into(),
-        s.pruned_candidates.to_string(),
-    ]);
-    t.row(vec![
-        "fail-safe events".into(),
-        s.fail_safe_events.to_string(),
-    ]);
-    t.row(vec!["pattern misses".into(), s.pattern_misses.to_string()]);
-    t.row(vec![
-        "fault injections".into(),
-        s.fault_injections.to_string(),
-    ]);
-    t.row(vec!["recoveries".into(), s.recoveries.to_string()]);
-    t.row(vec!["outcomes".into(), s.outcomes.to_string()]);
-    t.row(vec![
-        "mean |time error| (ms)".into(),
-        fmt(s.mean_abs_time_error_s * 1e3, 4),
-    ]);
-    t.row(vec![
-        "mean signed energy error (J)".into(),
-        fmt(s.mean_signed_energy_error_j, 4),
-    ]);
-    t.row(vec!["min headroom (s)".into(), fmt(s.min_headroom_s, 4)]);
-    t.row(vec!["mean headroom (s)".into(), fmt(s.mean_headroom_s, 4)]);
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

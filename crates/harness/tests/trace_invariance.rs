@@ -4,6 +4,7 @@
 
 use gpm_harness::{EvalContext, EvalOptions, ExecEnv, Scheme, SchemeOutcome};
 use gpm_mpc::HorizonMode;
+use gpm_telemetry::Telemetry;
 use gpm_trace::{AggregateSink, FanoutSink, RingSink, TraceSink};
 use gpm_workloads::workload_by_name;
 use proptest::prelude::*;
@@ -69,18 +70,32 @@ proptest! {
 /// The aggregate summary derived purely from trace events must agree with
 /// the `MpcStats` the governor accumulates internally (the Figure 14/15
 /// source): mean horizon, overhead per decision, and evaluation counts.
+/// The telemetry registry counts the same dispatches and runs, and the
+/// baseline cache serves a second pass without simulating again.
 #[test]
 fn aggregate_summary_reproduces_mpc_stats() {
     let workload = workload_by_name("kmeans").unwrap();
+    let scheme = Scheme::MpcRf {
+        horizon: HorizonMode::default(),
+    };
+    // A baseline cache of its own: the counts below see only this test.
+    let ctx = ctx().with_fresh_baselines();
+    // The warm pass simulates the Turbo Core baseline. It has a sink of
+    // its own, so the traced pass covers exactly one evaluation.
+    let warm = Arc::new(AggregateSink::new());
+    let warm_sink: Arc<dyn TraceSink> = warm.clone();
+    ExecEnv::new()
+        .with_trace(warm_sink)
+        .evaluate(&ctx, &workload, scheme);
+    assert_eq!(warm.summary().baseline_simulations, 1);
+
     let agg = Arc::new(AggregateSink::new());
     let sink: Arc<dyn TraceSink> = agg.clone();
-    let out = ExecEnv::new().with_trace(sink).evaluate(
-        ctx(),
-        &workload,
-        Scheme::MpcRf {
-            horizon: HorizonMode::default(),
-        },
-    );
+    let telemetry = Telemetry::new();
+    let out = ExecEnv::new()
+        .with_trace(sink)
+        .with_telemetry(telemetry.clone())
+        .evaluate(&ctx, &workload, scheme);
     let stats = out.mpc_stats.expect("MPC scheme returns stats");
     let summary = agg.summary();
 
@@ -99,6 +114,22 @@ fn aggregate_summary_reproduces_mpc_stats() {
         stats_overhead_per_decision
     );
     assert_eq!(summary.horizon_evaluations, stats.total_evaluations());
+
+    assert_eq!(summary.baseline_simulations, 0);
+    assert_eq!(summary.baseline_cache_hits, 1);
+    let cache = ctx.baseline_stats();
+    assert_eq!((cache.computed, cache.hits), (1, 1));
+
+    let snapshot = telemetry.snapshot();
+    assert_eq!(
+        snapshot.span("env.dispatch").map(|s| s.count),
+        Some(summary.dispatches)
+    );
+    assert_eq!(
+        snapshot.counter("gpm_dispatches_total"),
+        Some(summary.dispatches)
+    );
+    assert_eq!(snapshot.counter("gpm_runs_total"), Some(summary.runs));
 }
 
 /// Events streamed through the JSONL sink round-trip the golden schema.

@@ -61,5 +61,5 @@ pub use flat::{FlatForest, FlatTree, PrunedForest};
 pub use forest::{ForestParams, RandomForest};
 pub use importance::{permutation_importance, FeatureImportance};
 pub use metrics::{mape, r2, rmse};
-pub use rf_predictor::{MemoStats, RandomForestPredictor, TrainReport};
+pub use rf_predictor::{RandomForestPredictor, TrainReport};
 pub use tree::{fit_simd_tier, RegressionTree, TreeParams};

@@ -148,29 +148,6 @@ impl SnapshotKey {
     }
 }
 
-/// Candidates the calling thread's value memo served and walked, summed
-/// over every predictor since the thread started; see
-/// [`RandomForestPredictor::thread_memo_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Candidates served from the memo.
-    pub hits: u64,
-    /// Candidates priced by a forest walk (and then memoized).
-    pub misses: u64,
-}
-
-impl MemoStats {
-    /// Share of candidates served from the memo; 0 when nothing was priced.
-    pub fn hit_share(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Per-snapshot value memo: for a fixed (predictor, snapshot) pair the
 /// estimate is a pure function of the configuration, so each of the
 /// [`HwConfig::DENSE_COUNT`] lattice points is walked at most once per
@@ -186,7 +163,6 @@ struct ValueMemo {
     /// Slot of the last lookup: consecutive calls nearly always price the
     /// same snapshot.
     last: usize,
-    stats: MemoStats,
 }
 
 impl ValueMemo {
@@ -220,16 +196,6 @@ impl ValueMemo {
 
     fn entry(&mut self, slot: usize, cfg: HwConfig) -> &mut Option<PowerPerfEstimate> {
         &mut self.snapshot_mut(slot)[cfg.dense_index()]
-    }
-
-    /// The memoized estimate for `cfg`, counting the hit or miss.
-    fn lookup(&mut self, slot: usize, cfg: HwConfig) -> Option<PowerPerfEstimate> {
-        let est = *self.entry(slot, cfg);
-        match est {
-            Some(_) => self.stats.hits += 1,
-            None => self.stats.misses += 1,
-        }
-        est
     }
 }
 
@@ -343,13 +309,6 @@ impl RandomForestPredictor {
         self.generation
     }
 
-    /// The calling thread's value-memo counts, over every predictor since
-    /// the thread started. Take a difference of two readings to attribute
-    /// a stretch of work.
-    pub fn thread_memo_stats() -> MemoStats {
-        SCRATCH.with(|scratch| scratch.borrow().memo.stats)
-    }
-
     /// Convenience: split, train, and report in one call.
     pub fn train_and_evaluate(
         dataset: &Dataset,
@@ -371,7 +330,7 @@ impl PowerPerfPredictor for RandomForestPredictor {
             let slot = scratch
                 .memo
                 .slot(&SnapshotKey::new(self.generation, &snapshot.counters));
-            if let Some(est) = scratch.memo.lookup(slot, cfg) {
+            if let Some(est) = *scratch.memo.entry(slot, cfg) {
                 return est;
             }
             scratch.buf.begin_snapshot(&snapshot.counters);
@@ -420,9 +379,6 @@ impl PowerPerfPredictor for RandomForestPredictor {
                     }
                 })
             }));
-            let misses = scratch.pending.len() as u64;
-            scratch.memo.stats.misses += misses;
-            scratch.memo.stats.hits += cfgs.len() as u64 - misses;
             if scratch.pending.is_empty() {
                 return;
             }

@@ -1,5 +1,6 @@
-//! Fault-injection robustness: the shared degradation-curve sweep used
-//! by both the `robustness` CLI binary and the registry experiment.
+//! Fault-injection robustness: the degradation-curve sweep and its
+//! graceful-degradation gate, run by the registry experiment and by the
+//! `robustness_matrix` tests.
 
 use crate::experiment::{metric, ExperimentOutput, XpEnv};
 use gpm_faults::FaultPlan;
@@ -9,12 +10,20 @@ use gpm_harness::{EvalContext, Scheme};
 use gpm_mpc::HorizonMode;
 use gpm_trace::{AggregateSink, TraceSink};
 use gpm_workloads::{workload_by_name, Workload};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write;
 use std::sync::Arc;
 
+/// Fault-plan seed of every sweep.
+pub const FAULT_SEED: u64 = 0xFA_15AFE;
+
+/// The gate's ceiling on wall-time slowdown at rates ≤ 0.10.
+pub const MAX_SLOWDOWN: f64 = 1.5;
+
+/// Per-channel fault rates of a full-mode sweep.
+pub const FULL_RATES: [f64; 5] = [0.0, 0.02, 0.05, 0.10, 0.20];
+
 /// One point of the degradation curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DegradationPoint {
     /// Per-channel fault rate swept at this point.
     pub rate: f64,
@@ -35,26 +44,6 @@ pub struct DegradationPoint {
     pub baseline_simulations: u64,
     /// Baseline resolutions served from the shared cache at this point.
     pub baseline_cache_hits: u64,
-}
-
-/// The full sweep artifact written by the `robustness` binary and the
-/// registry experiment.
-#[derive(Debug, Serialize)]
-pub struct RobustnessReport {
-    /// Swept workload name.
-    pub workload: String,
-    /// Scheme label under test.
-    pub scheme: String,
-    /// Fault-plan seed.
-    pub seed: u64,
-    /// Gate threshold on wall-time slowdown at rates ≤ 0.10.
-    pub max_slowdown: f64,
-    /// Turbo Core baselines simulated across the sweep.
-    pub baseline_simulations: u64,
-    /// Baseline resolutions served from the context cache.
-    pub baseline_cache_hits: u64,
-    /// The degradation curve.
-    pub curve: Vec<DegradationPoint>,
 }
 
 /// Sweeps `workload` under `scheme` across `rates`, one fresh
@@ -116,7 +105,7 @@ pub fn degradation_gate_failures(curve: &[DegradationPoint], max_slowdown: f64) 
     failures
 }
 
-/// Renders the curve as the sweep table the binary has always printed.
+/// Renders the curve as a sweep table.
 pub fn render_curve(workload: &str, curve: &[DegradationPoint]) -> String {
     let mut out = format!("Robustness sweep: MPC(RF) on {workload}\n");
     writeln!(
@@ -150,18 +139,16 @@ pub fn robustness(env: &XpEnv) -> ExperimentOutput {
     let rates: &[f64] = if env.is_fast() {
         &[0.0, 0.05, 0.20]
     } else {
-        &[0.0, 0.02, 0.05, 0.10, 0.20]
+        &FULL_RATES
     };
-    let seed = 0xFA_15AFE;
-    let max_slowdown = 1.5;
     let workload = workload_by_name("kmeans").expect("suite workload");
     let ctx = env.ctx().with_fresh_baselines();
     let scheme = Scheme::MpcRf {
         horizon: HorizonMode::default(),
     };
 
-    let curve = degradation_curve(&ctx, &workload, scheme, seed, rates);
-    let mut failures = degradation_gate_failures(&curve, max_slowdown);
+    let curve = degradation_curve(&ctx, &workload, scheme, FAULT_SEED, rates);
+    let mut failures = degradation_gate_failures(&curve, MAX_SLOWDOWN);
 
     // The whole sweep shares one context, so the baseline must have been
     // simulated exactly once, with every later rate a cache hit.

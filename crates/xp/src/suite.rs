@@ -3,38 +3,8 @@
 
 use gpm_harness::env::ExecEnv;
 use gpm_harness::metrics::{summarize, Comparison};
-use gpm_harness::{EvalContext, EvalOptions, Scheme, SchemeOutcome};
+use gpm_harness::{EvalContext, Scheme, SchemeOutcome};
 use gpm_workloads::{suite, Workload};
-
-/// Builds the shared evaluation context in full or fast mode, printing
-/// the mode and the trained model's held-out accuracy (compare Section
-/// VI-D).
-pub fn bench_context(fast: bool) -> EvalContext {
-    eprintln!(
-        "building evaluation context ({}; measurement campaign + RF training)...",
-        if fast { "fast" } else { "full" }
-    );
-    let options = if fast {
-        EvalOptions::fast()
-    } else {
-        EvalOptions::default()
-    };
-    let ctx = EvalContext::build(options);
-    eprintln!(
-        "  RF held-out accuracy: time MAPE {:.1}%, power MAPE {:.1}% ({} train / {} test samples)",
-        ctx.rf_report.time_mape * 100.0,
-        ctx.rf_report.power_mape * 100.0,
-        ctx.rf_report.train_samples,
-        ctx.rf_report.test_samples,
-    );
-    ctx
-}
-
-/// Builds the full-mode evaluation context, printing the trained model's
-/// held-out accuracy.
-pub fn figure_context() -> EvalContext {
-    bench_context(false)
-}
 
 /// One evaluated benchmark: outcome plus baseline comparison.
 pub struct BenchRow {

@@ -114,14 +114,6 @@ impl<P: PowerPerfPredictor> MpcGovernor<P> {
         }
     }
 
-    /// Installs a fault injector on the pattern-store read path
-    /// (robustness studies). The default injector never fires, so
-    /// ordinary governors pay nothing.
-    pub fn with_fault_injector(mut self, faults: Arc<dyn FaultInjector>) -> MpcGovernor<P> {
-        self.faults = faults;
-        self
-    }
-
     /// Decision statistics (horizons, evaluations, overheads).
     pub fn stats(&self) -> &MpcStats {
         &self.stats

@@ -55,10 +55,9 @@ impl FleetService {
     }
 
     /// Installs a fleet-level telemetry registry. Workers record
-    /// `fleet.worker`/`fleet.shard` spans plus bridge counters
-    /// (`gpm_fleet_jobs_total`, `gpm_fleet_shards_total`,
-    /// `gpm_fleet_fail_safe_total`) into it, and every shard additionally
-    /// gets a private per-shard registry whose snapshot lands in
+    /// `fleet.worker`/`fleet.shard` spans into it (shard, job and
+    /// fail-safe counts are the [`FleetReport`]'s), and every shard
+    /// additionally gets a private per-shard registry whose snapshot lands in
     /// [`ShardReport::telemetry`] and, merged, in
     /// [`FleetRollup::telemetry`]. Snapshots carry wall-clock span
     /// timings, so they are `#[serde(skip)]`ed out of the artifact —
@@ -105,8 +104,8 @@ impl FleetService {
                 let results = &results;
                 let telemetry = self.telemetry.as_ref();
                 scope.spawn(move |_| {
-                    // Route spans and bridge counters from this worker
-                    // into the fleet registry; inert when none installed.
+                    // Route spans from this worker into the fleet
+                    // registry; inert when none installed.
                     let _enter = telemetry.map(|t| t.enter());
                     let _worker_span = gpm_telemetry::span("fleet.worker");
                     loop {
@@ -115,13 +114,6 @@ impl FleetService {
                             break;
                         };
                         let report = run_shard(&self.ctx, plan, telemetry.is_some());
-                        if let Some(t) = telemetry {
-                            t.counter("gpm_fleet_shards_total").inc();
-                            t.counter("gpm_fleet_jobs_total")
-                                .add(report.jobs.len() as u64);
-                            t.counter("gpm_fleet_fail_safe_total")
-                                .add(report.trace.fail_safe_events);
-                        }
                         results.lock().push(report);
                     }
                 });
@@ -167,14 +159,7 @@ fn run_shard(ctx: &EvalContext, plan: &ShardPlan, instrument: bool) -> ShardRepo
         ginstructions += report.ginstructions;
         jobs.push(report);
     }
-    let mut trace = sink.summary();
-    // Whether a shard's baseline resolution computed the entry or hit one
-    // another shard already stored depends only on worker scheduling;
-    // keep the scheduling-independent resolution count and drop the
-    // split so the artifact is byte-identical for any worker count.
-    let baseline_resolutions = trace.baseline_simulations + trace.baseline_cache_hits;
-    trace.baseline_simulations = 0;
-    trace.baseline_cache_hits = 0;
+    let trace = sink.summary();
     ShardReport {
         shard_id: plan.shard_id,
         device: plan.device.clone(),
@@ -183,7 +168,7 @@ fn run_shard(ctx: &EvalContext, plan: &ShardPlan, instrument: bool) -> ShardRepo
         busy_time_s,
         energy_j,
         ginstructions,
-        baseline_resolutions,
+        baseline_resolutions: trace.baseline_resolutions,
         trace,
         telemetry: shard_telemetry.map(|t| t.snapshot()),
     }

@@ -62,14 +62,11 @@ pub struct ShardReport {
     pub energy_j: f64,
     /// Shard work done, giga-instructions.
     pub ginstructions: f64,
-    /// Turbo Core baselines this shard resolved (computed or served from
-    /// the shared cache). The compute/hit split depends only on worker
-    /// scheduling, so the fleet artifact keeps the sum and zeroes the
-    /// split inside `trace` to preserve byte-identity.
+    /// Turbo Core baselines this shard resolved, computed or served from
+    /// the shared cache alike (`trace.baseline_resolutions`; which of
+    /// the two depends only on worker scheduling).
     pub baseline_resolutions: u64,
-    /// The shard's merged decision-level trace counters
-    /// (`baseline_simulations`/`baseline_cache_hits` normalized to 0 —
-    /// see `baseline_resolutions`).
+    /// The shard's merged decision-level trace counters.
     pub trace: TraceSummary,
     /// Snapshot of the shard's private telemetry registry, populated when
     /// the service ran with [`crate::FleetService::with_telemetry`]. Span

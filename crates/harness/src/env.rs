@@ -29,7 +29,7 @@
 //! stay unchanged:
 //!
 //! ```
-//! use gpm_faults::FaultPlan;
+//! use gpm_faults::{FaultInjector, FaultPlan};
 //! use gpm_harness::env::ExecEnv;
 //! use gpm_trace::{AggregateSink, TraceSink};
 //! use std::sync::Arc;
@@ -38,24 +38,19 @@
 //! let env = ExecEnv::new()
 //!     .with_trace(agg.clone() as Arc<dyn TraceSink>)
 //!     .with_fault_plan(FaultPlan::uniform(7, 0.05));
-//! assert!(env.sink().enabled() && env.faults().enabled());
+//! assert!(env.sink().enabled() && env.fault_plan().enabled());
 //! ```
 
 use crate::context::EvalContext;
 use crate::run::{KernelRun, RunResult};
-use gpm_faults::{no_faults, FaultInjector, FaultKey, FaultPlan};
+use gpm_faults::{FaultInjector, FaultKey, FaultPlan};
 use gpm_governors::{Governor, KernelContext, PerfTarget};
 use gpm_hw::HwConfig;
 use gpm_sim::{EnergyBreakdown, KernelOutcome, Platform};
-use gpm_telemetry::{Counter, Histo, SpanGuard, Telemetry};
+use gpm_telemetry::{SpanGuard, Telemetry};
 use gpm_trace::{noop_sink, FailSafeReason, FaultChannelKind, TraceEvent, TraceSink};
 use gpm_workloads::Workload;
 use std::sync::Arc;
-
-/// Bucket boundaries for the `gpm_decision_seconds` latency histogram:
-/// the simulated optimizer overhead per decision, 1 µs … 10 ms decades
-/// (the same decades as `TraceSummary::decision_latency`).
-pub const DECISION_LATENCY_BOUNDS: &[f64] = &[1e-6, 1e-5, 1e-4, 1e-3, 1e-2];
 
 /// A builder-constructed execution environment: the single dispatch path
 /// for replaying workloads under governors.
@@ -67,12 +62,11 @@ pub const DECISION_LATENCY_BOUNDS: &[f64] = &[1e-6, 1e-5, 1e-4, 1e-3, 1e-2];
 #[derive(Debug, Clone)]
 pub struct ExecEnv {
     sink: Arc<dyn TraceSink>,
-    faults: Arc<dyn FaultInjector>,
-    /// The concrete plan backing `faults` when one was supplied — needed
-    /// by [`ExecEnv::evaluate`] to wrap scheme predictors in
-    /// [`FaultyPredictor`](gpm_faults::FaultyPredictor), which clones a
-    /// plan rather than sharing a trait object.
-    plan: FaultPlan,
+    /// The one fault representation: the dispatch path and governors
+    /// see it as a [`FaultInjector`], and [`ExecEnv::evaluate`] wraps
+    /// scheme predictors in [`FaultyPredictor`](gpm_faults::FaultyPredictor)
+    /// with it. A zero plan is the identity.
+    faults: Arc<FaultPlan>,
     /// Metrics/span registry entered for the duration of each replay,
     /// when installed via [`ExecEnv::with_telemetry`].
     telemetry: Option<Telemetry>,
@@ -90,8 +84,7 @@ impl ExecEnv {
     pub fn new() -> ExecEnv {
         ExecEnv {
             sink: noop_sink(),
-            faults: no_faults(),
-            plan: FaultPlan::zero(0),
+            faults: Arc::new(FaultPlan::zero(0)),
             telemetry: None,
         }
     }
@@ -105,23 +98,12 @@ impl ExecEnv {
         self
     }
 
-    /// Installs a deterministic fault plan on the dispatch path *and*
-    /// keeps the concrete plan for predictor wrapping in
-    /// [`ExecEnv::evaluate`]. A zero plan is the identity.
+    /// Installs a deterministic fault plan on the dispatch path, on
+    /// governors ([`ExecEnv::install`]) and on scheme predictors
+    /// ([`ExecEnv::evaluate`]). A zero plan is the identity.
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> ExecEnv {
-        self.faults = Arc::new(plan.clone());
-        self.plan = plan;
-        self
-    }
-
-    /// Installs a custom fault injector on the dispatch path only.
-    /// Prefer [`ExecEnv::with_fault_plan`] for plan-driven studies —
-    /// with a bare injector, scheme predictors stay clean because there
-    /// is no concrete plan to wrap them with.
-    #[must_use]
-    pub fn with_fault_injector(mut self, faults: Arc<dyn FaultInjector>) -> ExecEnv {
-        self.faults = faults;
+        self.faults = Arc::new(plan);
         self
     }
 
@@ -129,8 +111,8 @@ impl ExecEnv {
     /// duration of every [`ExecEnv::run`] and [`ExecEnv::baseline`] the
     /// registry is the thread-current one, so phase spans emitted by
     /// deeper layers (`rf.fit`, `flat.specialize`, `search.*`) land in
-    /// it, and the replay loop records dispatch/decision metrics into
-    /// it. Telemetry is strictly read-only observability: an
+    /// it, and the replay loop times each dispatch as an `env.dispatch`
+    /// span. Telemetry is strictly read-only observability: an
     /// environment with a registry produces byte-identical results to
     /// one without (pinned by `tests/execenv_equivalence.rs`).
     #[must_use]
@@ -149,15 +131,10 @@ impl ExecEnv {
         &self.sink
     }
 
-    /// The installed fault injector.
-    pub fn faults(&self) -> &Arc<dyn FaultInjector> {
-        &self.faults
-    }
-
-    /// The concrete fault plan (zero unless set via
+    /// The installed fault plan (zero unless set via
     /// [`ExecEnv::with_fault_plan`]).
     pub fn fault_plan(&self) -> &FaultPlan {
-        &self.plan
+        &self.faults
     }
 
     /// Installs the environment's middleware on a governor: the trace
@@ -166,7 +143,7 @@ impl ExecEnv {
     /// corresponding internals ignore either.
     pub fn install(&self, governor: &mut dyn Governor) {
         governor.set_trace_sink(Arc::clone(&self.sink));
-        governor.set_fault_injector(Arc::clone(&self.faults));
+        governor.set_fault_injector(Arc::clone(&self.faults) as Arc<dyn FaultInjector>);
     }
 
     /// Replays `workload` once under `governor` with this environment's
@@ -206,7 +183,7 @@ impl ExecEnv {
             provide_truth,
             Middleware {
                 sink: self.sink.as_ref(),
-                faults: self.faults.as_ref(),
+                faults: &*self.faults,
                 telemetry: self.telemetry.as_ref(),
             },
         )
@@ -248,13 +225,6 @@ struct Middleware<'a> {
     telemetry: Option<&'a Telemetry>,
 }
 
-/// Metric handles resolved once per replay (registration is the only
-/// locking step; per-kernel writes are striped atomics).
-struct ReplayMetrics {
-    dispatches: Counter,
-    decision_latency: Histo,
-}
-
 /// The core replay loop. Every replay — [`ExecEnv::run`] and everything
 /// built on it — funnels through here.
 fn replay(
@@ -276,13 +246,6 @@ fn replay(
     // `env.dispatch`. Without one, spans route to whatever registry the
     // caller entered (e.g. the xp runner's), or nowhere.
     let _enter = telemetry.map(|t| t.enter());
-    let metrics = Telemetry::current().map(|t| {
-        t.counter("gpm_runs_total").inc();
-        ReplayMetrics {
-            dispatches: t.counter("gpm_dispatches_total"),
-            decision_latency: t.histogram("gpm_decision_seconds", DECISION_LATENCY_BOUNDS),
-        }
-    });
     let tracing = sink.enabled();
     let injecting = faults.enabled();
     if tracing {
@@ -327,10 +290,6 @@ fn replay(
             });
         }
         let decision = governor.select(&ctx);
-        if let Some(m) = &metrics {
-            m.dispatches.inc();
-            m.decision_latency.record(decision.overhead_s);
-        }
         if tracing {
             sink.record(&TraceEvent::Decision {
                 run_index,
@@ -521,7 +480,6 @@ mod tests {
     fn clean_env_is_disabled_on_both_channels() {
         let env = ExecEnv::new();
         assert!(!env.sink().enabled());
-        assert!(!env.faults().enabled());
         assert!(!env.fault_plan().enabled());
     }
 
@@ -529,7 +487,7 @@ mod tests {
     fn fault_plan_enables_injector_and_keeps_plan() {
         let plan = FaultPlan::uniform(3, 0.5);
         let env = ExecEnv::new().with_fault_plan(plan.clone());
-        assert!(env.faults().enabled());
+        assert!(env.fault_plan().enabled());
         assert_eq!(env.fault_plan(), &plan);
     }
 
@@ -552,7 +510,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_env_records_dispatch_metrics_and_spans() {
+    fn telemetry_env_records_one_dispatch_span_per_kernel() {
         let sim = ApuSimulator::noiseless();
         let w = workload_by_name("Spmv").unwrap();
         let tel = Telemetry::new();
@@ -561,11 +519,6 @@ mod tests {
         let mut gov = FixedGovernor::new(HwConfig::FAIL_SAFE);
         let res = env.run(&sim, &w, &mut gov, PerfTarget::new(1.0, 1.0), 0, false);
         let snap = tel.snapshot();
-        assert_eq!(snap.counter("gpm_runs_total"), Some(1));
-        assert_eq!(
-            snap.counter("gpm_dispatches_total"),
-            Some(res.per_kernel.len() as u64)
-        );
         let dispatch = snap.span("env.dispatch").unwrap();
         assert_eq!(dispatch.count, res.per_kernel.len() as u64);
         // The replay un-enters its registry on return.

@@ -70,8 +70,9 @@ proptest! {
 /// The aggregate summary derived purely from trace events must agree with
 /// the `MpcStats` the governor accumulates internally (the Figure 14/15
 /// source): mean horizon, overhead per decision, and evaluation counts.
-/// The telemetry registry counts the same dispatches and runs, and the
-/// baseline cache serves a second pass without simulating again.
+/// The telemetry registry times one `env.dispatch` span per traced
+/// dispatch, and the baseline cache serves a second pass without
+/// simulating again.
 #[test]
 fn aggregate_summary_reproduces_mpc_stats() {
     let workload = workload_by_name("kmeans").unwrap();
@@ -87,7 +88,7 @@ fn aggregate_summary_reproduces_mpc_stats() {
     ExecEnv::new()
         .with_trace(warm_sink)
         .evaluate(&ctx, &workload, scheme);
-    assert_eq!(warm.summary().baseline_simulations, 1);
+    assert_eq!(warm.summary().baseline_resolutions, 1);
 
     let agg = Arc::new(AggregateSink::new());
     let sink: Arc<dyn TraceSink> = agg.clone();
@@ -114,9 +115,10 @@ fn aggregate_summary_reproduces_mpc_stats() {
         stats_overhead_per_decision
     );
     assert_eq!(summary.horizon_evaluations, stats.total_evaluations());
+    // One run per invocation: the profiling run and the measured one.
+    assert_eq!(summary.runs, 1 + u64::from(out.profiling.is_some()));
 
-    assert_eq!(summary.baseline_simulations, 0);
-    assert_eq!(summary.baseline_cache_hits, 1);
+    assert_eq!(summary.baseline_resolutions, 1);
     let cache = ctx.baseline_stats();
     assert_eq!((cache.computed, cache.hits), (1, 1));
 
@@ -125,11 +127,30 @@ fn aggregate_summary_reproduces_mpc_stats() {
         snapshot.span("env.dispatch").map(|s| s.count),
         Some(summary.dispatches)
     );
-    assert_eq!(
-        snapshot.counter("gpm_dispatches_total"),
-        Some(summary.dispatches)
-    );
-    assert_eq!(snapshot.counter("gpm_runs_total"), Some(summary.runs));
+}
+
+/// A trace describes the evaluation, not the state of the baseline
+/// cache it ran against: one evaluation summarizes identically whether
+/// it simulated the Turbo Core baseline (cold cache) or found it stored
+/// (warm cache). This is what keeps per-experiment trace counts
+/// independent of which experiment reached a shared baseline first.
+#[test]
+fn one_evaluation_traces_alike_on_a_cold_and_a_warm_baseline_cache() {
+    let workload = workload_by_name("Spmv").unwrap();
+    let scheme = Scheme::PpkRf;
+    let ctx = ctx().with_fresh_baselines();
+    let traced = || {
+        let agg = Arc::new(AggregateSink::new());
+        ExecEnv::new()
+            .with_trace(agg.clone() as Arc<dyn TraceSink>)
+            .evaluate(&ctx, &workload, scheme);
+        agg.summary()
+    };
+    let cold = traced();
+    let warm = traced();
+    let cache = ctx.baseline_stats();
+    assert_eq!((cache.computed, cache.hits), (1, 1));
+    assert_eq!(cold, warm);
 }
 
 /// Events streamed through the JSONL sink round-trip the golden schema.

@@ -9,7 +9,7 @@
 //! histogram bucket series cumulative with a terminal `+Inf` bucket
 //! equal to `_count`.
 
-use crate::registry::{MetricData, Telemetry, TelemetrySnapshot};
+use crate::registry::{MetricData, SpanRow, Telemetry, TelemetrySnapshot};
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -19,19 +19,6 @@ fn escape_label(v: &str) -> String {
     v.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")
-}
-
-/// Renders a sample value: decimal notation, `+Inf`/`-Inf`/`NaN`.
-fn render_value(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{v}")
-    }
 }
 
 fn render_labels(labels: &[(String, String)]) -> String {
@@ -45,129 +32,44 @@ fn render_labels(labels: &[(String, String)]) -> String {
     format!("{{{}}}", inner.join(","))
 }
 
-/// Labels plus one extra pair appended (used for `le`).
-fn with_label(labels: &[(String, String)], key: &str, value: &str) -> String {
-    let mut all: Vec<(String, String)> = labels.to_vec();
-    all.push((key.to_string(), value.to_string()));
-    render_labels(&all)
-}
-
 impl TelemetrySnapshot {
-    /// Renders the snapshot in the Prometheus text exposition format.
-    ///
-    /// Metric kinds map directly (`counter`, `gauge`, `histogram` with
-    /// cumulative `_bucket`/`_sum`/`_count` series and a `+Inf`
-    /// bucket); log2-HDR histograms render as Prometheus histograms
-    /// with power-of-two bounds, skipping empty interior buckets (the
-    /// series stays cumulative). Fixed-bucket rejection counts surface
-    /// as `<name>_rejected` counters, and span rows as the
+    /// Renders the snapshot in the Prometheus text exposition format:
+    /// each counter as a `counter` family, and span rows as the
     /// `gpm_span_count` / `gpm_span_seconds` / `gpm_span_self_seconds`
     /// counter families labeled by `;`-joined path. Output is
     /// deterministic for a given snapshot and always passes
     /// [`validate_prometheus`].
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
-        let mut declared: std::collections::HashSet<String> = std::collections::HashSet::new();
-        let mut type_line = |out: &mut String, name: &str, kind: &str| {
-            if declared.insert(name.to_string()) {
-                let _ = writeln!(out, "# TYPE {name} {kind}");
-            }
-        };
+        let mut declared = std::collections::HashSet::new();
         for m in &self.metrics {
-            let labels = render_labels(&m.labels);
-            match &m.data {
-                MetricData::Counter { value } => {
-                    type_line(&mut out, &m.name, "counter");
-                    let _ = writeln!(out, "{}{labels} {value}", m.name);
-                }
-                MetricData::Gauge { value, .. } => {
-                    type_line(&mut out, &m.name, "gauge");
-                    let _ = writeln!(out, "{}{labels} {}", m.name, render_value(*value));
-                }
-                MetricData::Histogram {
-                    bounds,
-                    counts,
-                    sum,
-                    count,
-                    rejected,
-                } => {
-                    type_line(&mut out, &m.name, "histogram");
-                    let mut cum = 0u64;
-                    for (i, c) in counts.iter().enumerate() {
-                        cum += c;
-                        let le = bounds
-                            .get(i)
-                            .map(|b| render_value(*b))
-                            .unwrap_or_else(|| "+Inf".to_string());
-                        let _ = writeln!(
-                            out,
-                            "{}_bucket{} {cum}",
-                            m.name,
-                            with_label(&m.labels, "le", &le)
-                        );
-                    }
-                    let _ = writeln!(out, "{}_sum{labels} {}", m.name, render_value(*sum));
-                    let _ = writeln!(out, "{}_count{labels} {count}", m.name);
-                    if *rejected > 0 {
-                        let rname = format!("{}_rejected", m.name);
-                        type_line(&mut out, &rname, "counter");
-                        let _ = writeln!(out, "{rname}{labels} {rejected}");
-                    }
-                }
-                MetricData::Log2 { counts, sum, count } => {
-                    type_line(&mut out, &m.name, "histogram");
-                    let mut cum = 0u64;
-                    for (i, c) in counts.iter().enumerate() {
-                        cum += c;
-                        if *c == 0 {
-                            continue;
-                        }
-                        let le = render_value((1u128 << i) as f64);
-                        let _ = writeln!(
-                            out,
-                            "{}_bucket{} {cum}",
-                            m.name,
-                            with_label(&m.labels, "le", &le)
-                        );
-                    }
-                    let _ = writeln!(
-                        out,
-                        "{}_bucket{} {cum}",
-                        m.name,
-                        with_label(&m.labels, "le", "+Inf")
-                    );
-                    let _ = writeln!(out, "{}_sum{labels} {sum}", m.name);
-                    let _ = writeln!(out, "{}_count{labels} {count}", m.name);
-                }
+            if declared.insert(m.name.as_str()) {
+                let _ = writeln!(out, "# TYPE {} counter", m.name);
             }
+            let MetricData::Counter { value } = &m.data;
+            let _ = writeln!(out, "{}{} {value}", m.name, render_labels(&m.labels));
         }
         if !self.spans.is_empty() {
-            out.push_str("# TYPE gpm_span_count counter\n");
-            for s in &self.spans {
-                let _ = writeln!(
-                    out,
-                    "gpm_span_count{} {}",
-                    with_label(&[], "path", &s.path),
-                    s.count
-                );
-            }
-            out.push_str("# TYPE gpm_span_seconds counter\n");
-            for s in &self.spans {
-                let _ = writeln!(
-                    out,
-                    "gpm_span_seconds{} {}",
-                    with_label(&[], "path", &s.path),
-                    render_value(s.total_ns as f64 / 1e9)
-                );
-            }
-            out.push_str("# TYPE gpm_span_self_seconds counter\n");
-            for s in &self.spans {
-                let _ = writeln!(
-                    out,
-                    "gpm_span_self_seconds{} {}",
-                    with_label(&[], "path", &s.path),
-                    render_value(s.self_ns as f64 / 1e9)
-                );
+            type Column = fn(&SpanRow) -> String;
+            let families: [(&str, Column); 3] = [
+                ("gpm_span_count", |s| s.count.to_string()),
+                ("gpm_span_seconds", |s| {
+                    (s.total_ns as f64 / 1e9).to_string()
+                }),
+                ("gpm_span_self_seconds", |s| {
+                    (s.self_ns as f64 / 1e9).to_string()
+                }),
+            ];
+            for (family, column) in families {
+                let _ = writeln!(out, "# TYPE {family} counter");
+                for s in &self.spans {
+                    let _ = writeln!(
+                        out,
+                        "{family}{{path=\"{}\"}} {}",
+                        escape_label(&s.path),
+                        column(s)
+                    );
+                }
             }
         }
         out
@@ -470,15 +372,6 @@ mod tests {
         t.counter("gpm_jobs_total").add(7);
         t.counter_with("gpm_jobs_total", &[("shard", "a b\"c\\")])
             .add(2);
-        t.gauge("gpm_workers").set(4.0);
-        let h = t.histogram("gpm_decision_seconds", &[0.001, 0.01, 0.1]);
-        for v in [0.0005, 0.005, 0.05, 5.0] {
-            h.record(v);
-        }
-        h.record(f64::NAN);
-        let l = t.log2_histogram("gpm_span_ns_hdr");
-        l.record(100);
-        l.record(5000);
         {
             let _e = t.enter();
             let _outer = span("env.dispatch");
@@ -492,11 +385,10 @@ mod tests {
         let t = populated();
         let page = t.snapshot().to_prometheus();
         let stats = validate_prometheus(&page).expect("rendered page must validate");
-        assert!(stats.families >= 7, "families: {stats:?}\n{page}");
-        assert_eq!(stats.histograms, 2);
+        assert_eq!(stats.families, 4, "families: {stats:?}\n{page}");
+        assert_eq!(stats.samples, 8);
+        assert!(page.contains("gpm_jobs_total 7"));
         assert!(page.contains("gpm_jobs_total{shard=\"a b\\\"c\\\\\"} 2"));
-        assert!(page.contains("gpm_decision_seconds_bucket{le=\"+Inf\"} 4"));
-        assert!(page.contains("gpm_decision_seconds_rejected 1"));
         assert!(page.contains("gpm_span_count{path=\"env.dispatch;search.hill_climb\"} 1"));
     }
 

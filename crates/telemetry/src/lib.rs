@@ -1,21 +1,22 @@
-//! Fleet-wide production telemetry: a low-overhead metrics registry plus
-//! a hierarchical span profiler, with Prometheus / chrome-trace /
+//! Fleet-wide production telemetry: labelled counters plus a
+//! hierarchical span profiler, with Prometheus / chrome-trace /
 //! flamegraph exporters.
 //!
 //! Where `gpm-trace` answers *what did the governor decide* (a typed
-//! per-decision event stream), this crate answers *where
-//! does the time go and how is the service behaving* — the
-//! machine-scrapable counters, latency distributions, and phase
-//! attribution a long-running fleet needs. The two layers are
-//! complementary and share merge semantics: per-shard snapshots fold into
-//! fleet rollups exactly like `TraceSummary::merge`.
+//! per-decision event stream, reduced to `TraceSummary` with its
+//! decision-latency and error histograms), this crate answers *where
+//! does the time go*: phase attribution through spans, plus the few
+//! counters that have no trace event behind them. Each fact lives in
+//! one ledger — dispatches, runs and decision latencies are the
+//! trace's, never repeated here. The two layers share merge semantics:
+//! per-shard snapshots fold into fleet rollups exactly like
+//! `TraceSummary::merge`.
 //!
 //! # Layers
 //!
-//! * [`registry`] — the [`Telemetry`] handle: interned
-//!   ([`MetricId`]-keyed) counters, gauges, fixed-bucket histograms, and
-//!   log2-HDR histograms, all striped across [`STRIPES`] atomic cells so
-//!   concurrent writers on the hot path never contend on one cache line;
+//! * [`registry`] — the [`Telemetry`] handle: interned, optionally
+//!   labelled counters striped across [`STRIPES`] atomic cells so
+//!   concurrent writers never contend on one cache line;
 //!   [`TelemetrySnapshot`] freezes the registry into a serializable,
 //!   mergeable value.
 //! * [`mod@span`] — RAII span guards ([`Telemetry::span`] or the free
@@ -43,11 +44,11 @@
 //!     let _outer = span("search.hill_climb");
 //!     let _inner = span("flat.specialize"); // child of hill_climb
 //! }
-//! t.counter("gpm_decisions_total").add(3);
+//! t.counter("gpm_jobs_total").add(3);
 //! let snap = t.snapshot();
-//! assert_eq!(snap.counter("gpm_decisions_total"), Some(3));
+//! assert_eq!(snap.counter("gpm_jobs_total"), Some(3));
 //! assert_eq!(snap.span("search.hill_climb").unwrap().count, 1);
-//! assert!(snap.to_prometheus().contains("gpm_decisions_total 3"));
+//! assert!(snap.to_prometheus().contains("gpm_jobs_total 3"));
 //! ```
 //!
 //! Telemetry is strictly read-only observability: installing or removing
@@ -65,7 +66,6 @@ pub mod span;
 
 pub use export::{validate_prometheus, PromStats};
 pub use registry::{
-    Counter, Gauge, Histo, Log2Histo, MetricData, MetricId, MetricValue, SpanRow, Telemetry,
-    TelemetrySnapshot, STRIPES,
+    Counter, MetricData, MetricValue, SpanRow, Telemetry, TelemetrySnapshot, STRIPES,
 };
 pub use span::{span, EnterGuard, SpanGuard};

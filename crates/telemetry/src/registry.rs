@@ -1,27 +1,27 @@
-//! The metrics registry: interned metric descriptors over striped atomic
-//! storage, plus the snapshot/merge layer shared with the span profiler.
+//! The metrics registry: labelled counters over striped atomic cells,
+//! plus the snapshot/merge layer shared with the span profiler.
 //!
-//! Hot-path writes never take a lock: a metric handle resolved once via
-//! [`Telemetry::counter`] (or the histogram/gauge siblings) holds an
-//! `Arc` to its storage, and each write lands in one of [`STRIPES`]
-//! per-thread-striped atomic cells, so concurrent shard workers do not
-//! bounce a shared cache line. Registration (name interning) is the only
-//! locking operation and happens once per distinct name.
+//! Hot-path writes never take a lock: a counter handle resolved once via
+//! [`Telemetry::counter`] holds an `Arc` to its cells, and each write
+//! lands in one of [`STRIPES`] per-thread-striped atomic cells, so
+//! concurrent shard workers do not bounce a shared cache line.
+//! Registration (name interning) is the only locking operation and
+//! happens once per distinct (name, label set).
+//!
+//! Distributions and per-decision facts are not kept here: the decision
+//! trace (`gpm_trace::TraceSummary`) owns them, so each fact has one
+//! ledger.
 
 use crate::span::{SpanEvent, ThreadSlot};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Stripe count for counters and histograms: writers hash to a stripe by
-/// thread, readers fold all stripes at snapshot time.
+/// Stripe count for counters: writers hash to a stripe by thread,
+/// readers fold all stripes at snapshot time.
 pub const STRIPES: usize = 16;
-
-/// Interned identity of one (name, label set) metric within a registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct MetricId(pub u32);
 
 /// Per-thread stripe selection: threads round-robin over stripes at
 /// first use, so writer threads spread across cells deterministically
@@ -34,65 +34,8 @@ fn stripe() -> usize {
     STRIPE.with(|s| *s)
 }
 
-/// Lock-free `f64` accumulate into an `AtomicU64` holding IEEE-754 bits.
-fn f64_add(cell: &AtomicU64, v: f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let next = (f64::from_bits(cur) + v).to_bits();
-        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
-fn zeroed(n: usize) -> Box<[AtomicU64]> {
-    (0..n).map(|_| AtomicU64::new(0)).collect()
-}
-
-/// Storage behind one registered metric.
-enum Store {
-    /// Monotonic counter, one cell per stripe.
-    Counter(Box<[AtomicU64]>),
-    /// Last-written level plus how many writes happened.
-    Gauge { bits: AtomicU64, samples: AtomicU64 },
-    /// Fixed-bucket histogram: per stripe, `bounds.len() + 1` bucket
-    /// cells plus sum (f64 bits), count, and rejected cells.
-    Histogram {
-        bounds: Vec<f64>,
-        buckets: Box<[AtomicU64]>,
-        sums: Box<[AtomicU64]>,
-        counts: Box<[AtomicU64]>,
-        rejected: Box<[AtomicU64]>,
-    },
-    /// Log2-HDR histogram over `u64` samples: bucket *i* holds values of
-    /// bit width *i* (so bucket bounds grow as powers of two), 64
-    /// buckets per stripe plus sum and count cells.
-    Log2 {
-        buckets: Box<[AtomicU64]>,
-        sums: Box<[AtomicU64]>,
-        counts: Box<[AtomicU64]>,
-    },
-}
-
-const LOG2_BUCKETS: usize = 64;
-
-impl Store {
-    fn kind(&self) -> &'static str {
-        match self {
-            Store::Counter(_) => "counter",
-            Store::Gauge { .. } => "gauge",
-            Store::Histogram { .. } => "histogram",
-            Store::Log2 { .. } => "log2_histogram",
-        }
-    }
-}
-
-struct MetricEntry {
-    name: String,
-    labels: Vec<(String, String)>,
-    store: Store,
-}
+/// One counter's storage: a cell per stripe.
+type Cells = Arc<[AtomicU64]>;
 
 /// Bounded ring of completed span events for chrome-trace export.
 pub(crate) struct EventRing {
@@ -106,13 +49,12 @@ type MetricKey = (String, Vec<(String, String)>);
 
 pub(crate) struct Inner {
     pub(crate) epoch: Instant,
-    index: Mutex<HashMap<MetricKey, MetricId>>,
-    entries: RwLock<Vec<Arc<MetricEntry>>>,
+    counters: Mutex<HashMap<MetricKey, Cells>>,
     pub(crate) threads: Mutex<Vec<Arc<ThreadSlot>>>,
     pub(crate) events: Option<Arc<EventRing>>,
 }
 
-/// A cheaply clonable telemetry handle: the metrics registry plus the
+/// A cheaply clonable telemetry handle: the counter registry plus the
 /// span profiler state. Clones share storage; [`Telemetry::snapshot`]
 /// freezes everything into a serializable [`TelemetrySnapshot`].
 #[derive(Clone)]
@@ -123,7 +65,7 @@ pub struct Telemetry {
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
-            .field("metrics", &self.inner.entries.read().map(|e| e.len()))
+            .field("counters", &self.inner.counters.lock().map(|c| c.len()))
             .field("events", &self.inner.events.is_some())
             .finish()
     }
@@ -163,8 +105,7 @@ impl Telemetry {
         Telemetry {
             inner: Arc::new(Inner {
                 epoch: Instant::now(),
-                index: Mutex::new(HashMap::new()),
-                entries: RwLock::new(Vec::new()),
+                counters: Mutex::new(HashMap::new()),
                 threads: Mutex::new(Vec::new()),
                 events,
             }),
@@ -176,12 +117,23 @@ impl Telemetry {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    fn register(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        make: impl FnOnce() -> Store,
-    ) -> Arc<MetricEntry> {
+    /// A monotonic counter handle (registering the name on first use).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `name` is not a valid Prometheus identifier.
+    pub fn counter(&self, name: &str) -> Counter {
+        self.counter_with(name, &[])
+    }
+
+    /// A labeled monotonic counter handle: one counter per distinct
+    /// label set, so `{cache="hit"}` and `{cache="miss"}` count apart.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `name` or a label name is not a valid Prometheus
+    /// identifier.
+    pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         check_name(name, "metric name");
         for (k, _) in labels {
             check_name(k, "label name");
@@ -191,153 +143,36 @@ impl Telemetry {
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
         labels.sort();
-        let mut index = self.inner.index.lock().unwrap_or_else(|p| p.into_inner());
-        let key = (name.to_string(), labels.clone());
-        if let Some(id) = index.get(&key) {
-            let entries = self.inner.entries.read().unwrap_or_else(|p| p.into_inner());
-            return Arc::clone(&entries[id.0 as usize]);
-        }
-        let entry = Arc::new(MetricEntry {
-            name: name.to_string(),
-            labels,
-            store: make(),
-        });
-        let mut entries = self
+        let mut counters = self
             .inner
-            .entries
-            .write()
-            .unwrap_or_else(|p| p.into_inner());
-        index.insert(key, MetricId(entries.len() as u32));
-        entries.push(Arc::clone(&entry));
-        entry
-    }
-
-    /// The interned id for `(name, labels)`, if registered.
-    pub fn metric_id(&self, name: &str, labels: &[(&str, &str)]) -> Option<MetricId> {
-        let mut labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        labels.sort();
-        self.inner
-            .index
+            .counters
             .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&(name.to_string(), labels))
-            .copied()
-    }
-
-    /// A monotonic counter handle (registering the name on first use).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `name` is not a valid Prometheus identifier or was
-    /// already registered as a different metric kind.
-    pub fn counter(&self, name: &str) -> Counter {
-        self.counter_with(name, &[])
-    }
-
-    /// A labeled monotonic counter handle.
-    pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        let entry = self.register(name, labels, || Store::Counter(zeroed(STRIPES)));
-        assert!(
-            matches!(entry.store, Store::Counter(_)),
-            "metric {name:?} already registered as a {}",
-            entry.store.kind()
-        );
-        Counter { entry }
-    }
-
-    /// A gauge handle (last-written level; merges additively across
-    /// shards, so per-shard levels roll up to fleet totals).
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.gauge_with(name, &[])
-    }
-
-    /// A labeled gauge handle.
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        let entry = self.register(name, labels, || Store::Gauge {
-            bits: AtomicU64::new(0),
-            samples: AtomicU64::new(0),
-        });
-        assert!(
-            matches!(entry.store, Store::Gauge { .. }),
-            "metric {name:?} already registered as a {}",
-            entry.store.kind()
-        );
-        Gauge { entry }
-    }
-
-    /// A fixed-bucket histogram handle over strictly increasing
-    /// `bounds` (same bucket convention as `gpm_trace::Histogram`).
-    /// Non-finite samples are dropped and counted as rejected.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `bounds` is not strictly increasing, or the name was
-    /// registered with different bounds or as a different kind.
-    pub fn histogram(&self, name: &str, bounds: &[f64]) -> Histo {
-        self.histogram_with(name, &[], bounds)
-    }
-
-    /// A labeled fixed-bucket histogram handle.
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)], bounds: &[f64]) -> Histo {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        let entry = self.register(name, labels, || Store::Histogram {
-            bounds: bounds.to_vec(),
-            buckets: zeroed(STRIPES * (bounds.len() + 1)),
-            sums: zeroed(STRIPES),
-            counts: zeroed(STRIPES),
-            rejected: zeroed(STRIPES),
-        });
-        match &entry.store {
-            Store::Histogram {
-                bounds: existing, ..
-            } => assert_eq!(
-                existing, bounds,
-                "metric {name:?} already registered with different bounds"
-            ),
-            other => panic!("metric {name:?} already registered as a {}", other.kind()),
+            .unwrap_or_else(|p| p.into_inner());
+        let cells = counters
+            .entry((name.to_string(), labels))
+            .or_insert_with(|| (0..STRIPES).map(|_| AtomicU64::new(0)).collect());
+        Counter {
+            cells: Arc::clone(cells),
         }
-        Histo { entry }
     }
 
-    /// A log2-HDR histogram handle for `u64` samples (typically
-    /// nanoseconds): bucket boundaries are powers of two, covering the
-    /// full range in 64 buckets.
-    pub fn log2_histogram(&self, name: &str) -> Log2Histo {
-        self.log2_histogram_with(name, &[])
-    }
-
-    /// A labeled log2-HDR histogram handle.
-    pub fn log2_histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Log2Histo {
-        let entry = self.register(name, labels, || Store::Log2 {
-            buckets: zeroed(STRIPES * LOG2_BUCKETS),
-            sums: zeroed(STRIPES),
-            counts: zeroed(STRIPES),
-        });
-        assert!(
-            matches!(entry.store, Store::Log2 { .. }),
-            "metric {name:?} already registered as a {}",
-            entry.store.kind()
-        );
-        Log2Histo { entry }
-    }
-
-    /// Freezes the registry (metrics and span trees) into a mergeable,
+    /// Freezes the registry (counters and span trees) into a mergeable,
     /// serializable snapshot. Writers may continue concurrently; the
     /// snapshot observes each cell atomically.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let mut metrics: Vec<MetricValue> = self
             .inner
-            .entries
-            .read()
+            .counters
+            .lock()
             .unwrap_or_else(|p| p.into_inner())
             .iter()
-            .map(|e| e.freeze())
+            .map(|((name, labels), cells)| MetricValue {
+                name: name.clone(),
+                labels: labels.clone(),
+                data: MetricData::Counter {
+                    value: cells.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
+                },
+            })
             .collect();
         metrics.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
         let mut spans = crate::span::collect_spans(&self.inner);
@@ -352,163 +187,21 @@ impl Default for Telemetry {
     }
 }
 
-impl MetricEntry {
-    fn freeze(&self) -> MetricValue {
-        let data = match &self.store {
-            Store::Counter(cells) => MetricData::Counter {
-                value: cells.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
-            },
-            Store::Gauge { bits, samples } => MetricData::Gauge {
-                value: f64::from_bits(bits.load(Ordering::Relaxed)),
-                samples: samples.load(Ordering::Relaxed),
-            },
-            Store::Histogram {
-                bounds,
-                buckets,
-                sums,
-                counts,
-                rejected,
-            } => {
-                let width = bounds.len() + 1;
-                let mut folded = vec![0u64; width];
-                for s in 0..STRIPES {
-                    for (i, cell) in buckets[s * width..(s + 1) * width].iter().enumerate() {
-                        folded[i] += cell.load(Ordering::Relaxed);
-                    }
-                }
-                MetricData::Histogram {
-                    bounds: bounds.clone(),
-                    counts: folded,
-                    sum: sums
-                        .iter()
-                        .map(|c| f64::from_bits(c.load(Ordering::Relaxed)))
-                        .sum(),
-                    count: counts.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
-                    rejected: rejected.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
-                }
-            }
-            Store::Log2 {
-                buckets,
-                sums,
-                counts,
-            } => {
-                let mut folded = vec![0u64; LOG2_BUCKETS];
-                for s in 0..STRIPES {
-                    for (i, cell) in buckets[s * LOG2_BUCKETS..(s + 1) * LOG2_BUCKETS]
-                        .iter()
-                        .enumerate()
-                    {
-                        folded[i] += cell.load(Ordering::Relaxed);
-                    }
-                }
-                MetricData::Log2 {
-                    counts: folded,
-                    sum: sums.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
-                    count: counts.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
-                }
-            }
-        };
-        MetricValue {
-            name: self.name.clone(),
-            labels: self.labels.clone(),
-            data,
-        }
-    }
-}
-
 /// Monotonic counter handle; writes are striped atomic adds.
 #[derive(Clone)]
 pub struct Counter {
-    entry: Arc<MetricEntry>,
+    cells: Cells,
 }
 
 impl Counter {
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        if let Store::Counter(cells) = &self.entry.store {
-            cells[stripe()].fetch_add(n, Ordering::Relaxed);
-        }
+        self.cells[stripe()].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one.
     pub fn inc(&self) {
         self.add(1);
-    }
-}
-
-/// Gauge handle: a last-written level.
-#[derive(Clone)]
-pub struct Gauge {
-    entry: Arc<MetricEntry>,
-}
-
-impl Gauge {
-    /// Sets the level.
-    pub fn set(&self, v: f64) {
-        if let Store::Gauge { bits, samples } = &self.entry.store {
-            bits.store(v.to_bits(), Ordering::Relaxed);
-            samples.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Fixed-bucket histogram handle.
-#[derive(Clone)]
-pub struct Histo {
-    entry: Arc<MetricEntry>,
-}
-
-impl Histo {
-    /// Records one sample; non-finite values are dropped and counted in
-    /// the snapshot's `rejected` field.
-    pub fn record(&self, v: f64) {
-        if let Store::Histogram {
-            bounds,
-            buckets,
-            sums,
-            counts,
-            rejected,
-        } = &self.entry.store
-        {
-            let s = stripe();
-            if !v.is_finite() {
-                rejected[s].fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            let width = bounds.len() + 1;
-            let idx = bounds.partition_point(|&b| b <= v);
-            buckets[s * width + idx].fetch_add(1, Ordering::Relaxed);
-            f64_add(&sums[s], v);
-            counts[s].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Log2-HDR histogram handle for `u64` samples.
-#[derive(Clone)]
-pub struct Log2Histo {
-    entry: Arc<MetricEntry>,
-}
-
-/// Bucket index of a `u64` sample: its bit width (0 for 0).
-pub(crate) fn log2_bucket(v: u64) -> usize {
-    (64 - v.leading_zeros() as usize).min(LOG2_BUCKETS - 1)
-}
-
-impl Log2Histo {
-    /// Records one sample.
-    pub fn record(&self, v: u64) {
-        if let Store::Log2 {
-            buckets,
-            sums,
-            counts,
-        } = &self.entry.store
-        {
-            let s = stripe();
-            buckets[s * LOG2_BUCKETS + log2_bucket(v)].fetch_add(1, Ordering::Relaxed);
-            sums[s].fetch_add(v, Ordering::Relaxed);
-            counts[s].fetch_add(1, Ordering::Relaxed);
-        }
     }
 }
 
@@ -523,42 +216,15 @@ pub struct MetricValue {
     pub data: MetricData,
 }
 
-/// Frozen data of one metric.
+/// Frozen data of one metric. The registry keeps counters only;
+/// readers in other crates match with a wildcard arm.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[non_exhaustive]
 pub enum MetricData {
     /// Monotonic count.
     Counter {
         /// Total across stripes.
         value: u64,
-    },
-    /// Level.
-    Gauge {
-        /// Last-written level (sum of levels after a merge).
-        value: f64,
-        /// How many `set` calls happened.
-        samples: u64,
-    },
-    /// Fixed-bucket distribution.
-    Histogram {
-        /// Strictly increasing bucket bounds.
-        bounds: Vec<f64>,
-        /// `bounds.len() + 1` per-bucket counts.
-        counts: Vec<u64>,
-        /// Sum of accepted samples.
-        sum: f64,
-        /// Accepted samples.
-        count: u64,
-        /// Non-finite samples dropped.
-        rejected: u64,
-    },
-    /// Power-of-two-bucket distribution over `u64` samples.
-    Log2 {
-        /// 64 per-bit-width counts.
-        counts: Vec<u64>,
-        /// Sum of samples.
-        sum: u64,
-        /// Samples recorded.
-        count: u64,
     },
 }
 
@@ -595,17 +261,10 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Folds `other` into this snapshot: counters, histograms, and span
-    /// rows add; gauges add levels (per-shard levels roll up to fleet
-    /// totals). This mirrors `TraceSummary::merge` — merging per-shard
-    /// snapshots in any grouping agrees with one registry having
-    /// observed every event (property-tested).
-    ///
-    /// # Panics
-    ///
-    /// Panics when one metric name is registered with incompatible
-    /// shapes (different kinds or histogram bounds) across the two
-    /// snapshots.
+    /// Folds `other` into this snapshot: counters and span rows add.
+    /// This mirrors `TraceSummary::merge` — merging per-shard snapshots
+    /// in any grouping agrees with one registry having observed every
+    /// event (property-tested).
     pub fn merge(&mut self, other: &TelemetrySnapshot) {
         for theirs in &other.metrics {
             match self
@@ -614,74 +273,11 @@ impl TelemetrySnapshot {
                 .find(|m| m.name == theirs.name && m.labels == theirs.labels)
             {
                 None => self.metrics.push(theirs.clone()),
-                Some(ours) => match (&mut ours.data, &theirs.data) {
-                    (MetricData::Counter { value: a }, MetricData::Counter { value: b }) => {
-                        *a += b;
-                    }
-                    (
-                        MetricData::Gauge {
-                            value: a,
-                            samples: asn,
-                        },
-                        MetricData::Gauge {
-                            value: b,
-                            samples: bsn,
-                        },
-                    ) => {
-                        *a += b;
-                        *asn += bsn;
-                    }
-                    (
-                        MetricData::Histogram {
-                            bounds: ab,
-                            counts: ac,
-                            sum: asum,
-                            count: an,
-                            rejected: ar,
-                        },
-                        MetricData::Histogram {
-                            bounds: bb,
-                            counts: bc,
-                            sum: bsum,
-                            count: bn,
-                            rejected: br,
-                        },
-                    ) => {
-                        assert_eq!(
-                            ab, bb,
-                            "cannot merge histogram {:?} with different bounds",
-                            ours.name
-                        );
-                        for (x, y) in ac.iter_mut().zip(bc) {
-                            *x += y;
-                        }
-                        *asum += bsum;
-                        *an += bn;
-                        *ar += br;
-                    }
-                    (
-                        MetricData::Log2 {
-                            counts: ac,
-                            sum: asum,
-                            count: an,
-                        },
-                        MetricData::Log2 {
-                            counts: bc,
-                            sum: bsum,
-                            count: bn,
-                        },
-                    ) => {
-                        for (x, y) in ac.iter_mut().zip(bc) {
-                            *x += y;
-                        }
-                        *asum += bsum;
-                        *an += bn;
-                    }
-                    _ => panic!(
-                        "metric {:?} has incompatible kinds across snapshots",
-                        ours.name
-                    ),
-                },
+                Some(ours) => {
+                    let MetricData::Counter { value: a } = &mut ours.data;
+                    let MetricData::Counter { value: b } = &theirs.data;
+                    *a += b;
+                }
             }
         }
         for theirs in &other.spans {
@@ -704,9 +300,8 @@ impl TelemetrySnapshot {
         self.metrics
             .iter()
             .find(|m| m.name == name && m.labels.is_empty())
-            .and_then(|m| match &m.data {
-                MetricData::Counter { value } => Some(*value),
-                _ => None,
+            .map(|m| match m.data {
+                MetricData::Counter { value } => value,
             })
     }
 
@@ -733,54 +328,6 @@ impl TelemetrySnapshot {
         }
         acc
     }
-
-    /// An upper bound on the `q`-quantile (0..=1) of an unlabeled
-    /// histogram metric: the smallest bucket boundary whose cumulative
-    /// count reaches `q * count`. Returns `None` for empty or missing
-    /// histograms; samples beyond the last bound yield infinity
-    /// (fixed-bucket) or the next power of two (log2).
-    pub fn quantile(&self, name: &str, q: f64) -> Option<f64> {
-        let m = self
-            .metrics
-            .iter()
-            .find(|m| m.name == name && m.labels.is_empty())?;
-        match &m.data {
-            MetricData::Histogram {
-                bounds,
-                counts,
-                count,
-                ..
-            } => {
-                if *count == 0 {
-                    return None;
-                }
-                let target = (q.clamp(0.0, 1.0) * *count as f64).ceil().max(1.0) as u64;
-                let mut cum = 0u64;
-                for (i, c) in counts.iter().enumerate() {
-                    cum += c;
-                    if cum >= target {
-                        return Some(bounds.get(i).copied().unwrap_or(f64::INFINITY));
-                    }
-                }
-                Some(f64::INFINITY)
-            }
-            MetricData::Log2 { counts, count, .. } => {
-                if *count == 0 {
-                    return None;
-                }
-                let target = (q.clamp(0.0, 1.0) * *count as f64).ceil().max(1.0) as u64;
-                let mut cum = 0u64;
-                for (i, c) in counts.iter().enumerate() {
-                    cum += c;
-                    if cum >= target {
-                        return Some((1u128 << i) as f64);
-                    }
-                }
-                Some(f64::INFINITY)
-            }
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -805,87 +352,19 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_sum_and_reject() {
-        let t = Telemetry::new();
-        let h = t.histogram("gpm_lat_seconds", &[0.1, 1.0]);
-        for v in [0.05, 0.5, 5.0, -3.0] {
-            h.record(v);
-        }
-        h.record(f64::NAN);
-        h.record(f64::INFINITY);
-        let snap = t.snapshot();
-        let m = &snap.metrics[0];
-        match &m.data {
-            MetricData::Histogram {
-                counts,
-                count,
-                rejected,
-                sum,
-                ..
-            } => {
-                assert_eq!(counts, &vec![2, 1, 1]);
-                assert_eq!(*count, 4);
-                assert_eq!(*rejected, 2);
-                assert!((sum - 2.55).abs() < 1e-12);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn log2_histogram_buckets_by_bit_width() {
-        assert_eq!(log2_bucket(0), 0);
-        assert_eq!(log2_bucket(1), 1);
-        assert_eq!(log2_bucket(2), 2);
-        assert_eq!(log2_bucket(1023), 10);
-        assert_eq!(log2_bucket(u64::MAX), 63);
-        let t = Telemetry::new();
-        let h = t.log2_histogram("gpm_span_ns");
-        h.record(900);
-        h.record(1100);
-        let q = t.snapshot().quantile("gpm_span_ns", 0.99).unwrap();
-        assert_eq!(q, 2048.0);
-    }
-
-    #[test]
-    fn gauge_keeps_last_level() {
-        let t = Telemetry::new();
-        let g = t.gauge("gpm_depth");
-        g.set(3.0);
-        g.set(7.0);
-        match &t.snapshot().metrics[0].data {
-            MetricData::Gauge { value, samples } => {
-                assert_eq!(*value, 7.0);
-                assert_eq!(*samples, 2);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn interning_returns_the_same_entry_and_id() {
+    fn interning_shares_one_counter_per_label_set() {
         let t = Telemetry::new();
         let a = t.counter_with("gpm_jobs_total", &[("shard", "3")]);
         let b = t.counter_with("gpm_jobs_total", &[("shard", "3")]);
         a.inc();
         b.inc();
-        let id = t.metric_id("gpm_jobs_total", &[("shard", "3")]).unwrap();
-        assert_eq!(id, MetricId(0));
-        assert!(t.metric_id("gpm_jobs_total", &[]).is_none());
+        t.counter_with("gpm_jobs_total", &[("shard", "4")]).inc();
         let snap = t.snapshot();
-        assert_eq!(snap.metrics.len(), 1);
-        match snap.metrics[0].data {
-            MetricData::Counter { value } => assert_eq!(value, 2),
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered")]
-    fn kind_mismatch_panics() {
-        let t = Telemetry::new();
-        let _ = t.counter("gpm_thing");
-        let _ = t.gauge("gpm_thing");
+        assert_eq!(snap.metrics.len(), 2);
+        assert_eq!(snap.metrics[0].labels, vec![("shard".into(), "3".into())]);
+        assert_eq!(snap.metrics[0].data, MetricData::Counter { value: 2 });
+        // The unlabeled lookup does not match a labeled counter.
+        assert_eq!(snap.counter("gpm_jobs_total"), None);
     }
 
     #[test]
@@ -895,50 +374,35 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counters_histograms_and_spans() {
+    fn merge_adds_counters_and_spans() {
         let a = Telemetry::new();
         a.counter("gpm_x_total").add(2);
-        a.histogram("gpm_h", &[1.0]).record(0.5);
+        {
+            let _e = a.enter();
+            let _s = crate::span("phase");
+        }
         let b = Telemetry::new();
         b.counter("gpm_x_total").add(3);
         b.counter("gpm_y_total").add(1);
-        b.histogram("gpm_h", &[1.0]).record(2.0);
+        {
+            let _e = b.enter();
+            let _s = crate::span("phase");
+        }
         let mut m = a.snapshot();
         m.merge(&b.snapshot());
         assert_eq!(m.counter("gpm_x_total"), Some(5));
         assert_eq!(m.counter("gpm_y_total"), Some(1));
-        match &m.metrics.iter().find(|v| v.name == "gpm_h").unwrap().data {
-            MetricData::Histogram { counts, count, .. } => {
-                assert_eq!(counts, &vec![1, 1]);
-                assert_eq!(*count, 2);
-            }
-            _ => unreachable!(),
-        }
+        assert_eq!(m.span("phase").map(|s| s.count), Some(2));
     }
 
     #[test]
     fn snapshot_roundtrips_through_json() {
         let t = Telemetry::new();
         t.counter_with("gpm_jobs_total", &[("shard", "0")]).add(4);
-        t.histogram("gpm_lat", &[0.5]).record(0.1);
+        t.counter("gpm_passes_total").inc();
         let snap = t.snapshot();
         let json = serde_json::to_string(&snap).unwrap();
         let back: TelemetrySnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn quantile_reads_bucket_upper_bounds() {
-        let t = Telemetry::new();
-        let h = t.histogram("gpm_lat", &[0.001, 0.01, 0.1]);
-        for _ in 0..98 {
-            h.record(0.0005);
-        }
-        h.record(0.05);
-        h.record(0.05);
-        let snap = t.snapshot();
-        assert_eq!(snap.quantile("gpm_lat", 0.5), Some(0.001));
-        assert_eq!(snap.quantile("gpm_lat", 0.99), Some(0.1));
-        assert_eq!(snap.quantile("gpm_missing", 0.99), None);
     }
 }

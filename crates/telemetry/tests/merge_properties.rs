@@ -1,97 +1,43 @@
 //! Property tests for [`TelemetrySnapshot::merge`], mirroring the
 //! `TraceSummary::merge` suite in `gpm-trace`: merging per-chunk
-//! registries over a partitioned metric-event stream — in any chunking
+//! registries over a partitioned counter-event stream — in any chunking
 //! and any association order — agrees with one registry having observed
-//! every event. Sample values are small integers (exactly representable
-//! in `f64`), so every assertion is exact equality, including histogram
-//! sums.
+//! every event.
 
 use gpm_telemetry::{Telemetry, TelemetrySnapshot};
 use proptest::prelude::*;
 
 const COUNTERS: [&str; 3] = ["gpm_a_total", "gpm_b_total", "gpm_c_total"];
-const HISTOS: [(&str, &[f64]); 2] = [("gpm_h_small", &[2.0, 8.0, 32.0]), ("gpm_h_wide", &[100.0])];
 const SHARD_LABELS: [&str; 2] = ["0", "1"];
 
-/// One metric event. Gauges are absent on purpose: their last-write
-/// semantics are inherently order-dependent, and their merge is defined
-/// as an additive roll-up, not single-sink agreement.
+/// One counter event: `shard` picks a label set, `None` the unlabeled
+/// counter.
 #[derive(Debug, Clone)]
-enum Ev {
-    Counter {
-        which: usize,
-        n: u64,
-    },
-    LabeledCounter {
-        which: usize,
-        shard: usize,
-        n: u64,
-    },
-    Histogram {
-        which: usize,
-        value: u16,
-        negate: bool,
-    },
-    NonFinite {
-        which: usize,
-    },
-    Log2 {
-        value: u64,
-    },
+struct Ev {
+    which: usize,
+    shard: Option<usize>,
+    n: u64,
 }
 
 fn ev_strategy() -> impl Strategy<Value = Ev> {
-    prop_oneof![
-        (0usize..COUNTERS.len(), 1u64..100).prop_map(|(which, n)| Ev::Counter { which, n }),
-        (
-            0usize..COUNTERS.len(),
-            0usize..SHARD_LABELS.len(),
-            1u64..100
-        )
-            .prop_map(|(which, shard, n)| Ev::LabeledCounter { which, shard, n }),
-        (
-            0usize..HISTOS.len(),
-            0u16..2000,
-            proptest::strategy::AnyBool
-        )
-            .prop_map(|(which, value, negate)| Ev::Histogram {
-                which,
-                value,
-                negate,
-            }),
-        (0usize..HISTOS.len()).prop_map(|which| Ev::NonFinite { which }),
-        (0u64..(1u64 << 40)).prop_map(|value| Ev::Log2 { value }),
-    ]
-}
-
-fn apply(t: &Telemetry, events: &[Ev]) {
-    for ev in events {
-        match ev {
-            Ev::Counter { which, n } => t.counter(COUNTERS[*which]).add(*n),
-            Ev::LabeledCounter { which, shard, n } => t
-                .counter_with(COUNTERS[*which], &[("shard", SHARD_LABELS[*shard])])
-                .add(*n),
-            Ev::Histogram {
-                which,
-                value,
-                negate,
-            } => {
-                let (name, bounds) = HISTOS[*which];
-                let v = *value as f64 * if *negate { -1.0 } else { 1.0 };
-                t.histogram(name, bounds).record(v);
-            }
-            Ev::NonFinite { which } => {
-                let (name, bounds) = HISTOS[*which];
-                t.histogram(name, bounds).record(f64::NAN);
-            }
-            Ev::Log2 { value } => t.log2_histogram("gpm_ns").record(*value),
-        }
-    }
+    (
+        0usize..COUNTERS.len(),
+        prop::option::of(0usize..SHARD_LABELS.len()),
+        1u64..100,
+    )
+        .prop_map(|(which, shard, n)| Ev { which, shard, n })
 }
 
 fn summarize(events: &[Ev]) -> TelemetrySnapshot {
     let t = Telemetry::new();
-    apply(&t, events);
+    for ev in events {
+        match ev.shard {
+            None => t.counter(COUNTERS[ev.which]).add(ev.n),
+            Some(s) => t
+                .counter_with(COUNTERS[ev.which], &[("shard", SHARD_LABELS[s])])
+                .add(ev.n),
+        }
+    }
     t.snapshot()
 }
 

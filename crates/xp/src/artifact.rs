@@ -11,7 +11,7 @@ use std::path::Path;
 
 /// Schema version stamped into every JSON artifact written by
 /// [`emit_artifact`]. Bump when a report's shape changes incompatibly.
-pub const ARTIFACT_SCHEMA_VERSION: u64 = 1;
+pub const ARTIFACT_SCHEMA_VERSION: u64 = 2;
 
 /// Serializes `value`, stamps a `schema_version` field into the root
 /// object, and writes it pretty-printed to `path` (creating parent

@@ -40,10 +40,9 @@ pub struct DegradationPoint {
     pub recoveries: u64,
     /// Fail-safe decisions taken by the governor.
     pub fail_safe_events: u64,
-    /// Turbo Core baselines simulated while sweeping this point.
-    pub baseline_simulations: u64,
-    /// Baseline resolutions served from the shared cache at this point.
-    pub baseline_cache_hits: u64,
+    /// Turbo Core baselines resolved at this point (simulated or served
+    /// from the context's cache; the split is `EvalContext::baseline_stats`).
+    pub baseline_resolutions: u64,
 }
 
 /// Sweeps `workload` under `scheme` across `rates`, one fresh
@@ -74,8 +73,7 @@ pub fn degradation_curve(
                 fault_injections: summary.fault_injections,
                 recoveries: summary.recoveries,
                 fail_safe_events: summary.fail_safe_events,
-                baseline_simulations: summary.baseline_simulations,
-                baseline_cache_hits: summary.baseline_cache_hits,
+                baseline_resolutions: summary.baseline_resolutions,
             }
         })
         .collect()

@@ -1,8 +1,10 @@
 //! Telemetry overhead study: the gate that keeps the observability
 //! layer honest. Measures the hot-path cost of a live registry against
 //! a clean environment (interleaved A/B, min-of-rounds), verifies the
-//! instrumented run is decision-byte-identical, and round-trips the
-//! registry through the Prometheus text exposition validator.
+//! instrumented run is decision-byte-identical, round-trips the
+//! registry through the Prometheus text exposition validator, and checks
+//! that an untimed traced pass opens one `env.dispatch` span per
+//! dispatch its decision trace counts.
 //!
 //! Writes the run's profile next to its JSON artifact, through
 //! working-directory-relative paths: `results/telemetry_prom.txt`
@@ -16,8 +18,10 @@ use gpm_harness::report::{fmt, Table};
 use gpm_harness::{ExecEnv, Scheme};
 use gpm_mpc::HorizonMode;
 use gpm_telemetry::{validate_prometheus, Telemetry};
+use gpm_trace::{AggregateSink, TraceSink};
 use gpm_workloads::workload_by_name;
 use std::fmt::Write;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Ceiling on acceptable hot-path overhead, percent. The
@@ -61,9 +65,12 @@ pub fn telemetry_overhead(env: &XpEnv) -> ExperimentOutput {
     // the per-experiment registry — on that thread even a plain
     // `ExecEnv` fires spans, and the clean side must be truly dark.
     // The event ring takes a lock per span close, so it stays off during
-    // the timed passes; one untimed pass afterwards records the trace.
+    // the timed passes; one untimed pass afterwards records the chrome
+    // trace and, through a decision-trace sink, the dispatch count its
+    // spans are checked against.
     let telemetry = Telemetry::new();
     let traced = Telemetry::with_events(1 << 16);
+    let traced_sink = Arc::new(AggregateSink::new());
     let (clean_fp, instrumented_fp, best_clean_s, best_instr_s) = std::thread::scope(|s| {
         s.spawn(|| {
             let clean_env = ExecEnv::new();
@@ -90,7 +97,9 @@ pub fn telemetry_overhead(env: &XpEnv) -> ExperimentOutput {
                     instrumented_fp = b;
                 }
             }
-            let traced_env = ExecEnv::new().with_telemetry(traced.clone());
+            let traced_env = ExecEnv::new()
+                .with_telemetry(traced.clone())
+                .with_trace(traced_sink.clone() as Arc<dyn TraceSink>);
             for w in &workloads {
                 traced_env.evaluate(env.ctx(), w, scheme);
             }
@@ -108,8 +117,11 @@ pub fn telemetry_overhead(env: &XpEnv) -> ExperimentOutput {
     let snapshot = telemetry.snapshot();
     let prom = snapshot.to_prometheus();
     let prom_check = validate_prometheus(&prom);
-    let dispatches = snapshot.counter("gpm_dispatches_total").unwrap_or(0);
-    let dispatch_spans = snapshot.span("env.dispatch").map_or(0, |s| s.count);
+    let dispatches = traced_sink.summary().dispatches;
+    let dispatch_spans = traced
+        .snapshot()
+        .span("env.dispatch")
+        .map_or(0, |s| s.count);
     emit_text("results/telemetry_prom.txt", &prom);
     emit_text("results/telemetry_flame.folded", &snapshot.to_folded());
     emit_text("results/telemetry_trace.json", &traced.chrome_trace());
@@ -145,9 +157,9 @@ pub fn telemetry_overhead(env: &XpEnv) -> ExperimentOutput {
         Ok(stats) => {
             let _ = writeln!(
                 out,
-                "prometheus export: valid ({} families, {} samples, {} histograms); \
-                 {dispatches} dispatches / {dispatch_spans} dispatch spans",
-                stats.families, stats.samples, stats.histograms
+                "prometheus export: valid ({} families, {} samples); \
+                 traced pass: {dispatches} dispatches / {dispatch_spans} dispatch spans",
+                stats.families, stats.samples
             );
         }
         Err(e) => {

@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the building blocks on the runtime's
-//! critical path: one simulator evaluation, one Random-Forest prediction,
-//! signature computation, hill-climb and exhaustive search, the TO DP
-//! solve, and a pattern-extractor update.
+//! critical path: one simulator evaluation, one Random-Forest prediction
+//! (memoized and on a never-seen snapshot), signature computation,
+//! hill-climb and exhaustive search, the TO DP solve, and a
+//! pattern-extractor update.
 //!
 //! These quantify the constants behind the paper's overhead model
 //! (Section IV-A1a's 19× / 65× search-cost arguments).
@@ -14,7 +15,7 @@ use gpm_hw::{ConfigSpace, HwConfig};
 use gpm_model::{Dataset, ForestParams, RandomForestPredictor};
 use gpm_pattern::{KernelSignature, PatternExtractor};
 use gpm_sim::predictor::{KernelSnapshot, PowerPerfPredictor};
-use gpm_sim::{ApuSimulator, KernelCharacteristics, OraclePredictor, SimParams};
+use gpm_sim::{ApuSimulator, CounterSet, KernelCharacteristics, OraclePredictor, SimParams};
 use std::hint::black_box;
 
 fn bench_simulator(c: &mut Criterion) {
@@ -38,6 +39,20 @@ fn bench_rf_predict(c: &mut Criterion) {
     let snap = KernelSnapshot::counters_only(out.counters, HwConfig::FAIL_SAFE, 1.0);
     c.bench_function("model/rf_predict", |b| {
         b.iter(|| black_box(rf.predict(black_box(&snap), black_box(HwConfig::MAX_PERF))))
+    });
+    // A never-seen snapshot per call: the value memo misses every time,
+    // so each estimate walks both forests.
+    let mut counters = *out.counters.values();
+    c.bench_function("model/rf_predict_fresh", |b| {
+        b.iter(|| {
+            counters[0] = counters[0].next_up();
+            let fresh = KernelSnapshot::counters_only(
+                CounterSet::from_values(counters),
+                HwConfig::FAIL_SAFE,
+                1.0,
+            );
+            black_box(rf.predict(black_box(&fresh), black_box(HwConfig::MAX_PERF)))
+        })
     });
     // One decision's worth of candidates, scalar loop vs one batched call.
     let cfgs: Vec<HwConfig> = ConfigSpace::paper_campaign().iter().collect();

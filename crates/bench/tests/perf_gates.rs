@@ -1,5 +1,6 @@
 //! Host-timed performance gates: the batched flat-forest inference
-//! engine against the scalar path, the MPC search's candidate count,
+//! engine and the fresh scalar walk against the nested traversal, the
+//! scalar walk's bit-identity to it, the MPC search's candidate count,
 //! forest-fit determinism and span coverage, and fleet scaling.
 //!
 //! Debug-build timings are meaningless and a parallel test runner skews
@@ -11,7 +12,7 @@
 
 use gpm_harness::{context, EvalContext, EvalOptions, ExecEnv, ForestCache, Scheme};
 use gpm_hw::{ConfigSpace, HwConfig};
-use gpm_model::{encode_features, Dataset, FeatureBuffer, FlatForest, RandomForest};
+use gpm_model::{encode_features, Dataset, RandomForest, RandomForestPredictor};
 use gpm_mpc::HorizonMode;
 use gpm_sim::predictor::{KernelSnapshot, PowerPerfPredictor};
 use gpm_sim::{CounterSet, PowerPerfEstimate, NUM_COUNTERS};
@@ -28,6 +29,12 @@ const MIN_SPEEDUP: f64 = 5.0;
 /// Batched pricing of a never-seen snapshot per sweep must beat the
 /// scalar path by this factor.
 const MIN_FRESH_SPEEDUP: f64 = 1.5;
+/// One scalar `predict` on a never-seen snapshot must beat the nested
+/// traversal of the same inputs by this factor.
+const MIN_FRESH_SCALAR_SPEEDUP: f64 = 1.5;
+/// Never-seen snapshots the scalar path is checked against the nested
+/// forests on, each over the full sweep.
+const SCALAR_ORACLE_SNAPSHOTS: usize = 64;
 /// Fleet wall-time speedup of the auto worker count over one worker:
 /// the median over `FLEET_ROUNDS` calls of the `fleet_scaling` experiment.
 const MIN_FLEET_SCALING: f64 = 1.05;
@@ -93,16 +100,10 @@ fn batched_inference_clears_its_speedup_floors() {
     let out = ctx.sim.evaluate(kernel, HwConfig::FAIL_SAFE);
     let snap = KernelSnapshot::counters_only(out.counters, HwConfig::FAIL_SAFE, 1.0);
 
-    // The scalar path: a fresh feature vector and a nested-tree
-    // traversal per candidate, no caching of any kind.
-    let (time_forest, power_forest) = (rf.time_forest(), rf.power_forest());
+    // The scalar path: the nested traversal per candidate.
     let scalar = calls_per_s(|| {
         for &cfg in &cfgs {
-            let features = encode_features(&snap.counters, cfg);
-            black_box(PowerPerfEstimate {
-                time_s: time_forest.predict(&features).exp().max(1e-9),
-                gpu_power_w: power_forest.predict(&features).max(0.1),
-            });
+            black_box(nested_estimate(rf, &snap, cfg));
         }
     });
 
@@ -143,25 +144,73 @@ fn batched_inference_clears_its_speedup_floors() {
     );
 }
 
+/// The estimate the nested forests give: a fresh feature vector and a
+/// nested-tree traversal per candidate, no caching of any kind.
+fn nested_estimate(
+    rf: &RandomForestPredictor,
+    snap: &KernelSnapshot,
+    cfg: HwConfig,
+) -> PowerPerfEstimate {
+    let features = encode_features(&snap.counters, cfg);
+    PowerPerfEstimate {
+        time_s: rf.time_forest().predict(&features).exp().max(1e-9),
+        gpu_power_w: rf.power_forest().predict(&features).max(0.1),
+    }
+}
+
 #[test]
 #[ignore = "release-only gate; run with --ignored --test-threads=1"]
-fn scalar_predict_matches_the_bare_flat_walk() {
+fn scalar_predict_matches_the_nested_walk() {
     let ctx = deployed();
     let rf = &ctx.rf;
-    let time_flat = FlatForest::from_forest(rf.time_forest());
-    let power_flat = FlatForest::from_forest(rf.power_forest());
-    let mut buf = FeatureBuffer::new();
-    let snap = never_seen(&counter_bases(ctx, 8), usize::MAX / 2);
-    for cfg in sweep() {
-        buf.begin_snapshot(&snap.counters);
-        buf.push_config(cfg);
-        let row = buf.matrix().row(0);
-        let walk = PowerPerfEstimate {
-            time_s: time_flat.predict(row).exp().max(1e-9),
-            gpu_power_w: power_flat.predict(row).max(0.1),
-        };
-        assert_eq!(rf.predict(&snap, cfg), walk, "predict diverged at {cfg:?}");
+    let bases = counter_bases(ctx, 8);
+    let cfgs = sweep();
+    for s in 0..SCALAR_ORACLE_SNAPSHOTS {
+        let snap = never_seen(&bases, (1 << 30) + s);
+        for &cfg in &cfgs {
+            let (est, nested) = (rf.predict(&snap, cfg), nested_estimate(rf, &snap, cfg));
+            assert_eq!(
+                (est.time_s.to_bits(), est.gpu_power_w.to_bits()),
+                (nested.time_s.to_bits(), nested.gpu_power_w.to_bits()),
+                "snapshot {s}: predict diverged from the nested walk at {cfg:?}"
+            );
+        }
     }
+}
+
+#[test]
+#[ignore = "release-only gate; run with --ignored --test-threads=1"]
+fn fresh_scalar_predict_beats_the_nested_walk() {
+    // One scalar estimate per never-seen snapshot: the value memo claims
+    // a slot and misses every time, so each call pays a full walk of
+    // both forests, as a hill climb's first estimate on a new kernel does.
+    let ctx = deployed();
+    let rf = &ctx.rf;
+    let bases = counter_bases(ctx, 8);
+    let cfgs = sweep();
+    let input = |i: usize| (never_seen(&bases, (1 << 20) + i), cfgs[i % cfgs.len()]);
+    let mut i = 0usize;
+    let nested = calls_per_s(|| {
+        let (snap, cfg) = input(i);
+        black_box(nested_estimate(rf, &snap, cfg));
+        i += 1;
+    });
+    let mut i = 0usize;
+    let fresh = calls_per_s(|| {
+        let (snap, cfg) = input(i);
+        black_box(rf.predict(&snap, cfg));
+        i += 1;
+    });
+    let speedup = fresh / nested;
+    println!(
+        "fresh scalar predict: {:.2} us against {:.2} us nested ({speedup:.2}x)",
+        1e6 / fresh,
+        1e6 / nested
+    );
+    assert!(
+        speedup >= MIN_FRESH_SCALAR_SPEEDUP,
+        "fresh scalar speedup {speedup:.2}x below the {MIN_FRESH_SCALAR_SPEEDUP}x floor"
+    );
 }
 
 #[test]

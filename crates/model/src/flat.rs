@@ -1,18 +1,32 @@
-//! Batched, allocation-free forest inference (the MPC hot-path engine).
+//! Allocation-free forest inference (the MPC hot-path engine).
 //!
-//! A fitted [`RegressionTree`] stores an enum node
-//! array (~40 bytes per node, pointer-chased per prediction). This module
-//! re-lays each tree into a structure-of-arrays [`FlatTree`] — contiguous
-//! `u16` feature ids, `f64` thresholds, and `u32` right-child indices,
-//! with the left child always the next slot — and walks **tree-major**
-//! over a row-major [`FeatureMatrix`]: each tree's three small arrays
-//! stay cache-hot while every candidate row runs through it, instead of
-//! the whole multi-megabyte forest being re-walked per candidate.
+//! A fitted [`RegressionTree`] stores an enum node array (~40 bytes per
+//! node, one match per step). [`FlatForest`] re-lays every tree of a
+//! forest into one contiguous array of packed 16-byte nodes — an `f64`
+//! threshold, a `u32` feature id and a `u32` right-child index, with the
+//! left child always the next slot — so one walk step is one load.
+//!
+//! Leaves loop back to themselves: a leaf's threshold is NaN and its
+//! right child is its own index. `x <= NaN` is false for every `x`, so
+//! the step `i = if row[f] <= t { i + 1 } else { right }` needs no leaf
+//! test, and a walk that has reached its leaf stays parked there. Leaf
+//! values live in a side array that is read once per tree, and each
+//! tree's depth is recorded at flattening, so a walk runs an exact number
+//! of steps.
+//!
+//! [`FlatForest::predict`] advances eight trees at once, for the group's
+//! greatest depth. Each walk is a dependent load chain (node → feature →
+//! compare → next node); eight independent chains overlap their
+//! latencies instead of adding them up, and the direction of each step is
+//! a conditional move, since a mispredicted jump would flush every lane.
+//! A group short of eight trees parks its spare lanes on a sentinel leaf
+//! at the end of the node array, so every tree count takes the one walk.
 //!
 //! The engine is *decision-invariant* by construction: every comparison
-//! (`x[feature] <= threshold`), every leaf value, and the per-row
-//! accumulation order (tree 0, tree 1, …, then one division by the tree
-//! count) are exactly those of the nested traversal, so predictions are
+//! (`x[feature] <= threshold`, so NaN features go right), every leaf
+//! value, and the per-row accumulation order (tree 0, tree 1, …, from
+//! `-0.0` as `Iterator::sum` starts, then one division by the tree count)
+//! are exactly those of the nested traversal, so predictions are
 //! bit-identical to [`RandomForest::predict`] — the equivalence tests in
 //! this module and in `tests/flat_equivalence.rs` pin that guarantee.
 //!
@@ -26,60 +40,138 @@ use crate::features::FeatureMatrix;
 use crate::forest::RandomForest;
 use crate::tree::{Node, RegressionTree};
 
-/// Sentinel feature id marking a leaf; the threshold lane then holds the
-/// leaf value.
-const LEAF: u16 = u16::MAX;
+/// Trees the walk advances together.
+const LANES: usize = 8;
 
-/// One regression tree in structure-of-arrays form.
-///
-/// Layout invariants, validated at construction:
-/// * the left child of the split at slot `i` is slot `i + 1` (the fitted
-///   builder reserves a node's slot before recursing left, so the nested
-///   array already satisfies this — flattening is a re-encoding, not a
-///   re-ordering);
-/// * every right-child index is `> i` and `< len` (traversal strictly
-///   advances, so it always terminates);
-/// * every feature id is `< num_features`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FlatTree {
-    /// Feature id per node; [`LEAF`] marks leaves.
-    feature: Vec<u16>,
-    /// Split threshold per node; holds the leaf value at leaves.
-    threshold: Vec<f64>,
-    /// Right-child index per node; unused (0) at leaves.
-    right: Vec<u32>,
+/// One split or leaf of a [`FlatForest`], packed into 16 bytes.
+#[derive(Debug, Clone, Copy)]
+struct FlatNode {
+    /// Split threshold; NaN at a leaf, where every comparison fails.
+    threshold: f64,
+    /// Feature id compared at this node; 0 at a leaf, whose comparison
+    /// never decides anything.
+    feature: u32,
+    /// Right-child index into the forest's node array; the left child is
+    /// always the next slot. A leaf holds its own index.
+    right: u32,
 }
 
-impl FlatTree {
-    /// Flattens a fitted tree.
+impl FlatNode {
+    /// The leaf at node index `i`: it loops back to itself.
+    fn leaf(i: usize) -> FlatNode {
+        FlatNode {
+            threshold: f64::NAN,
+            feature: 0,
+            right: i as u32,
+        }
+    }
+
+    /// One walk step from this node, stored at index `i`, given the value
+    /// `x` of its feature. The direction is data, so it is a conditional
+    /// move: a mispredicted jump would flush every other lane of the walk.
+    #[inline(always)]
+    fn next(self, i: usize, x: f64) -> usize {
+        std::hint::select_unpredictable(x <= self.threshold, i + 1, self.right as usize)
+    }
+}
+
+/// A whole forest in flat form: the scalar inference engine and the
+/// source of [`PrunedForest`] specializations.
+///
+/// Layout invariants, validated at construction:
+/// * the left child of the split at index `i` is index `i + 1` (the
+///   fitted builder reserves a node's slot before recursing left, so the
+///   nested array already satisfies this — flattening is a re-encoding,
+///   not a re-ordering);
+/// * every split's right child is `> i` and inside its own tree, and
+///   every leaf's is `i` (a walk strictly advances until it parks);
+/// * every feature id is `< num_features`.
+///
+/// # Examples
+///
+/// ```
+/// use gpm_model::{FlatForest, ForestParams, RandomForest};
+///
+/// let xs: Vec<Vec<f64>> = (0..60).map(|i| vec![i as f64]).collect();
+/// let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x[0]).collect();
+/// let forest = RandomForest::fit(&xs, &ys, &ForestParams::default(), 7);
+/// let flat = FlatForest::from_forest(&forest);
+/// // Bit-identical to the nested traversal.
+/// assert_eq!(flat.predict(&[30.0]), forest.predict(&[30.0]));
+/// ```
+#[derive(Debug, Clone)]
+pub struct FlatForest {
+    /// Every tree's nodes, tree after tree, then one sentinel leaf that
+    /// idle lanes of the walk park on.
+    nodes: Vec<FlatNode>,
+    /// Leaf value per node, index-aligned with `nodes` (0.0 at splits).
+    leaf_values: Vec<f64>,
+    /// Index of each tree's root in `nodes`.
+    roots: Vec<u32>,
+    /// Depth in edges of each tree: the steps a walk of it needs.
+    depths: Vec<u32>,
+    num_features: usize,
+}
+
+impl FlatForest {
+    /// Flattens every tree of a fitted forest.
     ///
     /// # Panics
     ///
-    /// Panics if the tree violates the layout invariants above — possible
+    /// Panics if a tree violates the layout invariants above — possible
     /// only for a corrupted (hand-deserialized) tree, never for one
     /// produced by [`RegressionTree::fit`].
-    pub fn from_tree(tree: &RegressionTree) -> FlatTree {
-        let nodes = tree.nodes();
-        let num_features = tree.num_features();
+    pub fn from_forest(forest: &RandomForest) -> FlatForest {
+        let len = forest
+            .trees()
+            .iter()
+            .map(RegressionTree::len)
+            .sum::<usize>()
+            + 1;
+        let num_features = forest
+            .trees()
+            .first()
+            .map_or(0, RegressionTree::num_features);
         assert!(
-            num_features < LEAF as usize,
-            "feature dimensionality {num_features} overflows the u16 id space"
+            num_features <= u32::MAX as usize,
+            "feature dimensionality {num_features} overflows the u32 id space"
         );
-        assert!(
-            nodes.len() <= u32::MAX as usize,
-            "tree too large for u32 child indices"
-        );
-        let mut flat = FlatTree {
-            feature: Vec::with_capacity(nodes.len()),
-            threshold: Vec::with_capacity(nodes.len()),
-            right: Vec::with_capacity(nodes.len()),
+        let mut flat = FlatForest {
+            nodes: Vec::with_capacity(len),
+            leaf_values: Vec::with_capacity(len),
+            roots: Vec::with_capacity(forest.num_trees()),
+            depths: Vec::with_capacity(forest.num_trees()),
+            num_features,
         };
+        for tree in forest.trees() {
+            flat.push_tree(tree);
+        }
+        let sentinel = flat.nodes.len();
+        assert!(
+            sentinel < u32::MAX as usize,
+            "forest too large for u32 node indices"
+        );
+        flat.nodes.push(FlatNode::leaf(sentinel));
+        flat.leaf_values.push(0.0);
+        flat
+    }
+
+    /// Appends one tree's nodes, rebasing its child indices, and records
+    /// its root and depth.
+    fn push_tree(&mut self, tree: &RegressionTree) {
+        let nodes = tree.nodes();
+        let num_features = self.num_features;
+        let base = self.nodes.len();
+        assert!(!nodes.is_empty(), "tree has no nodes");
+        assert!(
+            base + nodes.len() < u32::MAX as usize,
+            "forest too large for u32 node indices"
+        );
         for (i, node) in nodes.iter().enumerate() {
             match *node {
                 Node::Leaf { value } => {
-                    flat.feature.push(LEAF);
-                    flat.threshold.push(value);
-                    flat.right.push(0);
+                    self.nodes.push(FlatNode::leaf(base + i));
+                    self.leaf_values.push(value);
                 }
                 Node::Split {
                     feature,
@@ -99,44 +191,131 @@ impl FlatTree {
                         feature < num_features,
                         "split at {i} references feature {feature} >= {num_features}"
                     );
-                    flat.feature.push(feature as u16);
-                    flat.threshold.push(threshold);
-                    flat.right.push(right as u32);
+                    self.nodes.push(FlatNode {
+                        threshold,
+                        feature: feature as u32,
+                        right: (base + right) as u32,
+                    });
+                    self.leaf_values.push(0.0);
                 }
             }
         }
-        flat
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.feature.len()
-    }
-
-    /// Whether the tree is a single leaf.
-    pub fn is_empty(&self) -> bool {
-        self.feature.len() <= 1
-    }
-
-    /// Walks one feature row to its leaf.
-    ///
-    /// The row must have the fitted dimensionality; the construction-time
-    /// feature-id bound makes the `row[f]` access in-range whenever it
-    /// does (callers assert the width once per batch).
-    #[inline]
-    fn predict_row(&self, row: &[f64]) -> f64 {
-        let mut i = 0usize;
-        loop {
-            let f = self.feature[i];
-            let t = self.threshold[i];
-            if f == LEAF {
-                return t;
+        // Children sit after their parent, so one backward pass sees both
+        // children's depths before the parent's.
+        let tree_nodes = &self.nodes[base..];
+        let mut depth = vec![0u32; tree_nodes.len()];
+        for (i, node) in tree_nodes.iter().enumerate().rev() {
+            let right = node.right as usize - base;
+            if right != i {
+                depth[i] = 1 + depth[i + 1].max(depth[right]);
             }
-            i = if row[f as usize] <= t {
-                i + 1
-            } else {
-                self.right[i] as usize
-            };
+        }
+        self.roots.push(base as u32);
+        self.depths.push(depth[0]);
+    }
+
+    /// Number of trees.
+    pub fn num_trees(&self) -> usize {
+        self.roots.len()
+    }
+
+    /// Dimensionality the forest was fitted on.
+    pub fn num_features(&self) -> usize {
+        self.num_features
+    }
+
+    /// Mean prediction over all trees for one row — bit-identical to
+    /// [`RandomForest::predict`] on the source forest.
+    ///
+    /// Trees go in groups of eight, and every lane of a group advances
+    /// for the group's greatest depth: a lane that reaches its leaf early
+    /// stays parked there, so afterwards each lane sits on exactly the
+    /// leaf the nested traversal reaches. A group short of eight trees
+    /// parks its spare lanes on the sentinel leaf. The sum starts from
+    /// `-0.0`, as `Iterator::sum` does, and adds the leaves in tree order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is narrower than the fitted dimensionality (via the
+    /// feature access; see [`RegressionTree::predict`]'s contract).
+    pub fn predict(&self, row: &[f64]) -> f64 {
+        debug_assert_eq!(row.len(), self.num_features, "feature dimensionality");
+        let sentinel = self.nodes.len() - 1;
+        let mut sum = -0.0;
+        for (roots, depths) in self.roots.chunks(LANES).zip(self.depths.chunks(LANES)) {
+            let mut lanes = [sentinel; LANES];
+            for (lane, &root) in lanes.iter_mut().zip(roots) {
+                *lane = root as usize;
+            }
+            for _ in 0..depths.iter().copied().max().unwrap_or(0) {
+                for i in &mut lanes {
+                    let node = self.nodes[*i];
+                    *i = node.next(*i, row[node.feature as usize]);
+                }
+            }
+            for &i in &lanes[..roots.len()] {
+                sum += self.leaf_values[i];
+            }
+        }
+        sum / self.num_trees() as f64
+    }
+
+    /// Prices every row of `matrix`, writing the per-row forest means
+    /// into `out` (cleared and refilled; the allocation is reused across
+    /// calls, so steady-state batches allocate nothing). Each row is
+    /// [`predict`](FlatForest::predict)'s walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the matrix width differs from the fitted
+    /// dimensionality — the batch-boundary check that replaces the
+    /// demoted per-call assertions.
+    pub fn predict_batch_into(&self, matrix: &FeatureMatrix, out: &mut Vec<f64>) {
+        assert_eq!(
+            crate::features::NUM_FEATURES,
+            self.num_features,
+            "feature matrix width differs from fitted dimensionality"
+        );
+        out.clear();
+        out.extend(matrix.iter_rows().map(|row| self.predict(row)));
+    }
+
+    /// Allocating convenience wrapper around
+    /// [`predict_batch_into`](FlatForest::predict_batch_into).
+    pub fn predict_batch(&self, matrix: &FeatureMatrix) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.predict_batch_into(matrix, &mut out);
+        out
+    }
+
+    /// Partially evaluates every tree against the first `prefix_len`
+    /// features of `prefix`, rebuilding `out` in place.
+    ///
+    /// `prefix` is typically a batch's first row: within one knob sweep
+    /// all rows share a bit-identical counter prefix, so splits on those
+    /// features resolve to the same side for every row and can be
+    /// collapsed once here instead of being re-compared per row. The
+    /// resulting [`PrunedForest`] predicts bit-identically to this forest
+    /// for any row that carries that exact prefix.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `prefix` is shorter than `prefix_len`.
+    pub fn specialize_into(&self, prefix: &[f64], prefix_len: usize, out: &mut PrunedForest) {
+        let _span = gpm_telemetry::span("flat.specialize");
+        assert!(
+            prefix.len() >= prefix_len,
+            "prefix row narrower than prefix_len"
+        );
+        out.nodes.clear();
+        out.roots.clear();
+        out.depths.clear();
+        out.num_features = self.num_features;
+        out.suffix_base = prefix_len;
+        for &root in &self.roots {
+            out.roots.push(out.nodes.len() as u32);
+            let depth = self.specialize_node(root as usize, prefix, prefix_len, out);
+            out.depths.push(depth);
         }
     }
 
@@ -161,32 +340,27 @@ impl FlatTree {
         // Resolve the chain of prefix-feature splits leading to the next
         // emitted node.
         let (slot, left, right) = loop {
-            let f = self.feature[i];
-            let t = self.threshold[i];
-            if f == LEAF {
+            let node = self.nodes[i];
+            if node.right as usize == i {
                 out.nodes.push(PrunedNode {
-                    threshold: t,
+                    threshold: self.leaf_values[i],
                     feature: PRUNED_LEAF,
                     right: 0,
                 });
                 return 0;
             }
-            let fi = f as usize;
+            let fi = node.feature as usize;
             if fi < prefix_len {
-                i = if prefix[fi] <= t {
-                    i + 1
-                } else {
-                    self.right[i] as usize
-                };
+                i = node.next(i, prefix[fi]);
                 continue;
             }
             let slot = out.nodes.len();
             out.nodes.push(PrunedNode {
-                threshold: t,
+                threshold: node.threshold,
                 feature: (fi - prefix_len) as u32,
                 right: 0,
             });
-            break (slot, i + 1, self.right[i] as usize);
+            break (slot, i + 1, node.right as usize);
         };
         let left_depth = self.specialize_node(left, prefix, prefix_len, out);
         out.nodes[slot].right = out.nodes.len() as u32;
@@ -411,142 +585,6 @@ fn step(i: usize, node: PrunedNode, row: &[f64]) -> usize {
     }
 }
 
-/// A whole forest in flat form: the batched inference engine.
-///
-/// # Examples
-///
-/// ```
-/// use gpm_model::{FlatForest, ForestParams, RandomForest};
-///
-/// let xs: Vec<Vec<f64>> = (0..60).map(|i| vec![i as f64]).collect();
-/// let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x[0]).collect();
-/// let forest = RandomForest::fit(&xs, &ys, &ForestParams::default(), 7);
-/// let flat = FlatForest::from_forest(&forest);
-/// // Bit-identical to the nested traversal.
-/// assert_eq!(flat.predict(&[30.0]), forest.predict(&[30.0]));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FlatForest {
-    trees: Vec<FlatTree>,
-    num_features: usize,
-}
-
-impl FlatForest {
-    /// Flattens every tree of a fitted forest.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the [`FlatTree::from_tree`] invariant panics.
-    pub fn from_forest(forest: &RandomForest) -> FlatForest {
-        FlatForest {
-            trees: forest.trees().iter().map(FlatTree::from_tree).collect(),
-            num_features: forest
-                .trees()
-                .first()
-                .map_or(0, RegressionTree::num_features),
-        }
-    }
-
-    /// Number of trees.
-    pub fn num_trees(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Dimensionality the forest was fitted on.
-    pub fn num_features(&self) -> usize {
-        self.num_features
-    }
-
-    /// Mean prediction over all trees for one row — bit-identical to
-    /// [`RandomForest::predict`] on the source forest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is narrower than the fitted dimensionality (via the
-    /// feature access; see [`RegressionTree::predict`]'s contract).
-    pub fn predict(&self, row: &[f64]) -> f64 {
-        debug_assert_eq!(row.len(), self.num_features, "feature dimensionality");
-        let mut sum = 0.0;
-        for tree in &self.trees {
-            sum += tree.predict_row(row);
-        }
-        sum / self.trees.len() as f64
-    }
-
-    /// Prices every row of `matrix` in one tree-major pass, writing the
-    /// per-row forest means into `out` (cleared and refilled; the
-    /// allocation is reused across calls, so steady-state batches
-    /// allocate nothing).
-    ///
-    /// Per-row results are bit-identical to calling
-    /// [`predict`](FlatForest::predict) on each row: trees accumulate in
-    /// the same order and the division happens once per row.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the matrix width differs from the fitted
-    /// dimensionality — the batch-boundary check that replaces the
-    /// demoted per-call assertions.
-    pub fn predict_batch_into(&self, matrix: &FeatureMatrix, out: &mut Vec<f64>) {
-        assert_eq!(
-            crate::features::NUM_FEATURES,
-            self.num_features,
-            "feature matrix width differs from fitted dimensionality"
-        );
-        out.clear();
-        out.resize(matrix.rows(), 0.0);
-        for tree in &self.trees {
-            for (acc, row) in out.iter_mut().zip(matrix.iter_rows()) {
-                *acc += tree.predict_row(row);
-            }
-        }
-        let n = self.trees.len() as f64;
-        for acc in out.iter_mut() {
-            *acc /= n;
-        }
-    }
-
-    /// Allocating convenience wrapper around
-    /// [`predict_batch_into`](FlatForest::predict_batch_into).
-    pub fn predict_batch(&self, matrix: &FeatureMatrix) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.predict_batch_into(matrix, &mut out);
-        out
-    }
-
-    /// Partially evaluates every tree against the first `prefix_len`
-    /// features of `prefix`, rebuilding `out` in place.
-    ///
-    /// `prefix` is typically a batch's first row: within one knob sweep
-    /// all rows share a bit-identical counter prefix, so splits on those
-    /// features resolve to the same side for every row and can be
-    /// collapsed once here instead of being re-compared per row. The
-    /// resulting [`PrunedForest`] predicts bit-identically to this forest
-    /// for any row that carries that exact prefix.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `prefix` is shorter than `prefix_len`.
-    pub fn specialize_into(&self, prefix: &[f64], prefix_len: usize, out: &mut PrunedForest) {
-        let _span = gpm_telemetry::span("flat.specialize");
-        assert!(
-            prefix.len() >= prefix_len,
-            "prefix row narrower than prefix_len"
-        );
-        out.nodes.clear();
-        out.roots.clear();
-        out.depths.clear();
-        out.num_features = self.num_features;
-        out.suffix_base = prefix_len;
-        for tree in &self.trees {
-            let root = out.nodes.len() as u32;
-            let depth = tree.specialize_node(0, prefix, prefix_len, out);
-            out.roots.push(root);
-            out.depths.push(depth);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -598,6 +636,118 @@ mod tests {
                     "seed {seed}: flat and nested traversal diverged"
                 );
             }
+        }
+    }
+
+    /// Probe rows: values inside the training range, then NaN, +∞ and
+    /// −∞ in each feature position in turn and in all of them at once.
+    fn probe_rows(seed: u64) -> Vec<Vec<f64>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rows: Vec<Vec<f64>> = (0..NUM_FEATURES + 10)
+            .map(|_| {
+                (0..NUM_FEATURES)
+                    .map(|_| rng.gen_range(-6.0..6.0))
+                    .collect()
+            })
+            .collect();
+        for special in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for f in 0..NUM_FEATURES {
+                let mut row = rows[f].clone();
+                row[f] = special;
+                rows.push(row);
+            }
+            rows.push(vec![special; NUM_FEATURES]);
+        }
+        rows
+    }
+
+    /// Asserts that the flat walk reproduces the nested forest bit for
+    /// bit on every row.
+    fn assert_walk_matches(forest: &RandomForest, rows: &[Vec<f64>], what: &str) {
+        let flat = FlatForest::from_forest(forest);
+        for row in rows {
+            assert_eq!(
+                flat.predict(row).to_bits(),
+                forest.predict(row).to_bits(),
+                "{what}: the flat walk diverged on {row:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn walk_is_bit_identical_for_every_group_shape() {
+        // Tree counts below, at and past one and several 8-tree groups,
+        // so the last group is full, partial or a single tree.
+        let (xs, ys) = random_problem(17, 120);
+        let rows = probe_rows(17);
+        let forests: Vec<RandomForest> = [1, 7, 8, 9, 17, 24, 48]
+            .into_iter()
+            .map(|num_trees| {
+                let params = ForestParams {
+                    num_trees,
+                    tree: TreeParams {
+                        max_depth: 6,
+                        ..TreeParams::default()
+                    },
+                    bootstrap_fraction: 0.8,
+                };
+                RandomForest::fit(&xs, &ys, &params, num_trees as u64)
+            })
+            .collect();
+        for forest in &forests {
+            assert_walk_matches(forest, &rows, &format!("{} trees", forest.num_trees()));
+        }
+    }
+
+    #[test]
+    fn walk_is_bit_identical_for_single_leaf_and_uneven_depth_trees() {
+        let (xs, ys) = random_problem(5, 200);
+        let tree = |max_depth: usize| {
+            let params = TreeParams {
+                max_depth,
+                ..TreeParams::default()
+            };
+            RegressionTree::fit(&xs, &ys, &params, 0)
+        };
+        // Single leaves (depth 0) next to the deepest trees in one group:
+        // the early lanes must stay parked on their leaves.
+        let uneven = RandomForest::from_trees(
+            [0, 12, 1, 0, 9, 3, 12, 0, 2, 11, 0]
+                .into_iter()
+                .map(tree)
+                .collect(),
+        );
+        let leaves = RandomForest::from_trees((0..3).map(|_| tree(0)).collect());
+        let depths = FlatForest::from_forest(&uneven).depths;
+        assert!(
+            depths.contains(&0) && depths.iter().any(|&d| d >= 9),
+            "depths {depths:?}"
+        );
+        let rows = probe_rows(5);
+        assert_walk_matches(&uneven, &rows, "uneven depths");
+        assert_walk_matches(&leaves, &rows, "single leaves");
+    }
+
+    #[test]
+    fn nan_features_take_the_right_branch() {
+        let xs: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64]).collect();
+        let ys: Vec<f64> = xs
+            .iter()
+            .map(|x| if x[0] < 20.0 { 1.0 } else { 5.0 })
+            .collect();
+        let params = TreeParams {
+            max_depth: 1,
+            ..TreeParams::default()
+        };
+        let forest = RandomForest::from_trees(vec![RegressionTree::fit(&xs, &ys, &params, 0)]);
+        let flat = FlatForest::from_forest(&forest);
+        for (x, side) in [
+            (f64::NAN, 5.0),
+            (f64::INFINITY, 5.0),
+            (f64::NEG_INFINITY, 1.0),
+        ] {
+            assert_eq!(forest.predict(&[x]), side, "nested walk at {x}");
+            assert_eq!(flat.predict(&[x]), side, "flat walk at {x}");
         }
     }
 
@@ -695,7 +845,7 @@ mod tests {
             let mut pruned = PrunedForest::default();
             flat.specialize_into(buf.matrix().row(0), PREFIX, &mut pruned);
             assert!(
-                pruned.len() < flat.trees.iter().map(FlatTree::len).sum::<usize>(),
+                pruned.len() < flat.nodes.len() - 1,
                 "seed {seed}: specialization removed no nodes"
             );
             let mut fast = Vec::new();
@@ -755,7 +905,7 @@ mod tests {
         );
         let flat = FlatForest::from_forest(&forest);
         assert_eq!(flat.predict(&xs[0]), 7.5);
-        assert!(flat.trees.iter().all(FlatTree::is_empty));
+        assert!(flat.depths.iter().all(|&d| d == 0));
     }
 
     #[test]
@@ -769,7 +919,7 @@ mod tests {
         let flat = FlatForest::from_forest(&forest);
         assert_eq!(flat.num_trees(), 5);
         assert_eq!(flat.num_features(), NUM_FEATURES);
-        assert!(flat.trees.iter().all(|t| !t.feature.is_empty()));
+        assert!(flat.depths.iter().all(|&d| d > 0));
         let _ = HwConfig::FAIL_SAFE; // keep the hw import exercised in all cfgs
     }
 }

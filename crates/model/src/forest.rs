@@ -207,6 +207,16 @@ impl RandomForest {
         &self.trees
     }
 
+    /// A forest of trees fitted one by one, so tests can put trees of
+    /// unlike shapes side by side.
+    #[cfg(test)]
+    pub(crate) fn from_trees(trees: Vec<RegressionTree>) -> RandomForest {
+        RandomForest {
+            in_bag: vec![Vec::new(); trees.len()],
+            trees,
+        }
+    }
+
     /// Number of trees in the ensemble.
     pub fn num_trees(&self) -> usize {
         self.trees.len()

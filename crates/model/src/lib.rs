@@ -11,9 +11,10 @@
 //!   Table III counters + 6 configuration features), split into a
 //!   per-snapshot prefix and per-candidate suffix with a reusable
 //!   [`FeatureBuffer`] for allocation-free candidate sweeps;
-//! * [`flat`] — the batched structure-of-arrays inference engine
-//!   ([`FlatForest`]), bit-identical to the nested traversal but walked
-//!   tree-major over whole candidate batches;
+//! * [`flat`] — the inference engine: [`FlatForest`] packs each forest
+//!   into 16-byte nodes walked 8 trees at a time, and [`PrunedForest`]
+//!   specializes it per snapshot for whole candidate batches, both
+//!   bit-identical to the nested traversal;
 //! * [`dataset`] — building training data from a simulated measurement
 //!   campaign over the paper's 336-configuration space;
 //! * [`importance`] — permutation feature importance, a check that the
@@ -57,7 +58,7 @@ pub use features::{
     encode_config_features, encode_counter_features, encode_features, FeatureBuffer, FeatureMatrix,
     FEATURE_NAMES, NUM_CONFIG_FEATURES, NUM_FEATURES,
 };
-pub use flat::{FlatForest, FlatTree, PrunedForest};
+pub use flat::{FlatForest, PrunedForest};
 pub use forest::{ForestParams, RandomForest};
 pub use importance::{permutation_importance, FeatureImportance};
 pub use metrics::{mape, r2, rmse};

@@ -153,49 +153,98 @@ impl SnapshotKey {
 /// [`HwConfig::DENSE_COUNT`] lattice points is walked at most once per
 /// snapshot while the snapshot stays memoized. Both `predict` and
 /// `predict_batch` read and fill it with the same post-clamp estimates.
+///
+/// Claiming a slot writes nothing but its key and a fresh claim stamp:
+/// an entry is valid only while it carries its slot's current stamp, so
+/// the estimates a slot held for an earlier snapshot go stale without a
+/// single store. Past each slot's first claim on a thread, only the
+/// entries actually priced are touched.
 #[derive(Default)]
 struct ValueMemo {
     /// The memoized snapshots, one slot each, at most [`MEMO_SNAPSHOTS`].
     keys: Vec<SnapshotKey>,
-    /// `keys.len() * DENSE_COUNT` estimates, slot-major by dense index;
-    /// `None` = not priced yet.
-    values: Vec<Option<PowerPerfEstimate>>,
+    /// Claim stamp of each slot, index-aligned with `keys`.
+    stamps: Vec<u32>,
+    /// `MEMO_SNAPSHOTS * DENSE_COUNT` entries, slot-major by dense index,
+    /// allocated at the first claim and filled out slot by slot.
+    entries: Vec<MemoEntry>,
+    /// The last stamp handed out; 0 is never a slot's stamp.
+    stamp: u32,
     /// Slot of the last lookup: consecutive calls nearly always price the
     /// same snapshot.
     last: usize,
 }
 
+/// One memoized estimate and the claim stamp it was written under.
+#[derive(Clone, Copy)]
+struct MemoEntry {
+    stamp: u32,
+    est: PowerPerfEstimate,
+}
+
+impl MemoEntry {
+    /// An entry no slot's stamp matches.
+    const UNPRICED: MemoEntry = MemoEntry {
+        stamp: 0,
+        est: PowerPerfEstimate {
+            time_s: f64::NAN,
+            gpu_power_w: f64::NAN,
+        },
+    };
+}
+
 impl ValueMemo {
     /// The slot holding `key`'s estimates. An unknown key claims the next
-    /// slot with every estimate unpriced; when all slots are taken the
-    /// memo is cleared wholesale first.
+    /// slot with every estimate unpriced; when all slots are taken, or
+    /// the claim stamps run out, the memo is cleared wholesale first.
     fn slot(&mut self, key: &SnapshotKey) -> usize {
         if self.keys.get(self.last) == Some(key) {
             return self.last;
         }
         self.last = match self.keys.iter().position(|k| k == key) {
             Some(slot) => slot,
-            None => {
-                if self.keys.len() == MEMO_SNAPSHOTS {
-                    self.keys.clear();
-                }
-                let slot = self.keys.len();
-                self.keys.push(*key);
-                self.values.truncate(slot * HwConfig::DENSE_COUNT);
-                self.values.resize((slot + 1) * HwConfig::DENSE_COUNT, None);
-                slot
-            }
+            None => self.claim(key),
         };
         self.last
     }
 
-    /// The estimates of the snapshot in `slot`, by dense index.
-    fn snapshot_mut(&mut self, slot: usize) -> &mut [Option<PowerPerfEstimate>] {
-        &mut self.values[slot * HwConfig::DENSE_COUNT..(slot + 1) * HwConfig::DENSE_COUNT]
+    fn claim(&mut self, key: &SnapshotKey) -> usize {
+        if self.keys.len() == MEMO_SNAPSHOTS || self.stamp == u32::MAX {
+            self.keys.clear();
+            self.stamps.clear();
+        }
+        if self.stamp == u32::MAX {
+            // Stamps are about to repeat: no entry may carry an old one.
+            self.stamp = 0;
+            for entry in &mut self.entries {
+                entry.stamp = 0;
+            }
+        }
+        let slot = self.keys.len();
+        let end = (slot + 1) * HwConfig::DENSE_COUNT;
+        if self.entries.len() < end {
+            // The whole table is allocated at the first claim.
+            self.entries
+                .reserve_exact(MEMO_SNAPSHOTS * HwConfig::DENSE_COUNT - self.entries.len());
+            self.entries.resize(end, MemoEntry::UNPRICED);
+        }
+        self.stamp += 1;
+        self.keys.push(*key);
+        self.stamps.push(self.stamp);
+        slot
     }
 
-    fn entry(&mut self, slot: usize, cfg: HwConfig) -> &mut Option<PowerPerfEstimate> {
-        &mut self.snapshot_mut(slot)[cfg.dense_index()]
+    /// The estimate of `cfg` in `slot`, if priced since the slot's claim.
+    fn get(&self, slot: usize, cfg: HwConfig) -> Option<PowerPerfEstimate> {
+        let entry = self.entries[slot * HwConfig::DENSE_COUNT + cfg.dense_index()];
+        (entry.stamp == self.stamps[slot]).then_some(entry.est)
+    }
+
+    fn set(&mut self, slot: usize, cfg: HwConfig, est: PowerPerfEstimate) {
+        self.entries[slot * HwConfig::DENSE_COUNT + cfg.dense_index()] = MemoEntry {
+            stamp: self.stamps[slot],
+            est,
+        };
     }
 }
 
@@ -330,7 +379,7 @@ impl PowerPerfPredictor for RandomForestPredictor {
             let slot = scratch
                 .memo
                 .slot(&SnapshotKey::new(self.generation, &snapshot.counters));
-            if let Some(est) = *scratch.memo.entry(slot, cfg) {
+            if let Some(est) = scratch.memo.get(slot, cfg) {
                 return est;
             }
             scratch.buf.begin_snapshot(&snapshot.counters);
@@ -340,7 +389,7 @@ impl PowerPerfPredictor for RandomForestPredictor {
                 time_s: self.time_flat.predict(row).exp().max(1e-9),
                 gpu_power_w: self.power_flat.predict(row).max(0.1),
             };
-            *scratch.memo.entry(slot, cfg) = Some(est);
+            scratch.memo.set(slot, cfg, est);
             est
         })
     }
@@ -365,12 +414,11 @@ impl PowerPerfPredictor for RandomForestPredictor {
                 suffix,
                 ..
             } = scratch;
-            let priced = memo.snapshot_mut(slot);
             pending.clear();
             suffix.clear();
             out.clear();
             out.extend(cfgs.iter().enumerate().map(|(row, &cfg)| {
-                priced[cfg.dense_index()].unwrap_or_else(|| {
+                memo.get(slot, cfg).unwrap_or_else(|| {
                     pending.push((row, cfg));
                     suffix.extend_from_slice(&encode_config_features(cfg));
                     PowerPerfEstimate {
@@ -412,7 +460,7 @@ impl PowerPerfPredictor for RandomForestPredictor {
                     time_s: log_time.exp().max(1e-9),
                     gpu_power_w: power.max(0.1),
                 };
-                *scratch.memo.entry(slot, cfg) = Some(est);
+                scratch.memo.set(slot, cfg, est);
                 out[row] = est;
             }
         });
@@ -646,6 +694,99 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn memo_stamp_overflow_resets_cleanly() {
+        // The claims of the first round run the stamps out mid-round: the
+        // memo clears wholesale, and every later estimate, walked or
+        // served, still matches the nested reference.
+        let (_, _, ds) = campaign();
+        let rf = RandomForestPredictor::train(&ds, &ForestParams::default(), 11);
+        let snaps: Vec<KernelSnapshot> = (0..4)
+            .map(|i| {
+                KernelSnapshot::counters_only(
+                    gpm_sim::CounterSet::from_values([
+                        1e7 * (1.0 + i as f64),
+                        30.0,
+                        55.0,
+                        1e4,
+                        2.0,
+                        1.0,
+                        1e5,
+                        1e5,
+                    ]),
+                    HwConfig::FAIL_SAFE,
+                    1.0,
+                )
+            })
+            .collect();
+        let cfgs: Vec<HwConfig> = ConfigSpace::paper_campaign().iter().step_by(23).collect();
+        SCRATCH.with(|s| s.borrow_mut().memo.stamp = u32::MAX - 1);
+        let mut batch = Vec::new();
+        for round in 0..3 {
+            for (i, snap) in snaps.iter().enumerate() {
+                rf.predict_batch(snap, &cfgs[..cfgs.len() / 2], &mut batch);
+                for &cfg in &cfgs {
+                    let what = format!("round {round} snapshot {i} {cfg}");
+                    assert_bits_eq(
+                        rf.predict(snap, cfg),
+                        nested_reference(&rf, snap, cfg),
+                        &what,
+                    );
+                }
+            }
+        }
+        let stamp = SCRATCH.with(|s| s.borrow().memo.stamp);
+        assert!(stamp < 8, "the stamps did not wrap: {stamp}");
+    }
+
+    #[test]
+    fn a_reclaimed_slot_never_serves_the_previous_snapshot() {
+        let key = |i: u64| SnapshotKey {
+            generation: 1,
+            counters: [i; NUM_COUNTERS],
+        };
+        let est = |i: u64| PowerPerfEstimate {
+            time_s: i as f64,
+            gpu_power_w: 1.0,
+        };
+        let cfg = HwConfig::FAIL_SAFE;
+        for start_stamp in [0, u32::MAX - MEMO_SNAPSHOTS as u32] {
+            let mut memo = ValueMemo {
+                stamp: start_stamp,
+                ..ValueMemo::default()
+            };
+            for i in 0..MEMO_SNAPSHOTS as u64 {
+                let slot = memo.slot(&key(i));
+                assert_eq!(slot, i as usize);
+                memo.set(slot, cfg, est(i));
+            }
+            let slot = memo.slot(&key(0));
+            assert_eq!(memo.get(slot, cfg), Some(est(0)));
+            // Full (or out of stamps): a new snapshot clears the memo and
+            // reclaims slot 0, whose entry still holds snapshot 0's
+            // estimate under the old stamp.
+            let slot = memo.slot(&key(1000));
+            assert_eq!(slot, 0, "start stamp {start_stamp}");
+            assert_eq!(memo.get(slot, cfg), None, "start stamp {start_stamp}");
+            memo.set(slot, cfg, est(1000));
+            // Snapshot 0 is forgotten too, and its new slot is unpriced.
+            let slot = memo.slot(&key(0));
+            assert_eq!(slot, 1, "start stamp {start_stamp}");
+            assert_eq!(memo.get(slot, cfg), None, "start stamp {start_stamp}");
+            let slot = memo.slot(&key(1000));
+            assert_eq!(memo.get(slot, cfg), Some(est(1000)));
+        }
+        // Stamps that run out start over at 1, the stamp slot 0's first
+        // entries were written under: the wholesale clear must erase them.
+        let mut memo = ValueMemo::default();
+        let slot = memo.slot(&key(0));
+        memo.set(slot, cfg, est(0));
+        memo.stamp = u32::MAX;
+        let slot = memo.slot(&key(1000));
+        assert_eq!((slot, memo.stamp), (0, 1));
+        assert_eq!(memo.get(slot, cfg), None);
     }
 
     #[test]

@@ -44,12 +44,12 @@ pub(crate) struct EventRing {
     pub(crate) cursor: AtomicUsize,
 }
 
-/// Interning key: metric name plus its sorted label pairs.
-type MetricKey = (String, Vec<(String, String)>);
+/// The counters of one metric name: each sorted label set with its cells.
+type LabelSets = Vec<(Vec<(String, String)>, Cells)>;
 
 pub(crate) struct Inner {
     pub(crate) epoch: Instant,
-    counters: Mutex<HashMap<MetricKey, Cells>>,
+    counters: Mutex<HashMap<String, LabelSets>>,
     pub(crate) threads: Mutex<Vec<Arc<ThreadSlot>>>,
     pub(crate) events: Option<Arc<EventRing>>,
 }
@@ -65,7 +65,14 @@ pub struct Telemetry {
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
-            .field("counters", &self.inner.counters.lock().map(|c| c.len()))
+            .field(
+                "counters",
+                &self
+                    .inner
+                    .counters
+                    .lock()
+                    .map(|c| c.values().map(Vec::len).sum::<usize>()),
+            )
             .field("events", &self.inner.events.is_some())
             .finish()
     }
@@ -129,31 +136,52 @@ impl Telemetry {
     /// A labeled monotonic counter handle: one counter per distinct
     /// label set, so `{cache="hit"}` and `{cache="miss"}` count apart.
     ///
+    /// A lookup of a registered counter borrows its name and labels and
+    /// allocates nothing when the labels come sorted; only the first use
+    /// of a (name, label set) copies them into the registry.
+    ///
     /// # Panics
     ///
     /// Panics when `name` or a label name is not a valid Prometheus
     /// identifier.
     pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        check_name(name, "metric name");
-        for (k, _) in labels {
-            check_name(k, "label name");
+        if !labels.is_sorted() {
+            let mut sorted = labels.to_vec();
+            sorted.sort_unstable();
+            return self.counter_with(name, &sorted);
         }
-        let mut labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        labels.sort();
         let mut counters = self
             .inner
             .counters
             .lock()
             .unwrap_or_else(|p| p.into_inner());
-        let cells = counters
-            .entry((name.to_string(), labels))
-            .or_insert_with(|| (0..STRIPES).map(|_| AtomicU64::new(0)).collect());
-        Counter {
-            cells: Arc::clone(cells),
+        let registered = counters.get(name).and_then(|sets| {
+            sets.iter()
+                .find(|(set, _)| {
+                    let set = set.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+                    set.eq(labels.iter().copied())
+                })
+                .map(|(_, cells)| cells)
+        });
+        if let Some(cells) = registered {
+            return Counter {
+                cells: Arc::clone(cells),
+            };
         }
+        check_name(name, "metric name");
+        for (k, _) in labels {
+            check_name(k, "label name");
+        }
+        let cells: Cells = (0..STRIPES).map(|_| AtomicU64::new(0)).collect();
+        let set = labels
+            .iter()
+            .map(|&(k, v)| (k.to_owned(), v.to_owned()))
+            .collect();
+        counters
+            .entry(name.to_owned())
+            .or_default()
+            .push((set, Arc::clone(&cells)));
+        Counter { cells }
     }
 
     /// Freezes the registry (counters and span trees) into a mergeable,
@@ -166,12 +194,14 @@ impl Telemetry {
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .iter()
-            .map(|((name, labels), cells)| MetricValue {
-                name: name.clone(),
-                labels: labels.clone(),
-                data: MetricData::Counter {
-                    value: cells.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
-                },
+            .flat_map(|(name, sets)| {
+                sets.iter().map(move |(labels, cells)| MetricValue {
+                    name: name.clone(),
+                    labels: labels.clone(),
+                    data: MetricData::Counter {
+                        value: cells.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
+                    },
+                })
             })
             .collect();
         metrics.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
@@ -365,6 +395,30 @@ mod tests {
         assert_eq!(snap.metrics[0].data, MetricData::Counter { value: 2 });
         // The unlabeled lookup does not match a labeled counter.
         assert_eq!(snap.counter("gpm_jobs_total"), None);
+    }
+
+    #[test]
+    fn label_sets_match_in_any_order_and_only_whole() {
+        let t = Telemetry::new();
+        t.counter_with("gpm_x_total", &[("b", "1"), ("a", "2")])
+            .inc();
+        t.counter_with("gpm_x_total", &[("a", "2"), ("b", "1")])
+            .inc();
+        t.counter_with("gpm_x_total", &[("a", "2")]).add(5);
+        let snap = t.snapshot();
+        let both = vec![("a".into(), "2".into()), ("b".into(), "1".into())];
+        let values: Vec<_> = snap
+            .metrics
+            .iter()
+            .map(|m| (m.labels.clone(), m.data.clone()))
+            .collect();
+        assert_eq!(
+            values,
+            [
+                (both[..1].to_vec(), MetricData::Counter { value: 5 }),
+                (both, MetricData::Counter { value: 2 }),
+            ]
+        );
     }
 
     #[test]

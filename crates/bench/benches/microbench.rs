@@ -54,20 +54,13 @@ fn bench_rf_predict(c: &mut Criterion) {
             black_box(rf.predict(black_box(&fresh), black_box(HwConfig::MAX_PERF)))
         })
     });
-    // One decision's worth of candidates, scalar loop vs one batched call.
+    // One decision's worth of candidates.
     let cfgs: Vec<HwConfig> = ConfigSpace::paper_campaign().iter().collect();
     c.bench_function("model/rf_predict_scalar_336", |b| {
         b.iter(|| {
             for &cfg in &cfgs {
                 black_box(rf.predict(black_box(&snap), cfg));
             }
-        })
-    });
-    let mut batch = Vec::new();
-    c.bench_function("model/rf_predict_batch_336", |b| {
-        b.iter(|| {
-            rf.predict_batch(black_box(&snap), &cfgs, &mut batch);
-            black_box(&batch);
         })
     });
 }
@@ -134,7 +127,7 @@ fn bench_searches(c: &mut Criterion) {
     });
 
     // The governor's real per-decision search: hill climb priced by the
-    // Random-Forest predictor through its batched flat engine.
+    // Random-Forest predictor through its memoized flat engine.
     let kernels = vec![
         KernelCharacteristics::compute_bound("a", 15.0),
         KernelCharacteristics::memory_bound("b", 1.5),

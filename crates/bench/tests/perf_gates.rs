@@ -1,6 +1,6 @@
-//! Host-timed performance gates: the batched flat-forest inference
-//! engine and the fresh scalar walk against the nested traversal, the
-//! scalar walk's bit-identity to it, the MPC search's candidate count,
+//! Host-timed performance gates: the forest predictor's memoized and
+//! fresh sweeps and its fresh single estimate against the nested
+//! traversal, the flat walk's bit-identity to it, the MPC search's candidate count,
 //! forest-fit determinism and span coverage, and fleet scaling.
 //!
 //! Debug-build timings are meaningless and a parallel test runner skews
@@ -23,11 +23,11 @@ use std::hint::black_box;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-/// Steady-state batched pricing over one snapshot must beat the scalar
-/// path by this factor.
+/// Steady-state pricing of one snapshot's sweep, served by the value
+/// memo, must beat the nested traversal by this factor.
 const MIN_SPEEDUP: f64 = 5.0;
-/// Batched pricing of a never-seen snapshot per sweep must beat the
-/// scalar path by this factor.
+/// Pricing a never-seen snapshot's sweep, one flat walk per candidate,
+/// must beat the nested traversal by this factor.
 const MIN_FRESH_SPEEDUP: f64 = 1.5;
 /// One scalar `predict` on a never-seen snapshot must beat the nested
 /// traversal of the same inputs by this factor.
@@ -115,8 +115,8 @@ fn batched_inference_clears_its_speedup_floors() {
         black_box(&batch_out);
     });
 
-    // The raw engine: a never-seen snapshot per sweep pays
-    // specialization plus the full interleaved walks.
+    // The raw engine: a never-seen snapshot per sweep misses the value
+    // memo, so every candidate walks both flat forests.
     let bases = counter_bases(ctx, 8);
     let mut i = 0usize;
     let fresh = calls_per_s(|| {

@@ -84,7 +84,7 @@ impl<P: PowerPerfPredictor> PowerPerfPredictor for FaultyPredictor<P> {
         self.spike(snapshot, cfg, est)
     }
 
-    /// Forwards to the inner batch engine, then spikes each row exactly
+    /// Forwards to the inner predictor's batch, then spikes each row exactly
     /// as [`predict`](PowerPerfPredictor::predict) would.
     fn predict_batch(
         &self,

@@ -8,21 +8,12 @@
 //! throughput phase changes — the failure mode that motivates MPC.
 
 use crate::governor::{Governor, GovernorDecision, KernelContext, OverheadModel};
-use crate::search::{exhaustive_best, hill_climb, EnergyEvaluator, EvalMemo, SearchStats};
+use crate::search::{hill_climb, EnergyEvaluator, EvalMemo};
 use gpm_hw::{ConfigSpace, HwConfig};
 use gpm_sim::predictor::{KernelSnapshot, PowerPerfPredictor};
 use gpm_sim::{KernelCharacteristics, KernelOutcome, SimParams};
 use gpm_trace::{noop_sink, FailSafeReason, FaultChannelKind, TraceEvent, TraceSink};
 use std::sync::Arc;
-
-/// Search strategy used for the per-kernel optimization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PpkSearch {
-    /// Evaluate every configuration in the space (prior-work style).
-    Exhaustive,
-    /// The paper's greedy hill climb (≈19× fewer evaluations).
-    HillClimb,
-}
 
 /// The PPK governor.
 ///
@@ -30,13 +21,13 @@ pub enum PpkSearch {
 /// first kernel is run at fail-safe since no performance counters are
 /// available", Section V-B); afterwards each decision optimizes the
 /// predicted energy of the *previous* kernel's snapshot under the Eq. 2
-/// prefix-throughput constraint.
+/// prefix-throughput constraint, by the same greedy hill climb the MPC
+/// optimizer runs per kernel, so the profiling run's `T_PPK` is a
+/// faithful cost proxy for the adaptive horizon generator.
 #[derive(Debug, Clone)]
 pub struct PpkGovernor<P> {
     evaluator: EnergyEvaluator<P>,
-    space: ConfigSpace,
     overhead: OverheadModel,
-    search: PpkSearch,
     store_truth: bool,
     last: Option<KernelSnapshot>,
     total_overhead_s: f64,
@@ -50,18 +41,21 @@ pub struct PpkGovernor<P> {
 
 impl<P: PowerPerfPredictor> PpkGovernor<P> {
     /// PPK with the given predictor, simulator parameters (for the CPU
-    /// `V²f` model), search space, and overhead accounting.
+    /// `V²f` model), and overhead accounting.
+    ///
+    /// The hill climb walks the knob lattice from the fail-safe
+    /// configuration and never reads `_space`; the parameter is kept so
+    /// existing callers, the `perfbench` benchmark among them, build
+    /// unchanged.
     pub fn new(
         predictor: P,
         params: SimParams,
-        space: ConfigSpace,
+        _space: ConfigSpace,
         overhead: OverheadModel,
     ) -> PpkGovernor<P> {
         PpkGovernor {
             evaluator: EnergyEvaluator::new(predictor, params),
-            space,
             overhead,
-            search: PpkSearch::HillClimb,
             store_truth: false,
             last: None,
             total_overhead_s: 0.0,
@@ -69,14 +63,6 @@ impl<P: PowerPerfPredictor> PpkGovernor<P> {
             trace: noop_sink(),
             memo: EvalMemo::new(),
         }
-    }
-
-    /// Selects the search strategy (default: hill climb, matching the
-    /// MPC optimizer's per-kernel evaluation budget so the profiling run's
-    /// `T_PPK` is a faithful cost proxy for the adaptive horizon generator).
-    pub fn with_search(mut self, search: PpkSearch) -> PpkGovernor<P> {
-        self.search = search;
-        self
     }
 
     /// Attach ground truth to snapshots (oracle-predictor studies only).
@@ -113,27 +99,15 @@ impl<P: PowerPerfPredictor> Governor for PpkGovernor<P> {
         let cap = ctx
             .target
             .time_cap(ctx.elapsed_gi, ctx.elapsed_kernel_s, last.ginstructions);
-        let (best, stats) = match self.search {
-            PpkSearch::Exhaustive => {
-                let (best, evals) = exhaustive_best(&self.evaluator, &last, &self.space, cap);
-                (
-                    best,
-                    SearchStats {
-                        evaluations: evals,
-                        ..SearchStats::default()
-                    },
-                )
-            }
-            PpkSearch::HillClimb => {
-                let _span = gpm_telemetry::span("search.hill_climb");
-                hill_climb(
-                    &self.evaluator,
-                    &last,
-                    HwConfig::FAIL_SAFE,
-                    cap,
-                    &mut self.memo,
-                )
-            }
+        let (best, stats) = {
+            let _span = gpm_telemetry::span("search.hill_climb");
+            hill_climb(
+                &self.evaluator,
+                &last,
+                HwConfig::FAIL_SAFE,
+                cap,
+                &mut self.memo,
+            )
         };
         let config = best.map(|b| b.config).unwrap_or(HwConfig::FAIL_SAFE);
         let overhead_s = self.overhead.cost_s(stats.evaluations);
@@ -357,18 +331,5 @@ mod tests {
         if let Some(p) = d.predicted {
             assert!(p.is_plausible());
         }
-    }
-
-    #[test]
-    fn exhaustive_variant_evaluates_whole_space() {
-        let sim = ApuSimulator::noiseless();
-        let mut ppk = oracle_ppk(&sim).with_search(PpkSearch::Exhaustive);
-        let k = KernelCharacteristics::unscalable("us", 0.02);
-        let base = sim.evaluate(&k, HwConfig::FAIL_SAFE);
-        let target = PerfTarget::new(base.ginstructions * 5.0, base.time_s * 5.0 * 2.0);
-        let c = ctx(0, 0.0, 0.0, target);
-        ppk.observe(&c, HwConfig::FAIL_SAFE, &base, Some(&k));
-        let d = ppk.select(&ctx(1, base.ginstructions, base.time_s, target));
-        assert_eq!(d.evaluations, 336);
     }
 }

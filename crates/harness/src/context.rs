@@ -372,9 +372,37 @@ mod tests {
         let dir = std::env::temp_dir().join("gpm_ctx_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("garbage.json");
-        std::fs::write(&path, "not json at all").unwrap();
-        let err = EvalContext::load(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // Well-formed saves of a fast context, each with one fault.
+        EvalContext::build(EvalOptions::fast()).save(&path).unwrap();
+        let saved = std::fs::read_to_string(&path).unwrap();
+        // A split whose right child lies outside its tree.
+        let at = saved.find("\"right\":").unwrap() + "\"right\":".len();
+        let digits = saved[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        let bad_tree = format!("{}999999999{}", &saved[..at], &saved[at + digits..]);
+        // A time forest fitted on three features instead of NUM_FEATURES.
+        let xs: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64; 3]).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| x[0]).collect();
+        let narrow = gpm_model::RandomForest::fit(&xs, &ys, &ForestParams::default(), 1);
+        let (start, end) = (
+            saved.find("\"time_forest\":").unwrap() + "\"time_forest\":".len(),
+            saved.find(",\"power_forest\":").unwrap(),
+        );
+        let narrow_forest = format!(
+            "{}{}{}",
+            &saved[..start],
+            serde_json::to_string(&narrow).unwrap(),
+            &saved[end..]
+        );
+        for (garbage, why) in [
+            ("not json at all", ""),
+            (bad_tree.as_str(), "out-of-range right child 999999999"),
+            (narrow_forest.as_str(), "fitted on 3 features"),
+        ] {
+            std::fs::write(&path, garbage).unwrap();
+            let err = EvalContext::load(&path).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains(why), "{err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -110,7 +110,7 @@ impl ExecEnv {
     /// Installs a telemetry registry as replay middleware. For the
     /// duration of every [`ExecEnv::run`] and [`ExecEnv::baseline`] the
     /// registry is the thread-current one, so phase spans emitted by
-    /// deeper layers (`rf.fit`, `flat.specialize`, `search.*`) land in
+    /// deeper layers (`rf.fit`, `search.*`) land in
     /// it, and the replay loop times each dispatch as an `env.dispatch`
     /// span. Telemetry is strictly read-only observability: an
     /// environment with a registry produces byte-identical results to
@@ -242,7 +242,7 @@ fn replay(
         telemetry,
     } = mw;
     // Make the environment's registry current for the whole replay so
-    // library spans (search, specialization, fit) nest under
+    // library spans (search, fit) nest under
     // `env.dispatch`. Without one, spans route to whatever registry the
     // caller entered (e.g. the xp runner's), or nowhere.
     let _enter = telemetry.map(|t| t.enter());

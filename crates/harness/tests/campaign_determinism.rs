@@ -11,7 +11,7 @@ use gpm_sim::ApuSimulator;
 
 /// Serialized bytes of every sample, in dataset order. Comparing the
 /// encoded form (rather than `PartialEq` on floats) pins the exact bit
-/// patterns that end up in `results/campaign.json`.
+/// patterns every forest is fitted to.
 fn campaign_bytes(ds: &Dataset) -> String {
     serde_json::to_string(&ds.samples().to_vec()).expect("samples serialize")
 }

@@ -6,10 +6,10 @@
 //! targets while simulating the baseline exactly once per workload per
 //! context, even under concurrent resolution.
 //!
-//! It also pins the batched flat-forest inference engine to the seed's
-//! scalar path: MPC and PPK decisions under `predict_batch` + memoized
-//! search must be byte-identical to nested per-call traversal, clean,
-//! traced, and faulted alike.
+//! It also pins the flat-forest inference engine to the seed's scalar
+//! path: MPC and PPK decisions under the flat walk, its value memo and
+//! the memoized search must be byte-identical to nested per-call
+//! traversal, clean, traced, and faulted alike.
 
 use gpm_faults::{FaultPlan, FaultyPredictor};
 use gpm_governors::{EqualizerMode, FixedGovernor, OverheadModel, PerfTarget, PpkGovernor};
@@ -311,10 +311,10 @@ fn concurrent_resolution_simulates_each_baseline_once() {
 }
 
 // ---------------------------------------------------------------------------
-// Golden guarantee for the batched flat-forest inference engine: the
-// allocation-free `predict_batch` path plus the dense search memo must
-// leave every governor decision — and every evaluation count feeding the
-// overhead model — byte-identical to the seed's scalar nested traversal.
+// Golden guarantee for the flat-forest inference engine: the flat walk
+// and its value memo plus the dense search memo must leave every
+// governor decision — and every evaluation count feeding the overhead
+// model — byte-identical to the seed's scalar nested traversal.
 // ---------------------------------------------------------------------------
 
 /// The seed's scalar RF inference path, reconstructed: one freshly

@@ -6,18 +6,14 @@
 //! encoding in one place guarantees that the predictor sees exactly the
 //! layout the forest was trained on.
 //!
-//! The encoding is split into two halves so the optimizer hot path can
-//! amortize work across a candidate sweep:
+//! The encoding has two halves:
 //!
 //! * [`encode_counter_features`] — the snapshot-dependent prefix (four
-//!   `ln(1+x)` calls), computed **once per snapshot**;
-//! * [`encode_config_features`] — the six-element configuration suffix,
-//!   computed **once per candidate**;
-//! * [`FeatureBuffer`] — a reusable row-major [`FeatureMatrix`] writer
-//!   that stitches the two together with zero per-candidate allocation.
+//!   `ln(1+x)` calls);
+//! * [`encode_config_features`] — the six-element configuration suffix.
 //!
-//! [`encode_features`] remains the one-shot reference composition of the
-//! two halves and is bit-identical to the split encoding.
+//! The predictor writes both into one stack row per estimate;
+//! [`encode_features`] is the same composition into a `Vec`.
 
 use gpm_hw::HwConfig;
 use gpm_sim::{CounterSet, NUM_COUNTERS};
@@ -50,10 +46,6 @@ pub const FEATURE_NAMES: [&str; NUM_FEATURES] = [
 /// counters with wide-dynamic-range entries (`GlobalWorkSize`,
 /// `VFetchInsts`, `VALUInsts`, `FetchSize`) `ln(1+x)`-scaled and
 /// percentage counters kept linear.
-///
-/// This half depends only on the kernel snapshot, so optimizers pricing
-/// hundreds of candidate configurations against one snapshot compute it
-/// exactly once.
 pub fn encode_counter_features(counters: &CounterSet) -> [f64; NUM_COUNTERS] {
     let v = counters.values();
     [
@@ -85,8 +77,7 @@ pub fn encode_config_features(cfg: HwConfig) -> [f64; NUM_CONFIG_FEATURES] {
 /// Encodes a (counters, configuration) pair into the model feature vector.
 ///
 /// The composition of [`encode_counter_features`] and
-/// [`encode_config_features`]; bit-identical to writing the same pair
-/// through a [`FeatureBuffer`].
+/// [`encode_config_features`].
 ///
 /// # Examples
 ///
@@ -105,122 +96,10 @@ pub fn encode_features(counters: &CounterSet, cfg: HwConfig) -> Vec<f64> {
     out
 }
 
-/// A row-major matrix of encoded feature rows, each [`NUM_FEATURES`] wide.
-///
-/// The backing storage is reused across [`clear`](FeatureMatrix::clear)
-/// cycles, so steady-state refills allocate nothing.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FeatureMatrix {
-    data: Vec<f64>,
-}
-
-impl FeatureMatrix {
-    /// An empty matrix.
-    pub fn new() -> FeatureMatrix {
-        FeatureMatrix::default()
-    }
-
-    /// Number of rows currently stored.
-    pub fn rows(&self) -> usize {
-        self.data.len() / NUM_FEATURES
-    }
-
-    /// Whether the matrix holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Row `i` as a [`NUM_FEATURES`]-element slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.rows()`.
-    pub fn row(&self, i: usize) -> &[f64] {
-        &self.data[i * NUM_FEATURES..(i + 1) * NUM_FEATURES]
-    }
-
-    /// Iterates over the rows in insertion order.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(NUM_FEATURES)
-    }
-
-    /// Drops all rows, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.data.clear();
-    }
-
-    /// Appends one row assembled from a counter prefix and a config
-    /// suffix.
-    pub fn push_split_row(
-        &mut self,
-        prefix: &[f64; NUM_COUNTERS],
-        suffix: &[f64; NUM_CONFIG_FEATURES],
-    ) {
-        self.data.reserve(NUM_FEATURES);
-        self.data.extend_from_slice(prefix);
-        self.data.extend_from_slice(suffix);
-    }
-}
-
-/// Reusable writer that encodes one snapshot prefix followed by any
-/// number of per-candidate configuration rows — the allocation-free front
-/// end of the batched inference engine.
-///
-/// # Examples
-///
-/// ```
-/// use gpm_hw::HwConfig;
-/// use gpm_model::{encode_features, FeatureBuffer};
-/// use gpm_sim::CounterSet;
-///
-/// let counters = CounterSet::default();
-/// let mut buf = FeatureBuffer::new();
-/// buf.begin_snapshot(&counters);
-/// buf.push_config(HwConfig::FAIL_SAFE);
-/// buf.push_config(HwConfig::MAX_PERF);
-/// assert_eq!(buf.matrix().rows(), 2);
-/// // Bit-identical to the one-shot encoding.
-/// assert_eq!(
-///     buf.matrix().row(1),
-///     encode_features(&counters, HwConfig::MAX_PERF).as_slice()
-/// );
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FeatureBuffer {
-    prefix: [f64; NUM_COUNTERS],
-    matrix: FeatureMatrix,
-}
-
-impl FeatureBuffer {
-    /// An empty buffer.
-    pub fn new() -> FeatureBuffer {
-        FeatureBuffer::default()
-    }
-
-    /// Starts a new snapshot: computes the counter prefix once and drops
-    /// any previously written rows (the allocation is kept).
-    pub fn begin_snapshot(&mut self, counters: &CounterSet) {
-        self.prefix = encode_counter_features(counters);
-        self.matrix.clear();
-    }
-
-    /// Appends the feature row for one candidate configuration.
-    pub fn push_config(&mut self, cfg: HwConfig) {
-        self.matrix
-            .push_split_row(&self.prefix, &encode_config_features(cfg));
-    }
-
-    /// The rows written since the last
-    /// [`begin_snapshot`](FeatureBuffer::begin_snapshot).
-    pub fn matrix(&self) -> &FeatureMatrix {
-        &self.matrix
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpm_hw::{ConfigSpace, CpuPState, CuCount, GpuDpm, NbState};
+    use gpm_hw::{CpuPState, CuCount, GpuDpm, NbState};
 
     #[test]
     fn feature_count_and_names_agree() {
@@ -260,54 +139,6 @@ mod tests {
         let c = CounterSet::from_values([0.0; 8]);
         for v in encode_features(&c, HwConfig::FAIL_SAFE) {
             assert!(v.is_finite());
-        }
-    }
-
-    #[test]
-    fn split_encoding_is_bit_identical_to_one_shot() {
-        let counters = CounterSet::from_values([1e9, 50.0, 33.0, 1e6, 8.0, 5.0, 1e4, 1e7]);
-        let mut buf = FeatureBuffer::new();
-        buf.begin_snapshot(&counters);
-        for cfg in &ConfigSpace::full() {
-            buf.push_config(cfg);
-        }
-        for (row, cfg) in buf.matrix().iter_rows().zip(&ConfigSpace::full()) {
-            let reference = encode_features(&counters, cfg);
-            assert_eq!(row.len(), NUM_FEATURES);
-            for (a, b) in row.iter().zip(&reference) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{cfg} row differs");
-            }
-        }
-    }
-
-    #[test]
-    fn buffer_reuse_keeps_rows_consistent_across_snapshots() {
-        let first = CounterSet::from_values([10.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
-        let second = CounterSet::from_values([99.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0]);
-        let mut buf = FeatureBuffer::new();
-        buf.begin_snapshot(&first);
-        buf.push_config(HwConfig::MAX_PERF);
-        buf.begin_snapshot(&second);
-        buf.push_config(HwConfig::MAX_PERF);
-        assert_eq!(buf.matrix().rows(), 1);
-        assert_eq!(
-            buf.matrix().row(0),
-            encode_features(&second, HwConfig::MAX_PERF).as_slice()
-        );
-    }
-
-    #[test]
-    fn matrix_row_iteration_matches_indexing() {
-        let counters = CounterSet::default();
-        let mut buf = FeatureBuffer::new();
-        buf.begin_snapshot(&counters);
-        buf.push_config(HwConfig::FAIL_SAFE);
-        buf.push_config(HwConfig::MAX_PERF);
-        let m = buf.matrix();
-        let collected: Vec<&[f64]> = m.iter_rows().collect();
-        assert_eq!(collected.len(), m.rows());
-        for (i, row) in collected.iter().enumerate() {
-            assert_eq!(*row, m.row(i));
         }
     }
 }

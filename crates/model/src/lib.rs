@@ -8,13 +8,10 @@
 //! * [`tree`] — CART regression trees with variance-reduction splitting;
 //! * [`forest`] — bagged ensembles with per-split feature subsampling;
 //! * [`features`] — the 14-dimensional feature encoding (8 log-scaled
-//!   Table III counters + 6 configuration features), split into a
-//!   per-snapshot prefix and per-candidate suffix with a reusable
-//!   [`FeatureBuffer`] for allocation-free candidate sweeps;
+//!   Table III counters + 6 configuration features);
 //! * [`flat`] — the inference engine: [`FlatForest`] packs each forest
-//!   into 16-byte nodes walked 8 trees at a time, and [`PrunedForest`]
-//!   specializes it per snapshot for whole candidate batches, both
-//!   bit-identical to the nested traversal;
+//!   into 16-byte nodes walked 8 trees at a time, bit-identical to the
+//!   nested traversal;
 //! * [`dataset`] — building training data from a simulated measurement
 //!   campaign over the paper's 336-configuration space;
 //! * [`importance`] — permutation feature importance, a check that the
@@ -55,10 +52,10 @@ pub mod tree;
 pub use dataset::{Dataset, Sample};
 pub use error_model::{ErrorInjectedPredictor, ErrorSpec};
 pub use features::{
-    encode_config_features, encode_counter_features, encode_features, FeatureBuffer, FeatureMatrix,
-    FEATURE_NAMES, NUM_CONFIG_FEATURES, NUM_FEATURES,
+    encode_config_features, encode_counter_features, encode_features, FEATURE_NAMES,
+    NUM_CONFIG_FEATURES, NUM_FEATURES,
 };
-pub use flat::{FlatForest, PrunedForest};
+pub use flat::FlatForest;
 pub use forest::{ForestParams, RandomForest};
 pub use importance::{permutation_importance, FeatureImportance};
 pub use metrics::{mape, r2, rmse};

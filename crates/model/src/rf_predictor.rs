@@ -2,10 +2,8 @@
 //! [`PowerPerfPredictor`] interface.
 
 use crate::dataset::Dataset;
-use crate::features::{
-    encode_config_features, encode_counter_features, FeatureBuffer, NUM_CONFIG_FEATURES,
-};
-use crate::flat::{FlatForest, PrunedForest};
+use crate::features::{encode_config_features, encode_counter_features, NUM_FEATURES};
+use crate::flat::FlatForest;
 use crate::forest::{ForestParams, RandomForest};
 use crate::metrics;
 use crate::tree::RankedColumns;
@@ -57,18 +55,19 @@ pub struct TrainReport {
 /// forests (bit-identical to the nested traversal; see the [`crate::flat`]
 /// module). The serialized format carries only the two nested forests —
 /// the flat engines are deterministic re-encodings rebuilt on
-/// deserialization, so saved contexts stay compatible.
+/// deserialization, so saved contexts stay compatible. Deserialization
+/// fails on a forest that does not flatten or was not fitted on
+/// [`NUM_FEATURES`] features.
 #[derive(Debug, Clone)]
 pub struct RandomForestPredictor {
     time_forest: RandomForest,
     power_forest: RandomForest,
     time_flat: FlatForest,
     power_flat: FlatForest,
-    /// Process-unique tag for the thread-local value memo and
-    /// specialization cache; never reused across predictor constructions,
-    /// so a stale cache entry can only ever match the forests it was
-    /// built from. Clones share the tag — their forests are identical, so
-    /// cache hits stay correct.
+    /// Process-unique tag for the thread-local value memo; never reused
+    /// across predictor constructions, so a stale memo entry can only
+    /// ever match the forests it was priced with. Clones share the tag —
+    /// their forests are identical, so memo hits stay correct.
     generation: u64,
 }
 
@@ -112,18 +111,15 @@ impl Serialize for RandomForestPredictor {
 impl Deserialize for RandomForestPredictor {
     fn deserialize_content(content: &serde::Content) -> Result<Self, serde::DeError> {
         let saved = SavedForests::deserialize_content(content)?;
-        Ok(RandomForestPredictor::from_forests(
-            saved.time_forest,
-            saved.power_forest,
-        ))
+        RandomForestPredictor::from_forests(saved.time_forest, saved.power_forest)
+            .map_err(serde::DeError::custom)
     }
 }
 
 thread_local! {
-    /// Per-thread scratch for the hot path: feature rows, per-forest
-    /// outputs and the value memo live here so `predict`/`predict_batch`
-    /// allocate nothing in steady state while staying `&self`.
-    static SCRATCH: RefCell<PredictScratch> = RefCell::new(PredictScratch::default());
+    /// Per-thread value memo, so `predict` stays `&self` and allocates
+    /// nothing in steady state.
+    static MEMO: RefCell<ValueMemo> = RefCell::new(ValueMemo::default());
 }
 
 /// Snapshots the per-thread value memo holds before it starts over. The
@@ -151,8 +147,8 @@ impl SnapshotKey {
 /// Per-snapshot value memo: for a fixed (predictor, snapshot) pair the
 /// estimate is a pure function of the configuration, so each of the
 /// [`HwConfig::DENSE_COUNT`] lattice points is walked at most once per
-/// snapshot while the snapshot stays memoized. Both `predict` and
-/// `predict_batch` read and fill it with the same post-clamp estimates.
+/// snapshot while the snapshot stays memoized. It holds the post-clamp
+/// estimates `predict` returns.
 ///
 /// Claiming a slot writes nothing but its key and a fresh claim stamp:
 /// an entry is valid only while it carries its slot's current stamp, so
@@ -248,34 +244,14 @@ impl ValueMemo {
     }
 }
 
-#[derive(Default)]
-struct PredictScratch {
-    buf: FeatureBuffer,
-    time_pruned: PrunedForest,
-    power_pruned: PrunedForest,
-    /// Snapshot the pruned forests were specialized for. Governor
-    /// searches sweep candidates for one snapshot over several
-    /// `predict_batch` calls, so the specialization is re-derived only
-    /// when a batch has unpriced rows for a different snapshot (or
-    /// predictor).
-    specialized: Option<SnapshotKey>,
-    /// Compact row-major config suffixes (6 values per candidate) — the
-    /// only per-row data the pruned walks read.
-    suffix: Vec<f64>,
-    time_out: Vec<f64>,
-    power_out: Vec<f64>,
-    /// (row, config) of batch rows missing from the memo, in walk order.
-    pending: Vec<(usize, HwConfig)>,
-    memo: ValueMemo,
-}
-
 impl RandomForestPredictor {
     /// Trains both forests on `dataset`, rank-encoding its feature matrix
     /// once for the two fits.
     ///
     /// # Panics
     ///
-    /// Panics if the dataset is empty.
+    /// Panics if the dataset is empty or its rows are not
+    /// [`NUM_FEATURES`] wide.
     pub fn train(dataset: &Dataset, params: &ForestParams, seed: u64) -> RandomForestPredictor {
         assert!(!dataset.is_empty(), "cannot train on an empty dataset");
         let columns =
@@ -290,26 +266,44 @@ impl RandomForestPredictor {
             0,
         );
         RandomForestPredictor::from_forests(time_forest, power_forest)
+            .expect("training rows are NUM_FEATURES wide")
     }
 
     /// Assembles a predictor from fitted forests, building the flat
     /// inference engines. Each assembly gets a fresh
     /// [`generation`](RandomForestPredictor::generation) tag, so
     /// retraining (e.g. via [`RandomForest::fit_with_threads`]) can never
-    /// be served stale per-thread specialization state.
+    /// be served stale per-thread memo entries.
+    ///
+    /// # Errors
+    ///
+    /// Describes the problem when a forest does not flatten (see
+    /// [`FlatForest::from_forest`]) or was fitted on other than
+    /// [`NUM_FEATURES`] features, the width of every row the predictor
+    /// encodes.
     pub fn from_forests(
         time_forest: RandomForest,
         power_forest: RandomForest,
-    ) -> RandomForestPredictor {
-        let time_flat = FlatForest::from_forest(&time_forest);
-        let power_flat = FlatForest::from_forest(&power_forest);
-        RandomForestPredictor {
+    ) -> Result<RandomForestPredictor, String> {
+        let flatten = |forest: &RandomForest, what: &str| {
+            let flat = FlatForest::from_forest(forest).map_err(|e| format!("{what}: {e}"))?;
+            if flat.num_features() != NUM_FEATURES {
+                return Err(format!(
+                    "{what} was fitted on {} features, not {NUM_FEATURES}",
+                    flat.num_features()
+                ));
+            }
+            Ok(flat)
+        };
+        let time_flat = flatten(&time_forest, "time forest")?;
+        let power_flat = flatten(&power_forest, "power forest")?;
+        Ok(RandomForestPredictor {
             time_forest,
             power_forest,
             time_flat,
             power_flat,
             generation: NEXT_GENERATION.fetch_add(1, Ordering::Relaxed),
-        }
+        })
     }
 
     /// Evaluates held-out accuracy on `test`.
@@ -350,10 +344,10 @@ impl RandomForestPredictor {
         &self.power_forest
     }
 
-    /// This predictor's cache-identity tag: process-unique and strictly
+    /// This predictor's memo-identity tag: process-unique and strictly
     /// increasing across assemblies. Two predictors share memoized
-    /// estimates or specialization state only if their generations are
-    /// equal — i.e. only a predictor and its clones.
+    /// estimates only if their generations are equal — i.e. only a
+    /// predictor and its clones.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -374,96 +368,23 @@ impl RandomForestPredictor {
 
 impl PowerPerfPredictor for RandomForestPredictor {
     fn predict(&self, snapshot: &KernelSnapshot, cfg: HwConfig) -> PowerPerfEstimate {
-        SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            let slot = scratch
-                .memo
-                .slot(&SnapshotKey::new(self.generation, &snapshot.counters));
-            if let Some(est) = scratch.memo.get(slot, cfg) {
+        MEMO.with(|memo| {
+            let memo = &mut *memo.borrow_mut();
+            let slot = memo.slot(&SnapshotKey::new(self.generation, &snapshot.counters));
+            if let Some(est) = memo.get(slot, cfg) {
                 return est;
             }
-            scratch.buf.begin_snapshot(&snapshot.counters);
-            scratch.buf.push_config(cfg);
-            let row = scratch.buf.matrix().row(0);
+            let mut row = [0.0; NUM_FEATURES];
+            let (counters, config) = row.split_at_mut(NUM_COUNTERS);
+            counters.copy_from_slice(&encode_counter_features(&snapshot.counters));
+            config.copy_from_slice(&encode_config_features(cfg));
             let est = PowerPerfEstimate {
-                time_s: self.time_flat.predict(row).exp().max(1e-9),
-                gpu_power_w: self.power_flat.predict(row).max(0.1),
+                time_s: self.time_flat.predict(&row).exp().max(1e-9),
+                gpu_power_w: self.power_flat.predict(&row).max(0.1),
             };
-            scratch.memo.set(slot, cfg, est);
+            memo.set(slot, cfg, est);
             est
         })
-    }
-
-    fn predict_batch(
-        &self,
-        snapshot: &KernelSnapshot,
-        cfgs: &[HwConfig],
-        out: &mut Vec<PowerPerfEstimate>,
-    ) {
-        SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            let key = SnapshotKey::new(self.generation, &snapshot.counters);
-            let slot = scratch.memo.slot(&key);
-            // Copy what this snapshot has priced already and queue the
-            // rest for one walk; their placeholders are overwritten
-            // below. Duplicate candidates in one batch are walked per
-            // occurrence and store the same value.
-            let PredictScratch {
-                memo,
-                pending,
-                suffix,
-                ..
-            } = scratch;
-            pending.clear();
-            suffix.clear();
-            out.clear();
-            out.extend(cfgs.iter().enumerate().map(|(row, &cfg)| {
-                memo.get(slot, cfg).unwrap_or_else(|| {
-                    pending.push((row, cfg));
-                    suffix.extend_from_slice(&encode_config_features(cfg));
-                    PowerPerfEstimate {
-                        time_s: f64::NAN,
-                        gpu_power_w: f64::NAN,
-                    }
-                })
-            }));
-            if scratch.pending.is_empty() {
-                return;
-            }
-            // Every row of the batch shares the snapshot's counter
-            // prefix, so prefix splits resolve once per snapshot and the
-            // per-row walk only compares config features — the batch
-            // never materializes full feature rows at all, just the
-            // compact config suffixes.
-            if scratch.specialized != Some(key) {
-                let prefix = encode_counter_features(&snapshot.counters);
-                const PREFIX_LEN: usize = crate::features::NUM_FEATURES - NUM_CONFIG_FEATURES;
-                self.time_flat
-                    .specialize_into(&prefix, PREFIX_LEN, &mut scratch.time_pruned);
-                self.power_flat
-                    .specialize_into(&prefix, PREFIX_LEN, &mut scratch.power_pruned);
-                scratch.specialized = Some(key);
-            }
-            scratch
-                .time_pruned
-                .predict_suffix_batch_into(&scratch.suffix, &mut scratch.time_out);
-            scratch
-                .power_pruned
-                .predict_suffix_batch_into(&scratch.suffix, &mut scratch.power_out);
-            for ((&(row, cfg), &log_time), &power) in scratch
-                .pending
-                .iter()
-                .zip(&scratch.time_out)
-                .zip(&scratch.power_out)
-            {
-                let est = PowerPerfEstimate {
-                    time_s: log_time.exp().max(1e-9),
-                    gpu_power_w: power.max(0.1),
-                };
-                scratch.memo.set(slot, cfg, est);
-                out[row] = est;
-            }
-        });
     }
 
     fn name(&self) -> &str {
@@ -593,34 +514,8 @@ mod tests {
     }
 
     #[test]
-    fn predict_batch_bit_identical_to_scalar_loop() {
-        let (_, _, ds) = campaign();
-        let rf = RandomForestPredictor::train(&ds, &ForestParams::default(), 11);
-        let snap = KernelSnapshot::counters_only(
-            gpm_sim::CounterSet::from_values([1e7, 30.0, 55.0, 1e4, 2.0, 1.0, 1e5, 1e5]),
-            HwConfig::FAIL_SAFE,
-            1.0,
-        );
-        let cfgs: Vec<HwConfig> = ConfigSpace::paper_campaign().iter().collect();
-        let mut batch = Vec::new();
-        rf.predict_batch(&snap, &cfgs, &mut batch);
-        assert_eq!(batch.len(), cfgs.len());
-        // The scalar loop runs on a fresh thread, whose empty memo makes
-        // every call a full flat-forest walk rather than a read of the
-        // batch's memoized values.
-        let scalar: Vec<PowerPerfEstimate> = std::thread::scope(|s| {
-            s.spawn(|| cfgs.iter().map(|&cfg| rf.predict(&snap, cfg)).collect())
-                .join()
-                .unwrap()
-        });
-        for ((&est, &reference), cfg) in batch.iter().zip(&scalar).zip(&cfgs) {
-            assert_bits_eq(est, reference, &format!("{cfg}"));
-        }
-    }
-
-    #[test]
-    fn specialization_cache_invalidates_on_snapshot_and_predictor_change() {
-        // Interleaves scalar and batched pricing over more distinct
+    fn value_memo_invalidates_on_snapshot_and_predictor_change() {
+        // Interleaves single and batched pricing over more distinct
         // snapshots than the value memo holds, under two predictors, on
         // one thread: the memo must tell the predictors apart, start
         // over when full without serving a reclaimed slot's old values,
@@ -681,8 +576,8 @@ mod tests {
                             assert_bits_eq(rf.predict(snap, cfg), references[i][j][p], &what(cfg));
                         }
                     };
-                    // Alternate which path fills the snapshot's memo, and
-                    // let the scalar path fill only half of it so the
+                    // Alternate which call fills the snapshot's memo, and
+                    // let the single estimates fill only half of it so the
                     // batch that follows mixes hits and walks.
                     if (round + i + p) % 2 == 0 {
                         check_batch(&mut batch);
@@ -722,7 +617,7 @@ mod tests {
             })
             .collect();
         let cfgs: Vec<HwConfig> = ConfigSpace::paper_campaign().iter().step_by(23).collect();
-        SCRATCH.with(|s| s.borrow_mut().memo.stamp = u32::MAX - 1);
+        MEMO.with(|m| m.borrow_mut().stamp = u32::MAX - 1);
         let mut batch = Vec::new();
         for round in 0..3 {
             for (i, snap) in snaps.iter().enumerate() {
@@ -737,7 +632,7 @@ mod tests {
                 }
             }
         }
-        let stamp = SCRATCH.with(|s| s.borrow().memo.stamp);
+        let stamp = MEMO.with(|m| m.borrow().stamp);
         assert!(stamp < 8, "the stamps did not wrap: {stamp}");
     }
 

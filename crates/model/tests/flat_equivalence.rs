@@ -1,14 +1,8 @@
-//! Property tests pinning the batched flat-inference engine to the nested
+//! Property tests pinning the flat-inference engine to the nested
 //! traversal: across randomly fitted forests, flat predictions are
-//! bit-identical to [`RandomForest::predict`], and batched prediction is
-//! bit-identical to the scalar loop.
+//! bit-identical to [`RandomForest::predict`].
 
-use gpm_hw::ConfigSpace;
-use gpm_model::{
-    encode_features, FeatureBuffer, FlatForest, ForestParams, RandomForest, TreeParams,
-    NUM_FEATURES,
-};
-use gpm_sim::CounterSet;
+use gpm_model::{FlatForest, ForestParams, RandomForest, TreeParams, NUM_FEATURES};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -55,7 +49,7 @@ proptest! {
     ) {
         let (xs, ys) = random_problem(seed, rows);
         let forest = RandomForest::fit(&xs, &ys, &forest_params(num_trees, max_depth), seed);
-        let flat = FlatForest::from_forest(&forest);
+        let flat = FlatForest::from_forest(&forest).unwrap();
         // Training rows land exactly on leaves; probe rows exercise both
         // branch directions away from fitted thresholds.
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
@@ -64,43 +58,6 @@ proptest! {
             .collect();
         for x in xs.iter().take(25).chain(&probes) {
             prop_assert_eq!(flat.predict(x).to_bits(), forest.predict(x).to_bits());
-        }
-    }
-
-    #[test]
-    fn batch_is_bit_identical_to_scalar_loop(
-        seed in 0u64..(1u64 << 32),
-        num_trees in 1usize..6,
-    ) {
-        let counters = {
-            let mut rng = StdRng::seed_from_u64(seed);
-            CounterSet::from_values([
-                rng.gen_range(0.0..1e9),
-                rng.gen_range(0.0..100.0),
-                rng.gen_range(0.0..100.0),
-                rng.gen_range(0.0..1e6),
-                rng.gen_range(0.0..16.0),
-                rng.gen_range(0.0..10.0),
-                rng.gen_range(0.0..1e7),
-                rng.gen_range(0.0..1e7),
-            ])
-        };
-        let space = ConfigSpace::paper_campaign();
-        let xs: Vec<Vec<f64>> = space.iter().map(|cfg| encode_features(&counters, cfg)).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 2.0 * x[11] - x[13]).collect();
-        let forest = RandomForest::fit(&xs, &ys, &forest_params(num_trees, 6), seed);
-        let flat = FlatForest::from_forest(&forest);
-
-        let mut buf = FeatureBuffer::new();
-        buf.begin_snapshot(&counters);
-        for cfg in &space {
-            buf.push_config(cfg);
-        }
-        let batch = flat.predict_batch(buf.matrix());
-        prop_assert_eq!(batch.len(), space.len());
-        for (out, x) in batch.iter().zip(&xs) {
-            prop_assert_eq!(out.to_bits(), flat.predict(x).to_bits());
-            prop_assert_eq!(out.to_bits(), forest.predict(x).to_bits());
         }
     }
 

@@ -1,9 +1,9 @@
-//! Property tests for the flat-forest specialization cache: retraining
+//! Property tests for the forest predictor's value memo: retraining
 //! (through any `fit_with_threads` thread count) assembles a predictor
 //! with a strictly newer generation tag, and the thread-local
-//! specialization + per-snapshot value memos never serve state cached
-//! for an older predictor — batched predictions after a retrain are
-//! bit-identical to the fresh predictor's nested-forest reference.
+//! per-snapshot value memo never serves an estimate priced by an older
+//! predictor — predictions after a retrain are bit-identical to the
+//! fresh predictor's nested-forest reference.
 
 use gpm_hw::{ConfigSpace, HwConfig};
 use gpm_model::{
@@ -46,13 +46,13 @@ fn params() -> ForestParams {
 }
 
 /// Fits both forests at `threads` and assembles a predictor — the
-/// retraining path the cache must survive.
+/// retraining path the memo must survive.
 fn fit_predictor(seed: u64, threads: usize) -> RandomForestPredictor {
     let (xs, ys_time) = random_problem(seed, 60);
     let (_, ys_power) = random_problem(seed ^ 0xABCD, 60);
     let time = RandomForest::fit_with_threads(&xs, &ys_time, &params(), seed, threads);
     let power = RandomForest::fit_with_threads(&xs, &ys_power, &params(), seed ^ 1, threads);
-    RandomForestPredictor::from_forests(time, power)
+    RandomForestPredictor::from_forests(time, power).unwrap()
 }
 
 fn snapshot(seed: u64) -> KernelSnapshot {
@@ -81,11 +81,13 @@ fn reference_sweep(
         .collect()
 }
 
-fn batched_sweep(rf: &RandomForestPredictor, snap: &KernelSnapshot, cfgs: &[HwConfig]) -> Vec<u64> {
-    let mut out = Vec::new();
-    rf.predict_batch(snap, cfgs, &mut out);
-    out.iter()
-        .flat_map(|est| [est.time_s.to_bits(), est.gpu_power_w.to_bits()])
+/// The predictor's own estimates, walked or served by the memo.
+fn memo_sweep(rf: &RandomForestPredictor, snap: &KernelSnapshot, cfgs: &[HwConfig]) -> Vec<u64> {
+    cfgs.iter()
+        .flat_map(|&cfg| {
+            let est = rf.predict(snap, cfg);
+            [est.time_s.to_bits(), est.gpu_power_w.to_bits()]
+        })
         .collect()
 }
 
@@ -93,7 +95,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Generation tags are strictly monotone across retrains, whatever
-    /// thread count fitted the forests — so scratch state primed by an
+    /// thread count fitted the forests — so memo entries priced by an
     /// older predictor can never look current to a newer one.
     #[test]
     fn retraining_strictly_advances_the_generation(
@@ -103,23 +105,22 @@ proptest! {
     ) {
         let a = fit_predictor(seed, threads_a);
         let b = fit_predictor(seed ^ 0x5EED, threads_b);
-        prop_assert!(a.generation() > 0, "generation 0 is the empty-scratch sentinel");
+        prop_assert!(a.generation() > 0, "generation 0 is never handed out");
         prop_assert!(
             b.generation() > a.generation(),
             "retrain produced generation {} after {}",
             b.generation(),
             a.generation()
         );
-        // Clones share the fitted model and its cache identity.
+        // Clones share the fitted model and its memo identity.
         prop_assert_eq!(a.clone().generation(), a.generation());
     }
 
     /// The stale-serve property itself: prime the thread-local memo with
-    /// predictor A, retrain to B on the same thread, and batch-predict
-    /// the same snapshot/configs — every value must match B's nested
-    /// reference bit-for-bit (a stale `PrunedForest` or memo row from A would
-    /// leak A's values). Interleaving A afterwards must restore A's
-    /// values just as exactly.
+    /// predictor A, retrain to B on the same thread, and price the same
+    /// snapshot/configs — every value must match B's nested reference
+    /// bit-for-bit (a stale memo entry from A would leak A's values).
+    /// Interleaving A afterwards must restore A's values just as exactly.
     #[test]
     fn memo_primed_by_an_old_predictor_is_never_served_after_retrain(
         seed in 0u64..(1u64 << 32),
@@ -129,29 +130,29 @@ proptest! {
         let snap = snapshot(seed ^ 0xC0FFEE);
 
         let a = fit_predictor(seed, threads);
-        // Prime: specialize + fill the value memo for this exact
-        // (generation, prefix) on this thread, twice so the second call
-        // is a pure memo hit.
-        let a_first = batched_sweep(&a, &snap, &cfgs);
-        let a_memo = batched_sweep(&a, &snap, &cfgs);
+        // Prime: fill the value memo for this exact (generation,
+        // snapshot) on this thread, twice so the second sweep is pure
+        // memo hits.
+        let a_first = memo_sweep(&a, &snap, &cfgs);
+        let a_memo = memo_sweep(&a, &snap, &cfgs);
         prop_assert_eq!(&a_first, &a_memo, "A's memo hit diverged from its own fill");
 
         // Retrain. Same thread, same snapshot, same configs — only the
         // predictor (and its generation) changed.
         let b = fit_predictor(seed ^ 0xB00_57ED, threads);
-        let b_batched = batched_sweep(&b, &snap, &cfgs);
+        let b_memo = memo_sweep(&b, &snap, &cfgs);
         let b_reference = reference_sweep(&b, &snap, &cfgs);
-        prop_assert_eq!(&b_batched, &b_reference, "B served stale state primed by A");
-        prop_assert_ne!(&b_batched, &a_first, "distinct forests predicted identically");
+        prop_assert_eq!(&b_memo, &b_reference, "B served stale estimates primed by A");
+        prop_assert_ne!(&b_memo, &a_first, "distinct forests predicted identically");
 
-        // Swap back to A: its values must round-trip exactly, through
-        // re-specialization, not a stale B memo.
-        let a_again = batched_sweep(&a, &snap, &cfgs);
+        // Swap back to A: its values must round-trip exactly, from A's
+        // own memo slot, not B's.
+        let a_again = memo_sweep(&a, &snap, &cfgs);
         prop_assert_eq!(&a_again, &a_first, "A's values did not survive the B interleave");
     }
 
     /// `fit_with_threads` is bit-identical across thread counts, so the
-    /// cache property composes with parallel retraining: predictors
+    /// memo property composes with parallel retraining: predictors
     /// fitted at different thread counts from the same data predict
     /// identically (while still carrying distinct generations).
     #[test]
@@ -163,6 +164,6 @@ proptest! {
         let seq = fit_predictor(seed, 1);
         let par = fit_predictor(seed, 0);
         prop_assert!(par.generation() > seq.generation());
-        prop_assert_eq!(batched_sweep(&seq, &snap, &cfgs), batched_sweep(&par, &snap, &cfgs));
+        prop_assert_eq!(memo_sweep(&seq, &snap, &cfgs), memo_sweep(&par, &snap, &cfgs));
     }
 }

@@ -108,10 +108,12 @@ pub trait PowerPerfPredictor {
     /// estimates into `out` (cleared and refilled, index-aligned with
     /// `cfgs`; the allocation is reused across calls).
     ///
-    /// The default implementation loops [`predict`](Self::predict);
-    /// batched implementations (the Random-Forest engine) override it but
-    /// **must** return values bit-identical to the loop — optimizers treat
-    /// the two paths as interchangeable.
+    /// The default implementation loops [`predict`](Self::predict), and
+    /// every model in this workspace, the Random Forest included, uses
+    /// it; wrapping predictors override it only to pass the batch on to
+    /// the predictor they wrap. An override **must** return values
+    /// bit-identical to the loop — optimizers treat the two paths as
+    /// interchangeable.
     fn predict_batch(
         &self,
         snapshot: &KernelSnapshot,

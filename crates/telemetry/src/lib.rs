@@ -31,8 +31,8 @@
 //! # Wiring
 //!
 //! The harness's `ExecEnv::with_telemetry` installs a handle as replay
-//! middleware; deeper layers (forest fit, flat-forest specialization, the
-//! governors' searches) emit spans through the thread-current handle, so
+//! middleware; deeper layers (context build, forest fit, the governors'
+//! searches) emit spans through the thread-current handle, so
 //! instrumented library code needs no plumbing:
 //!
 //! ```
@@ -41,13 +41,13 @@
 //! let t = Telemetry::new();
 //! {
 //!     let _enter = t.enter();              // make `t` current on this thread
-//!     let _outer = span("search.hill_climb");
-//!     let _inner = span("flat.specialize"); // child of hill_climb
+//!     let _outer = span("xp.context_build");
+//!     let _inner = span("rf.fit");         // child of xp.context_build
 //! }
 //! t.counter("gpm_jobs_total").add(3);
 //! let snap = t.snapshot();
 //! assert_eq!(snap.counter("gpm_jobs_total"), Some(3));
-//! assert_eq!(snap.span("search.hill_climb").unwrap().count, 1);
+//! assert_eq!(snap.span("xp.context_build").unwrap().count, 1);
 //! assert!(snap.to_prometheus().contains("gpm_jobs_total 3"));
 //! ```
 //!

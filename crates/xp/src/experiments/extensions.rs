@@ -1,6 +1,6 @@
 //! Beyond-the-paper extension studies as registry run functions.
 
-use crate::artifact::{emit_artifact, emit_text};
+use crate::artifact::emit_text;
 use crate::experiment::{metric, ExperimentOutput, XpEnv};
 use crate::suite::{evaluate_suite_with, suite_average};
 use gpm_governors::EqualizerMode;
@@ -432,9 +432,9 @@ pub fn stability(env: &XpEnv) -> ExperimentOutput {
     )
 }
 
-/// Exports the measurement campaign as a replayable JSON table (with
-/// `schema_version` stamped) and a flat CSV. Fast mode exports the
-/// strided training space instead of the full 336-point campaign.
+/// Exports the measurement campaign as a flat CSV (with
+/// `schema_version` stamped). Fast mode exports the strided training
+/// space instead of the full 336-point campaign.
 pub fn export_campaign(env: &XpEnv) -> ExperimentOutput {
     let options = env.options();
     let sim = ApuSimulator::new(options.sim_params.clone());
@@ -450,9 +450,6 @@ pub fn export_campaign(env: &XpEnv) -> ExperimentOutput {
         space.len()
     );
     let replay = ReplayPlatform::record(&sim, &kernels, &space);
-    // The stamp is an extra root field; `ReplayPlatform::from_json`
-    // ignores unknown fields, so the export stays replayable.
-    emit_artifact("results/campaign.json", &replay);
 
     // The CSV lists the recorded measurements; the replay returns exactly
     // what the simulator measured, so nothing is evaluated twice.
@@ -483,11 +480,8 @@ pub fn export_campaign(env: &XpEnv) -> ExperimentOutput {
     emit_text("results/campaign.csv", &csv);
 
     let out = format!(
-        "exported {} measurements: results/campaign.json ({} KiB), results/campaign.csv ({} KiB)\n",
+        "exported {} measurements: results/campaign.csv ({} KiB)\n",
         replay.len(),
-        std::fs::metadata("results/campaign.json")
-            .map(|m| m.len() / 1024)
-            .unwrap_or(0),
         std::fs::metadata("results/campaign.csv")
             .map(|m| m.len() / 1024)
             .unwrap_or(0),

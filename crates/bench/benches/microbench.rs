@@ -8,7 +8,7 @@
 //! (Section IV-A1a's 19× / 65× search-cost arguments).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use gpm_governors::search::{exhaustive_best, hill_climb, EnergyEvaluator, EvalMemo};
+use gpm_governors::search::{exhaustive_best, hill_climb, EnergyEvaluator};
 use gpm_governors::to::ToSolver;
 use gpm_harness::{context, EvalOptions};
 use gpm_hw::{ConfigSpace, HwConfig};
@@ -109,8 +109,6 @@ fn bench_searches(c: &mut Criterion) {
     let eval = EnergyEvaluator::new(OraclePredictor::new(&sim), SimParams::noiseless());
     let cap = out.time_s * 1.1;
     let space = ConfigSpace::paper_campaign();
-    // Governors hoist one memo and hand it to every climb; so does the bench.
-    let mut memo = EvalMemo::new();
     c.bench_function("search/hill_climb", |b| {
         b.iter(|| {
             black_box(hill_climb(
@@ -118,7 +116,6 @@ fn bench_searches(c: &mut Criterion) {
                 black_box(&snap),
                 HwConfig::FAIL_SAFE,
                 cap,
-                &mut memo,
             ))
         })
     });
@@ -143,7 +140,6 @@ fn bench_searches(c: &mut Criterion) {
                 black_box(&snap),
                 HwConfig::FAIL_SAFE,
                 cap,
-                &mut memo,
             ))
         })
     });

@@ -15,18 +15,17 @@
 //!    performance tracker feeding back actual elapsed time/instructions.
 
 use crate::horizon::{HorizonGenerator, HorizonMode};
-use crate::optimizer::{optimize_window_exact, optimize_window_with};
+use crate::optimizer::{optimize_window, optimize_window_exact};
 use crate::search_order::{average_full_horizon, search_order, ProfiledKernel};
 use crate::stats::MpcStats;
 use gpm_faults::{no_faults, FaultInjector, FaultKey};
-use gpm_governors::search::{hill_climb, EnergyEvaluator, EvalMemo};
+use gpm_governors::search::{hill_climb, EnergyEvaluator};
 use gpm_governors::{Governor, GovernorDecision, KernelContext, OverheadModel, PerfTarget};
 use gpm_hw::HwConfig;
 use gpm_pattern::PatternExtractor;
 use gpm_sim::predictor::{KernelSnapshot, PowerPerfPredictor};
 use gpm_sim::{KernelCharacteristics, KernelOutcome, SimParams};
 use gpm_trace::{noop_sink, FailSafeReason, FaultChannelKind, TraceEvent, TraceSink};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Which window optimizer the governor runs each decision.
@@ -86,10 +85,10 @@ pub struct MpcGovernor<P> {
     stats: MpcStats,
     trace: Arc<dyn TraceSink>,
     faults: Arc<dyn FaultInjector>,
-    /// Hoisted hill-climb memo shared by every window position, horizon
-    /// step, and decision of this governor — one allocation for its
-    /// lifetime (each climb re-scopes it, so decisions are unaffected).
-    memo: EvalMemo,
+    /// The current decision's window: (position, expected snapshot)
+    /// pairs in ascending position order, refilled by each decision so
+    /// its allocation is reused.
+    window: Vec<(usize, KernelSnapshot)>,
 }
 
 impl<P: PowerPerfPredictor> MpcGovernor<P> {
@@ -110,7 +109,7 @@ impl<P: PowerPerfPredictor> MpcGovernor<P> {
             stats: MpcStats::new(),
             trace: noop_sink(),
             faults: no_faults(),
-            memo: EvalMemo::new(),
+            window: Vec::new(),
         }
     }
 
@@ -194,24 +193,26 @@ impl<P: PowerPerfPredictor> MpcGovernor<P> {
         let ids: Vec<usize> = (ctx.position..ctx.position + period)
             .map(|q| run[q - period])
             .collect();
-        let mut snapshots: BTreeMap<usize, KernelSnapshot> = BTreeMap::new();
+        let mut window = std::mem::take(&mut self.window);
+        window.clear();
         for (q, id) in (ctx.position..).zip(ids) {
             if let Some(snap) = self.window_snapshot(ctx.run_index, q, id) {
-                snapshots.insert(q, snap);
+                window.push((q, snap));
             }
         }
-        let order: Vec<usize> = snapshots.keys().copied().collect();
-        let plan = optimize_window_with(
+        // Visited in execution order.
+        let plan = optimize_window(
             &self.evaluator,
-            &snapshots,
-            &order,
+            &window,
+            &[],
             ctx.position,
             period,
             ctx.elapsed_gi,
             ctx.elapsed_kernel_s,
             &ctx.target,
-            &mut self.memo,
-        )?;
+        );
+        self.window = window;
+        let plan = plan?;
         let overhead_s = self.cfg.overhead.cost_s(plan.evaluations);
         self.t_ppk += overhead_s; // still first-invocation optimization cost
         self.pending_overhead_s = overhead_s;
@@ -254,7 +255,7 @@ impl<P: PowerPerfPredictor> MpcGovernor<P> {
     /// pattern's end).
     fn ppk_decision(&mut self, ctx: &KernelContext, charge_t_ppk: bool) -> GovernorDecision {
         self.stats.profiling_decisions += 1;
-        let Some(last) = self.last_snapshot.clone() else {
+        let Some(last) = self.last_snapshot.as_ref() else {
             return GovernorDecision::instant(HwConfig::FAIL_SAFE);
         };
         let cap = ctx
@@ -262,13 +263,7 @@ impl<P: PowerPerfPredictor> MpcGovernor<P> {
             .time_cap(ctx.elapsed_gi, ctx.elapsed_kernel_s, last.ginstructions);
         let (best, stats) = {
             let _span = gpm_telemetry::span("search.hill_climb");
-            hill_climb(
-                &self.evaluator,
-                &last,
-                HwConfig::FAIL_SAFE,
-                cap,
-                &mut self.memo,
-            )
+            hill_climb(&self.evaluator, last, HwConfig::FAIL_SAFE, cap)
         };
         let config = best.map(|b| b.config).unwrap_or(HwConfig::FAIL_SAFE);
         let overhead_s = self.cfg.overhead.cost_s(stats.evaluations);
@@ -341,12 +336,13 @@ impl<P: PowerPerfPredictor> MpcGovernor<P> {
         }
 
         let mut current_rejected = false;
-        let mut snapshots: BTreeMap<usize, KernelSnapshot> = BTreeMap::new();
+        let mut window = std::mem::take(&mut self.window);
+        window.clear();
         for p in ctx.position..ctx.position + h {
             if let Some(id) = self.extractor.expected(p) {
                 let before = self.stats.stale_rejections;
                 if let Some(snap) = self.window_snapshot(ctx.run_index, p, id) {
-                    snapshots.insert(p, snap);
+                    window.push((p, snap));
                 } else if p == ctx.position && self.stats.stale_rejections > before {
                     // The head kernel's own record was discarded; any
                     // resulting fail-safe is attributable to staleness.
@@ -354,28 +350,26 @@ impl<P: PowerPerfPredictor> MpcGovernor<P> {
                 }
             }
         }
-        let execution_order: Vec<usize>;
-        let search: &[usize] = if self.cfg.use_search_order {
-            self.search.as_deref().unwrap_or(&[])
-        } else {
-            execution_order = snapshots.keys().copied().collect();
-            &execution_order
-        };
         let plan = match self.cfg.solver {
-            WindowSolver::Greedy => optimize_window_with(
+            WindowSolver::Greedy => optimize_window(
                 &self.evaluator,
-                &snapshots,
-                search,
+                &window,
+                // Without the search order the window is visited in
+                // execution order.
+                if self.cfg.use_search_order {
+                    self.search.as_deref().unwrap_or(&[])
+                } else {
+                    &[]
+                },
                 ctx.position,
                 h,
                 ctx.elapsed_gi,
                 ctx.elapsed_kernel_s,
                 &ctx.target,
-                &mut self.memo,
             ),
             WindowSolver::ExactDp => optimize_window_exact(
                 &self.evaluator,
-                &snapshots,
+                &window,
                 &gpm_hw::ConfigSpace::paper_campaign(),
                 ctx.position,
                 h,
@@ -384,6 +378,7 @@ impl<P: PowerPerfPredictor> MpcGovernor<P> {
                 &ctx.target,
             ),
         };
+        self.window = window;
         let (config, evals, fail_safe, search, chosen) = match plan {
             Some(p) => (p.config, p.evaluations, p.fail_safe, p.search, p.chosen),
             None => (HwConfig::FAIL_SAFE, 0, true, Default::default(), None),

@@ -45,6 +45,6 @@ pub mod stats;
 
 pub use governor::{MpcConfig, MpcGovernor, WindowSolver};
 pub use horizon::{HorizonGenerator, HorizonMode};
-pub use optimizer::{optimize_window, optimize_window_exact, optimize_window_with, WindowPlan};
+pub use optimizer::{optimize_window, optimize_window_exact, WindowPlan};
 pub use search_order::{average_full_horizon, search_order, ProfiledKernel};
 pub use stats::MpcStats;

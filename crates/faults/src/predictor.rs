@@ -84,23 +84,6 @@ impl<P: PowerPerfPredictor> PowerPerfPredictor for FaultyPredictor<P> {
         self.spike(snapshot, cfg, est)
     }
 
-    /// Forwards to the inner predictor's batch, then spikes each row exactly
-    /// as [`predict`](PowerPerfPredictor::predict) would.
-    fn predict_batch(
-        &self,
-        snapshot: &KernelSnapshot,
-        cfgs: &[HwConfig],
-        out: &mut Vec<PowerPerfEstimate>,
-    ) {
-        self.inner.predict_batch(snapshot, cfgs, out);
-        if self.plan.predictor_spike.is_off() {
-            return;
-        }
-        for (est, &cfg) in out.iter_mut().zip(cfgs) {
-            *est = self.spike(snapshot, cfg, *est);
-        }
-    }
-
     fn name(&self) -> &str {
         self.inner.name()
     }
@@ -110,7 +93,6 @@ impl<P: PowerPerfPredictor> PowerPerfPredictor for FaultyPredictor<P> {
 mod tests {
     use super::*;
     use gpm_sim::{ApuSimulator, KernelCharacteristics, OraclePredictor};
-    use std::cell::Cell;
 
     fn snapshot() -> KernelSnapshot {
         let sim = ApuSimulator::noiseless();
@@ -146,44 +128,14 @@ mod tests {
         }
     }
 
-    /// Counts `predict_batch` calls so a test can see the wrapper forward
-    /// them.
-    struct CountingOracle {
-        inner: OraclePredictor,
-        batches: Cell<usize>,
-    }
-
-    impl PowerPerfPredictor for CountingOracle {
-        fn predict(&self, snapshot: &KernelSnapshot, cfg: HwConfig) -> PowerPerfEstimate {
-            self.inner.predict(snapshot, cfg)
-        }
-
-        fn predict_batch(
-            &self,
-            snapshot: &KernelSnapshot,
-            cfgs: &[HwConfig],
-            out: &mut Vec<PowerPerfEstimate>,
-        ) {
-            self.batches.set(self.batches.get() + 1);
-            self.inner.predict_batch(snapshot, cfgs, out);
-        }
-    }
-
     #[test]
     fn batch_is_bit_identical_to_the_scalar_loop() {
         let snap = snapshot();
         let cfgs: Vec<HwConfig> = gpm_hw::ConfigSpace::paper_campaign().iter().collect();
         for plan in [FaultPlan::zero(5), FaultPlan::uniform(9, 0.5)] {
-            let wrapped = FaultyPredictor::new(
-                CountingOracle {
-                    inner: oracle(),
-                    batches: Cell::new(0),
-                },
-                &plan,
-            );
+            let wrapped = FaultyPredictor::new(oracle(), &plan);
             let mut batch = Vec::new();
             wrapped.predict_batch(&snap, &cfgs, &mut batch);
-            assert_eq!(wrapped.inner().batches.get(), 1, "batch not forwarded");
             assert_eq!(batch.len(), cfgs.len());
             let mut nan = 0;
             for (est, &cfg) in batch.iter().zip(&cfgs) {

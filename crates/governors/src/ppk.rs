@@ -8,7 +8,7 @@
 //! throughput phase changes — the failure mode that motivates MPC.
 
 use crate::governor::{Governor, GovernorDecision, KernelContext, OverheadModel};
-use crate::search::{hill_climb, EnergyEvaluator, EvalMemo};
+use crate::search::{hill_climb, EnergyEvaluator};
 use gpm_hw::{ConfigSpace, HwConfig};
 use gpm_sim::predictor::{KernelSnapshot, PowerPerfPredictor};
 use gpm_sim::{KernelCharacteristics, KernelOutcome, SimParams};
@@ -33,10 +33,6 @@ pub struct PpkGovernor<P> {
     total_overhead_s: f64,
     total_evaluations: u64,
     trace: Arc<dyn TraceSink>,
-    /// Hoisted hill-climb memo: one allocation for the governor's
-    /// lifetime instead of one per decision (re-scoped per search, so
-    /// decisions are unaffected).
-    memo: EvalMemo,
 }
 
 impl<P: PowerPerfPredictor> PpkGovernor<P> {
@@ -61,7 +57,6 @@ impl<P: PowerPerfPredictor> PpkGovernor<P> {
             total_overhead_s: 0.0,
             total_evaluations: 0,
             trace: noop_sink(),
-            memo: EvalMemo::new(),
         }
     }
 
@@ -90,7 +85,7 @@ impl<P: PowerPerfPredictor> Governor for PpkGovernor<P> {
     }
 
     fn select(&mut self, ctx: &KernelContext) -> GovernorDecision {
-        let Some(last) = self.last.clone() else {
+        let Some(last) = self.last.as_ref() else {
             // No history yet: fail safe, no optimization charged.
             return GovernorDecision::instant(HwConfig::FAIL_SAFE);
         };
@@ -101,13 +96,7 @@ impl<P: PowerPerfPredictor> Governor for PpkGovernor<P> {
             .time_cap(ctx.elapsed_gi, ctx.elapsed_kernel_s, last.ginstructions);
         let (best, stats) = {
             let _span = gpm_telemetry::span("search.hill_climb");
-            hill_climb(
-                &self.evaluator,
-                &last,
-                HwConfig::FAIL_SAFE,
-                cap,
-                &mut self.memo,
-            )
+            hill_climb(&self.evaluator, last, HwConfig::FAIL_SAFE, cap)
         };
         let config = best.map(|b| b.config).unwrap_or(HwConfig::FAIL_SAFE);
         let overhead_s = self.overhead.cost_s(stats.evaluations);

@@ -176,6 +176,9 @@ thread_local! {
     /// Reused (candidates, estimates) buffers behind [`exhaustive_best`].
     static EXHAUSTIVE_SCRATCH: std::cell::RefCell<(Vec<HwConfig>, Vec<ConfigEstimate>)> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+    /// The per-thread [`hill_climb`] memo, allocated at a thread's first
+    /// climb and re-scoped by every climb after it.
+    static EVAL_MEMO: std::cell::RefCell<EvalMemo> = std::cell::RefCell::new(EvalMemo::new());
 }
 
 /// Exhaustively searches `space` for the minimum-energy configuration whose
@@ -210,26 +213,23 @@ pub fn exhaustive_best<P: PowerPerfPredictor>(
     })
 }
 
-/// Dense per-candidate memo backing [`hill_climb`]: one slot
-/// per point of the full [`HwConfig::DENSE_COUNT`] lattice, stamped with
-/// an epoch so a new search invalidates every entry in O(1) without
-/// releasing the allocation.
+/// Dense per-candidate memo backing [`hill_climb`]: one slot per point
+/// of the full [`HwConfig::DENSE_COUNT`] lattice, stamped with an epoch
+/// so a new search invalidates every entry in O(1) without releasing the
+/// allocation.
 ///
-/// Semantically the memo is scoped to **one search invocation** — entries
-/// never survive into the next search (each entry's epoch stamp sees to
-/// that), so reusing one memo across horizon steps or decisions changes
-/// nothing but allocation traffic. The seed implementation allocated a
-/// fresh `HashMap` per invocation; governors now hoist one `EvalMemo` and
-/// hand it to every climb.
-#[derive(Debug, Clone)]
-pub struct EvalMemo {
+/// Semantically the memo is scoped to **one search invocation**: each
+/// entry's epoch stamp keeps it from surviving into the next search, so
+/// the one memo per thread ([`EVAL_MEMO`]) changes nothing but allocation
+/// traffic.
+struct EvalMemo {
     epoch: u32,
     slots: Vec<(u32, ConfigEstimate)>,
 }
 
 impl EvalMemo {
     /// A memo with every slot vacant.
-    pub fn new() -> EvalMemo {
+    fn new() -> EvalMemo {
         let placeholder = ConfigEstimate {
             config: HwConfig::FAIL_SAFE,
             time_s: 0.0,
@@ -255,12 +255,6 @@ impl EvalMemo {
     }
 }
 
-impl Default for EvalMemo {
-    fn default() -> EvalMemo {
-        EvalMemo::new()
-    }
-}
-
 /// The paper's greedy hill-climbing optimizer (Section IV-A1a).
 ///
 /// Starting from `start` (normally the fail-safe configuration), the
@@ -275,22 +269,32 @@ impl Default for EvalMemo {
 /// evaluations — bounded by roughly `Σ|knob|` per the paper's
 /// 19×-cheaper-than-exhaustive claim — and where the walk spent them.
 ///
-/// `memo` only saves allocation: governors hoist one and hand it to every
-/// climb, one-off callers pass `&mut EvalMemo::new()`. It is re-scoped on
-/// entry, so results and evaluation counts never depend on what the memo
-/// saw before — `SearchStats::evaluations` counts exactly the cache
-/// misses of *this* invocation (the count the overhead model charges).
+/// Each candidate is priced at most once per climb, through a per-thread
+/// memo that every climb re-scopes on entry, so results and evaluation
+/// counts never depend on earlier climbs — `SearchStats::evaluations`
+/// counts exactly the cache misses of *this* invocation (the count the
+/// overhead model charges). A climb allocates nothing past its thread's
+/// first.
 pub fn hill_climb<P: PowerPerfPredictor>(
+    eval: &EnergyEvaluator<P>,
+    snapshot: &KernelSnapshot,
+    start: HwConfig,
+    time_cap_s: f64,
+) -> (Option<ConfigEstimate>, SearchStats) {
+    // Deliberately span-free: callers climb once per *window position*,
+    // several times per decision, and a guard here would dominate the
+    // climb itself. The `search.hill_climb` phase span lives at the
+    // per-decision call sites (window optimization, PPK selection).
+    EVAL_MEMO.with(|memo| climb(eval, snapshot, start, time_cap_s, &mut memo.borrow_mut()))
+}
+
+fn climb<P: PowerPerfPredictor>(
     eval: &EnergyEvaluator<P>,
     snapshot: &KernelSnapshot,
     start: HwConfig,
     time_cap_s: f64,
     memo: &mut EvalMemo,
 ) -> (Option<ConfigEstimate>, SearchStats) {
-    // Deliberately span-free: callers climb once per *window position*,
-    // several times per decision, and a guard here would dominate the
-    // climb itself. The `search.hill_climb` phase span lives at the
-    // per-decision call sites (window optimization, PPK selection).
     let mut evals = 0u64;
     let mut visits = KnobVisits::default();
     let mut pruned = 0u64;
@@ -324,27 +328,24 @@ pub fn hill_climb<P: PowerPerfPredictor>(
 
     // Energy sensitivity per knob: the larger of the energy deltas of a
     // one-step move in either direction.
-    let mut sensitivities: Vec<(Knob, f64)> = Knob::ALL
-        .iter()
-        .map(|&knob| {
-            let delta = [KnobDirection::Down, KnobDirection::Up]
-                .iter()
-                .filter_map(|&dir| knob.step(current.config, dir))
-                .map(|cfg| {
-                    visits.bump(knob);
-                    let est = estimate(cfg);
-                    if !est.is_plausible() {
-                        // An anomalous probe makes the knob look maximally
-                        // unattractive rather than steering the ordering.
-                        anomalies += 1;
-                        return f64::NEG_INFINITY;
-                    }
-                    current.energy_j - est.energy_j
-                })
-                .fold(f64::NEG_INFINITY, f64::max);
-            (knob, delta)
-        })
-        .collect();
+    let mut sensitivities: [(Knob, f64); 4] = Knob::ALL.map(|knob| {
+        let delta = [KnobDirection::Down, KnobDirection::Up]
+            .iter()
+            .filter_map(|&dir| knob.step(current.config, dir))
+            .map(|cfg| {
+                visits.bump(knob);
+                let est = estimate(cfg);
+                if !est.is_plausible() {
+                    // An anomalous probe makes the knob look maximally
+                    // unattractive rather than steering the ordering.
+                    anomalies += 1;
+                    return f64::NEG_INFINITY;
+                }
+                current.energy_j - est.energy_j
+            })
+            .fold(f64::NEG_INFINITY, f64::max);
+        (knob, delta)
+    });
     sensitivities.sort_by(|a, b| b.1.total_cmp(&a.1));
 
     for (knob, _) in sensitivities {
@@ -457,8 +458,7 @@ mod tests {
         let start = HwConfig::FAIL_SAFE;
         let start_est = eval.estimate(&snap, start);
         let cap = start_est.time_s * 1.3;
-        let mut memo = EvalMemo::new();
-        let (best, stats) = hill_climb(&eval, &snap, start, cap, &mut memo);
+        let (best, stats) = hill_climb(&eval, &snap, start, cap);
         let best = best.unwrap();
         assert!(best.energy_j <= start_est.energy_j);
         assert!(best.time_s <= cap);
@@ -476,10 +476,7 @@ mod tests {
         // Visits may revisit cached candidates, so they bound evaluations.
         assert!(stats.visits.total() + 1 >= stats.evaluations);
         // A repeat climb on the used memo reports the same search.
-        assert_eq!(
-            hill_climb(&eval, &snap, start, cap, &mut memo),
-            (Some(best), stats)
-        );
+        assert_eq!(hill_climb(&eval, &snap, start, cap), (Some(best), stats));
     }
 
     #[test]
@@ -490,13 +487,7 @@ mod tests {
         let (eval, snap) = setup(KernelCharacteristics::unscalable("us", 0.02));
         let space = ConfigSpace::full();
         let (exh, _) = exhaustive_best(&eval, &snap, &space, f64::INFINITY);
-        let (hc, _) = hill_climb(
-            &eval,
-            &snap,
-            HwConfig::FAIL_SAFE,
-            f64::INFINITY,
-            &mut EvalMemo::new(),
-        );
+        let (hc, _) = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, f64::INFINITY);
         let ratio = hc.unwrap().energy_j / exh.unwrap().energy_j;
         assert!(ratio < 1.25, "hill climb {ratio}× worse than exhaustive");
     }
@@ -504,13 +495,7 @@ mod tests {
     #[test]
     fn hill_climb_infeasible_start_returns_none() {
         let (eval, snap) = setup(KernelCharacteristics::compute_bound("cb", 20.0));
-        let (best, stats) = hill_climb(
-            &eval,
-            &snap,
-            HwConfig::FAIL_SAFE,
-            1e-12,
-            &mut EvalMemo::new(),
-        );
+        let (best, stats) = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, 1e-12);
         assert!(best.is_none());
         assert_eq!(stats.evaluations, 1);
         assert_eq!(stats.visits.total(), 0);
@@ -531,10 +516,10 @@ mod tests {
 
     #[test]
     fn memo_reuse_is_invisible_to_results_and_counts() {
-        // One memo reused across climbs with different snapshots, caps, and
-        // starts must reproduce the fresh-memo results and evaluation
-        // counts exactly — stale entries never leak across searches.
-        let mut memo = EvalMemo::new();
+        // The thread's one memo, reused across climbs with different
+        // snapshots, caps, and starts, must reproduce the results and
+        // evaluation counts of a climb on a fresh thread's fresh memo
+        // exactly — stale entries never leak across searches.
         for kernel in [
             KernelCharacteristics::unscalable("us", 0.02),
             KernelCharacteristics::memory_bound("mb", 1.0),
@@ -543,12 +528,9 @@ mod tests {
             let (eval, snap) = setup(kernel);
             for cap_scale in [1.1, 1.5, f64::INFINITY] {
                 let cap = eval.estimate(&snap, HwConfig::FAIL_SAFE).time_s * cap_scale;
-                let (fresh_best, fresh_stats) =
-                    hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, cap, &mut EvalMemo::new());
-                let (reused_best, reused_stats) =
-                    hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, cap, &mut memo);
-                assert_eq!(fresh_best, reused_best);
-                assert_eq!(fresh_stats, reused_stats);
+                let climb = || hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, cap);
+                let fresh = std::thread::scope(|s| s.spawn(climb).join().unwrap());
+                assert_eq!(climb(), fresh);
             }
         }
     }
@@ -556,16 +538,16 @@ mod tests {
     #[test]
     fn memo_epoch_overflow_resets_cleanly() {
         let (eval, snap) = setup(KernelCharacteristics::unscalable("us", 0.02));
-        let mut memo = EvalMemo::new();
-        memo.epoch = u32::MAX - 1;
         let cap = f64::INFINITY;
-        let (a, stats_a) = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, cap, &mut memo);
-        let (b, stats_b) = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, cap, &mut memo);
-        let (c, stats_c) = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, cap, &mut memo);
-        assert_eq!(a, b);
-        assert_eq!(b, c);
-        assert_eq!(stats_a, stats_b);
-        assert_eq!(stats_b, stats_c);
+        let first = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, cap);
+        EVAL_MEMO.with(|memo| memo.borrow_mut().epoch = u32::MAX - 1);
+        let a = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, cap);
+        let b = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, cap);
+        let c = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, cap);
+        assert_eq!(EVAL_MEMO.with(|memo| memo.borrow().epoch), 2);
+        assert_eq!(a, first);
+        assert_eq!(b, first);
+        assert_eq!(c, first);
     }
 
     /// Oracle that returns a corrupted estimate at one configuration.
@@ -605,13 +587,7 @@ mod tests {
     #[test]
     fn anomalous_start_estimate_fails_safe() {
         let (eval, snap) = poisoned_setup(HwConfig::FAIL_SAFE);
-        let (best, stats) = hill_climb(
-            &eval,
-            &snap,
-            HwConfig::FAIL_SAFE,
-            f64::INFINITY,
-            &mut EvalMemo::new(),
-        );
+        let (best, stats) = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, f64::INFINITY);
         assert!(best.is_none());
         assert_eq!(stats.anomalies, 1);
     }
@@ -623,13 +599,7 @@ mod tests {
         let mut poison = HwConfig::FAIL_SAFE;
         poison.nb = gpm_hw::NbState::Nb3;
         let (eval, snap) = poisoned_setup(poison);
-        let (best, stats) = hill_climb(
-            &eval,
-            &snap,
-            HwConfig::FAIL_SAFE,
-            f64::INFINITY,
-            &mut EvalMemo::new(),
-        );
+        let (best, stats) = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, f64::INFINITY);
         let best = best.expect("climb survives a poisoned candidate");
         assert!(best.is_plausible());
         assert_ne!(best.config, poison);

@@ -164,16 +164,6 @@ impl ExecEnv {
         let sim = &ctx.sim;
         let plan = self.fault_plan();
         let (baseline, target) = self.baseline(ctx, workload);
-        let space = ctx.campaign_space().clone();
-
-        let outcome = |profiling, measured, mpc_stats| SchemeOutcome {
-            label: scheme.label(),
-            baseline: baseline.clone(),
-            target,
-            profiling,
-            measured,
-            mpc_stats,
-        };
 
         // The standard two-invocation protocol: profile on run 0, measure
         // on run 1, with the environment's middleware installed once.
@@ -185,33 +175,33 @@ impl ExecEnv {
                 (profiling, measured)
             };
 
-        match scheme {
+        let (profiling, measured, mpc_stats) = match scheme {
             Scheme::TurboCore => {
                 let mut tc = TurboCore::new(sim.params().tdp_w);
                 self.install(&mut tc);
                 let measured = self.run(sim, workload, &mut tc, target, 0, false);
-                outcome(None, measured, None)
+                (None, measured, None)
             }
             Scheme::PpkOracle => {
                 let mut gov = PpkGovernor::new(
                     FaultyPredictor::new(OraclePredictor::new(sim), plan),
                     sim.params().clone(),
-                    space,
+                    ctx.campaign_space().clone(),
                     OverheadModel::free(),
                 )
                 .with_truth_snapshots(true);
                 let (profiling, measured) = profile_and_measure(&mut gov, true);
-                outcome(Some(profiling), measured, None)
+                (Some(profiling), measured, None)
             }
             Scheme::PpkRf => {
                 let mut gov = PpkGovernor::new(
                     FaultyPredictor::new(&ctx.rf, plan),
                     sim.params().clone(),
-                    space,
+                    ctx.campaign_space().clone(),
                     OverheadModel::default(),
                 );
                 let (profiling, measured) = profile_and_measure(&mut gov, false);
-                outcome(Some(profiling), measured, None)
+                (Some(profiling), measured, None)
             }
             Scheme::MpcRf { horizon } => {
                 let cfg = MpcConfig {
@@ -227,7 +217,7 @@ impl ExecEnv {
                 );
                 let (profiling, measured) = profile_and_measure(&mut gov, false);
                 let stats = gov.stats().clone();
-                outcome(Some(profiling), measured, Some(stats))
+                (Some(profiling), measured, Some(stats))
             }
             Scheme::MpcRfOverhead { horizon, overhead } => {
                 let cfg = MpcConfig {
@@ -243,7 +233,7 @@ impl ExecEnv {
                 );
                 let (profiling, measured) = profile_and_measure(&mut gov, false);
                 let stats = gov.stats().clone();
-                outcome(Some(profiling), measured, Some(stats))
+                (Some(profiling), measured, Some(stats))
             }
             Scheme::MpcRfIdealized => {
                 let cfg = MpcConfig {
@@ -259,7 +249,7 @@ impl ExecEnv {
                 );
                 let (profiling, measured) = profile_and_measure(&mut gov, false);
                 let stats = gov.stats().clone();
-                outcome(Some(profiling), measured, Some(stats))
+                (Some(profiling), measured, Some(stats))
             }
             Scheme::MpcOracle => {
                 let cfg = MpcConfig {
@@ -275,7 +265,7 @@ impl ExecEnv {
                 );
                 let (profiling, measured) = profile_and_measure(&mut gov, true);
                 let stats = gov.stats().clone();
-                outcome(Some(profiling), measured, Some(stats))
+                (Some(profiling), measured, Some(stats))
             }
             Scheme::MpcError { spec } => {
                 let cfg = MpcConfig {
@@ -292,21 +282,33 @@ impl ExecEnv {
                 );
                 let (profiling, measured) = profile_and_measure(&mut gov, true);
                 let stats = gov.stats().clone();
-                outcome(Some(profiling), measured, Some(stats))
+                (Some(profiling), measured, Some(stats))
             }
             Scheme::Equalizer { mode } => {
                 let mut gov = gpm_governors::Equalizer::new(mode);
                 let (profiling, measured) = profile_and_measure(&mut gov, false);
-                outcome(Some(profiling), measured, None)
+                (Some(profiling), measured, None)
             }
             Scheme::TheoreticallyOptimal => {
-                let to_plan =
-                    to::plan_optimal(sim, workload.kernels(), &space, target.total_time_s());
+                let to_plan = to::plan_optimal(
+                    sim,
+                    workload.kernels(),
+                    ctx.campaign_space(),
+                    target.total_time_s(),
+                );
                 let mut gov = PlannedGovernor::new("theoretically-optimal", to_plan.configs);
                 self.install(&mut gov);
                 let measured = self.run(sim, workload, &mut gov, target, 0, false);
-                outcome(None, measured, None)
+                (None, measured, None)
             }
+        };
+        SchemeOutcome {
+            label: scheme.label(),
+            baseline,
+            target,
+            profiling,
+            measured,
+            mpc_stats,
         }
     }
 }

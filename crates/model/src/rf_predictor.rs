@@ -119,7 +119,7 @@ impl Deserialize for RandomForestPredictor {
 thread_local! {
     /// Per-thread value memo, so `predict` stays `&self` and allocates
     /// nothing in steady state.
-    static MEMO: RefCell<ValueMemo> = RefCell::new(ValueMemo::default());
+    static MEMO: RefCell<ValueMemo> = const { RefCell::new(ValueMemo::EMPTY) };
 }
 
 /// Snapshots the per-thread value memo holds before it starts over. The
@@ -129,7 +129,7 @@ const MEMO_SNAPSHOTS: usize = 64;
 /// Everything a forest estimate depends on besides the configuration:
 /// the predictor's [`generation`](RandomForestPredictor::generation) and
 /// the exact bits of the snapshot's counters.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 struct SnapshotKey {
     generation: u64,
     counters: [u64; NUM_COUNTERS],
@@ -142,6 +142,29 @@ impl SnapshotKey {
             counters: counters.values().map(f64::to_bits),
         }
     }
+
+    /// A 64-bit digest of the key: equal keys have equal fingerprints, so
+    /// a slot whose fingerprint differs cannot hold the key. Each counter
+    /// is rotated by its own amount, so equal values in swapped places
+    /// still differ; the rotations are independent, so the digest costs a
+    /// few cycles. A collision only costs a full-key compare.
+    fn fingerprint(&self) -> u64 {
+        self.counters
+            .iter()
+            .zip(0u32..)
+            .fold(self.generation, |h, (&w, i)| h ^ w.rotate_left(7 * i + 1))
+    }
+
+    /// Exact equality as one xor-fold over the nine words, compiled to
+    /// straight-line loads instead of a `bcmp` call.
+    fn same(&self, other: &SnapshotKey) -> bool {
+        let diff = self
+            .counters
+            .iter()
+            .zip(&other.counters)
+            .fold(self.generation ^ other.generation, |d, (a, b)| d | (a ^ b));
+        diff == 0
+    }
 }
 
 /// Per-snapshot value memo: for a fixed (predictor, snapshot) pair the
@@ -150,15 +173,20 @@ impl SnapshotKey {
 /// snapshot while the snapshot stays memoized. It holds the post-clamp
 /// estimates `predict` returns.
 ///
+/// A lookup scans the slots' 8-byte fingerprints and confirms a match
+/// with one full-key compare, so a miss over 64 slots reads 512 bytes and
+/// compares no key.
+///
 /// Claiming a slot writes nothing but its key and a fresh claim stamp:
 /// an entry is valid only while it carries its slot's current stamp, so
 /// the estimates a slot held for an earlier snapshot go stale without a
 /// single store. Past each slot's first claim on a thread, only the
 /// entries actually priced are touched.
-#[derive(Default)]
 struct ValueMemo {
     /// The memoized snapshots, one slot each, at most [`MEMO_SNAPSHOTS`].
     keys: Vec<SnapshotKey>,
+    /// [`SnapshotKey::fingerprint`] of each slot, index-aligned with `keys`.
+    fingerprints: Vec<u64>,
     /// Claim stamp of each slot, index-aligned with `keys`.
     stamps: Vec<u32>,
     /// `MEMO_SNAPSHOTS * DENSE_COUNT` entries, slot-major by dense index,
@@ -190,23 +218,41 @@ impl MemoEntry {
 }
 
 impl ValueMemo {
-    /// The slot holding `key`'s estimates. An unknown key claims the next
-    /// slot with every estimate unpriced; when all slots are taken, or
-    /// the claim stamps run out, the memo is cleared wholesale first.
-    fn slot(&mut self, key: &SnapshotKey) -> usize {
-        if self.keys.get(self.last) == Some(key) {
-            return self.last;
+    /// A memo with no slot claimed and nothing allocated.
+    const EMPTY: ValueMemo = ValueMemo {
+        keys: Vec::new(),
+        fingerprints: Vec::new(),
+        stamps: Vec::new(),
+        entries: Vec::new(),
+        stamp: 0,
+        last: 0,
+    };
+
+    /// The slot holding `key`'s estimates, where `fingerprint` is
+    /// `key.fingerprint()`. An unknown key claims the next slot with
+    /// every estimate unpriced; when all slots are taken, or the claim
+    /// stamps run out, the memo is cleared wholesale first.
+    fn slot(&mut self, key: &SnapshotKey, fingerprint: u64) -> usize {
+        let last = self.last;
+        if self.fingerprints.get(last) == Some(&fingerprint) && self.keys[last].same(key) {
+            return last;
         }
-        self.last = match self.keys.iter().position(|k| k == key) {
+        self.last = match self
+            .fingerprints
+            .iter()
+            .zip(&self.keys)
+            .position(|(&f, k)| f == fingerprint && k.same(key))
+        {
             Some(slot) => slot,
-            None => self.claim(key),
+            None => self.claim(key, fingerprint),
         };
         self.last
     }
 
-    fn claim(&mut self, key: &SnapshotKey) -> usize {
+    fn claim(&mut self, key: &SnapshotKey, fingerprint: u64) -> usize {
         if self.keys.len() == MEMO_SNAPSHOTS || self.stamp == u32::MAX {
             self.keys.clear();
+            self.fingerprints.clear();
             self.stamps.clear();
         }
         if self.stamp == u32::MAX {
@@ -226,6 +272,7 @@ impl ValueMemo {
         }
         self.stamp += 1;
         self.keys.push(*key);
+        self.fingerprints.push(fingerprint);
         self.stamps.push(self.stamp);
         slot
     }
@@ -370,7 +417,8 @@ impl PowerPerfPredictor for RandomForestPredictor {
     fn predict(&self, snapshot: &KernelSnapshot, cfg: HwConfig) -> PowerPerfEstimate {
         MEMO.with(|memo| {
             let memo = &mut *memo.borrow_mut();
-            let slot = memo.slot(&SnapshotKey::new(self.generation, &snapshot.counters));
+            let key = SnapshotKey::new(self.generation, &snapshot.counters);
+            let slot = memo.slot(&key, key.fingerprint());
             if let Some(est) = memo.get(slot, cfg) {
                 return est;
             }
@@ -642,6 +690,10 @@ mod tests {
             generation: 1,
             counters: [i; NUM_COUNTERS],
         };
+        let lookup = |memo: &mut ValueMemo, i: u64| {
+            let key = key(i);
+            memo.slot(&key, key.fingerprint())
+        };
         let est = |i: u64| PowerPerfEstimate {
             time_s: i as f64,
             gpu_power_w: 1.0,
@@ -650,38 +702,83 @@ mod tests {
         for start_stamp in [0, u32::MAX - MEMO_SNAPSHOTS as u32] {
             let mut memo = ValueMemo {
                 stamp: start_stamp,
-                ..ValueMemo::default()
+                ..ValueMemo::EMPTY
             };
             for i in 0..MEMO_SNAPSHOTS as u64 {
-                let slot = memo.slot(&key(i));
+                let slot = lookup(&mut memo, i);
                 assert_eq!(slot, i as usize);
                 memo.set(slot, cfg, est(i));
             }
-            let slot = memo.slot(&key(0));
+            let slot = lookup(&mut memo, 0);
             assert_eq!(memo.get(slot, cfg), Some(est(0)));
             // Full (or out of stamps): a new snapshot clears the memo and
             // reclaims slot 0, whose entry still holds snapshot 0's
             // estimate under the old stamp.
-            let slot = memo.slot(&key(1000));
+            let slot = lookup(&mut memo, 1000);
             assert_eq!(slot, 0, "start stamp {start_stamp}");
             assert_eq!(memo.get(slot, cfg), None, "start stamp {start_stamp}");
             memo.set(slot, cfg, est(1000));
             // Snapshot 0 is forgotten too, and its new slot is unpriced.
-            let slot = memo.slot(&key(0));
+            let slot = lookup(&mut memo, 0);
             assert_eq!(slot, 1, "start stamp {start_stamp}");
             assert_eq!(memo.get(slot, cfg), None, "start stamp {start_stamp}");
-            let slot = memo.slot(&key(1000));
+            let slot = lookup(&mut memo, 1000);
             assert_eq!(memo.get(slot, cfg), Some(est(1000)));
         }
         // Stamps that run out start over at 1, the stamp slot 0's first
         // entries were written under: the wholesale clear must erase them.
-        let mut memo = ValueMemo::default();
-        let slot = memo.slot(&key(0));
+        let mut memo = ValueMemo::EMPTY;
+        let slot = lookup(&mut memo, 0);
         memo.set(slot, cfg, est(0));
         memo.stamp = u32::MAX;
-        let slot = memo.slot(&key(1000));
+        let slot = lookup(&mut memo, 1000);
         assert_eq!((slot, memo.stamp), (0, 1));
         assert_eq!(memo.get(slot, cfg), None);
+    }
+
+    #[test]
+    fn colliding_fingerprints_still_resolve_each_key_to_its_own_slot() {
+        // Every key is looked up under one shared fingerprint, so only the
+        // full-key compare tells them apart; the keys differ in a single
+        // word (one counter, or the generation alone), and there are more
+        // of them than the memo holds, so it clears wholesale twice.
+        const FINGERPRINT: u64 = 0x5EED;
+        let key = |i: usize| {
+            let mut counters = [3; NUM_COUNTERS];
+            let generation = if i.is_multiple_of(2) {
+                counters[i % NUM_COUNTERS] = 1000 + i as u64;
+                1
+            } else {
+                2000 + i as u64
+            };
+            SnapshotKey {
+                generation,
+                counters,
+            }
+        };
+        let est = |i: usize| PowerPerfEstimate {
+            time_s: i as f64,
+            gpu_power_w: 1.0,
+        };
+        let cfg = HwConfig::MAX_PERF;
+        let mut memo = ValueMemo::EMPTY;
+        for i in 0..2 * MEMO_SNAPSHOTS + 3 {
+            let slot = memo.slot(&key(i), FINGERPRINT);
+            assert_eq!(slot, i % MEMO_SNAPSHOTS, "key {i}");
+            assert_eq!(memo.get(slot, cfg), None, "key {i} found a priced slot");
+            memo.set(slot, cfg, est(i));
+            // Every key claimed since the last clear, looked up in either
+            // order, still resolves to its own slot and estimate.
+            let since_clear = i - i % MEMO_SNAPSHOTS..=i;
+            for j in since_clear.clone().chain(since_clear.rev()) {
+                let slot = memo.slot(&key(j), FINGERPRINT);
+                assert_eq!(slot, j % MEMO_SNAPSHOTS, "key {j} after claiming {i}");
+                assert_eq!(memo.get(slot, cfg), Some(est(j)), "key {j}");
+            }
+        }
+        // The real fingerprint separates keys that differ in one word.
+        assert_ne!(key(0).fingerprint(), key(2).fingerprint());
+        assert_ne!(key(1).fingerprint(), key(3).fingerprint());
     }
 
     #[test]

@@ -61,22 +61,34 @@ impl ApuSimulator {
     pub fn evaluate(&self, kernel: &KernelCharacteristics, cfg: HwConfig) -> KernelOutcome {
         let mut out = self.evaluate_exact(kernel, cfg);
         if self.params.noise_rel_std > 0.0 {
-            let (zt, zp) = self.noise_pair(kernel.name(), cfg);
+            let prefix = self.noise_prefix(kernel.name(), cfg);
+            let (zt, zp) = noise_pair(&prefix);
             let tf = noise_factor(zt, self.params.noise_rel_std);
             let pf = noise_factor(zp, self.params.noise_rel_std);
             out.time_s *= tf;
             out.power.gpu_dyn_w *= pf;
             out.energy = EnergyBreakdown::from_power(&out.power, out.time_s);
-            out.counters = self.noisy_counters(kernel.name(), cfg, out.counters);
+            out.counters = self.noisy_counters(&prefix, out.counters);
         }
         out
+    }
+
+    /// The hash of (noise seed, kernel name, configuration): the prefix
+    /// every noise draw of one measurement shares, hashed once.
+    fn noise_prefix(&self, kernel_name: &str, cfg: HwConfig) -> DefaultHasher {
+        let mut h = DefaultHasher::new();
+        self.params.noise_seed.hash(&mut h);
+        kernel_name.hash(&mut h);
+        cfg.dense_index().hash(&mut h);
+        h
     }
 
     /// Applies measurement noise to the *sampled* counters. Quantities the
     /// runtime knows exactly (`GlobalWorkSize`, `ScratchRegs`) stay exact;
     /// rate/percentage counters carry the same relative noise as other
-    /// measurements, with percentage counters clamped to [0, 100].
-    fn noisy_counters(&self, kernel_name: &str, cfg: HwConfig, counters: CounterSet) -> CounterSet {
+    /// measurements, with percentage counters clamped to [0, 100]. Counter
+    /// `i` draws from `prefix` extended by `i`.
+    fn noisy_counters(&self, prefix: &DefaultHasher, counters: CounterSet) -> CounterSet {
         const EXACT: [bool; 8] = [true, false, false, false, true, false, false, false];
         const PERCENT: [bool; 8] = [false, true, true, false, false, true, false, false];
         let mut values = *counters.values();
@@ -84,14 +96,12 @@ impl ApuSimulator {
             if EXACT[i] {
                 continue;
             }
-            let mut h = DefaultHasher::new();
-            self.params.noise_seed.hash(&mut h);
-            kernel_name.hash(&mut h);
-            cfg.dense_index().hash(&mut h);
+            let mut h = prefix.clone();
             i.hash(&mut h);
-            let (z, _) = box_muller(
-                splitmix_unit(h.finish().wrapping_add(11)),
-                splitmix_unit(h.finish().wrapping_add(13)),
+            let s = h.finish();
+            let z = box_muller_cos(
+                splitmix_unit(s.wrapping_add(11)),
+                splitmix_unit(s.wrapping_add(13)),
             );
             *v *= noise_factor(z, self.params.noise_rel_std);
             if PERCENT[i] {
@@ -136,19 +146,15 @@ impl ApuSimulator {
     pub fn within_tdp(&self, kernel: &KernelCharacteristics, cfg: HwConfig) -> bool {
         self.evaluate_exact(kernel, cfg).power.package_w() <= self.params.tdp_w
     }
+}
 
-    /// Two independent standard-normal draws, deterministic per
-    /// (seed, kernel, config).
-    fn noise_pair(&self, kernel_name: &str, cfg: HwConfig) -> (f64, f64) {
-        let mut h = DefaultHasher::new();
-        self.params.noise_seed.hash(&mut h);
-        kernel_name.hash(&mut h);
-        cfg.dense_index().hash(&mut h);
-        let s = h.finish();
-        let u1 = splitmix_unit(s.wrapping_add(1));
-        let u2 = splitmix_unit(s.wrapping_add(2));
-        box_muller(u1, u2)
-    }
+/// Two independent standard-normal draws, deterministic per
+/// (seed, kernel, config): the hash `prefix` of the three.
+fn noise_pair(prefix: &DefaultHasher) -> (f64, f64) {
+    let s = prefix.finish();
+    let u1 = splitmix_unit(s.wrapping_add(1));
+    let u2 = splitmix_unit(s.wrapping_add(2));
+    box_muller(u1, u2)
 }
 
 /// SplitMix64 step mapped to (0, 1).
@@ -166,6 +172,13 @@ fn box_muller(u1: f64, u2: f64) -> (f64, f64) {
     let r = (-2.0 * u1.ln()).sqrt();
     let theta = 2.0 * std::f64::consts::PI * u2;
     (r * theta.cos(), r * theta.sin())
+}
+
+/// The first normal of [`box_muller`] alone, computed the same way.
+fn box_muller_cos(u1: f64, u2: f64) -> f64 {
+    let r = (-2.0 * u1.ln()).sqrt();
+    let theta = 2.0 * std::f64::consts::PI * u2;
+    r * theta.cos()
 }
 
 /// Multiplicative noise factor `1 + σz`, clamped to [0.7, 1.3] so a noisy

@@ -109,11 +109,11 @@ pub trait PowerPerfPredictor {
     /// `cfgs`; the allocation is reused across calls).
     ///
     /// The default implementation loops [`predict`](Self::predict), and
-    /// every model in this workspace, the Random Forest included, uses
-    /// it; wrapping predictors override it only to pass the batch on to
-    /// the predictor they wrap. An override **must** return values
-    /// bit-identical to the loop — optimizers treat the two paths as
-    /// interchangeable.
+    /// every model and wrapper in this workspace, the Random Forest and
+    /// the fault injector's spiking wrapper included, uses it; only the
+    /// `&P` and `Box<P>` forwarding impls pass the batch on. An override
+    /// **must** return values bit-identical to the loop — optimizers
+    /// treat the two paths as interchangeable.
     fn predict_batch(
         &self,
         snapshot: &KernelSnapshot,

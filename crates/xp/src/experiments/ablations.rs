@@ -2,7 +2,7 @@
 
 use crate::experiment::{metric, ExperimentOutput, XpEnv};
 use crate::suite::evaluate_suite_with;
-use gpm_governors::search::{exhaustive_best, hill_climb, EnergyEvaluator, EvalMemo};
+use gpm_governors::search::{exhaustive_best, hill_climb, EnergyEvaluator};
 use gpm_governors::OverheadModel;
 use gpm_harness::metrics::{summarize, Comparison};
 use gpm_harness::report::{fmt, Table};
@@ -349,13 +349,12 @@ pub fn search_cost(env: &XpEnv) -> ExperimentOutput {
         }
     }
     let (mut red_sum, mut n) = (0.0, 0);
-    let mut memo = EvalMemo::new();
     for k in &kernels {
         let out = sim.evaluate_exact(k, HwConfig::FAIL_SAFE);
         let snap = KernelSnapshot::with_truth(out.counters, HwConfig::FAIL_SAFE, k.clone());
         let cap = out.time_s * 1.1;
         let (ex, ex_evals) = exhaustive_best(&eval, &snap, &space, cap);
-        let (hc, stats) = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, cap, &mut memo);
+        let (hc, stats) = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, cap);
         let hc_evals = stats.evaluations;
         let (Some(ex), Some(hc)) = (ex, hc) else {
             continue;

@@ -8,7 +8,7 @@
 //! `kernel` is one of `compute`, `memory`, `peak`, `unscalable`
 //! (default: `peak`).
 
-use gpm::governors::search::{exhaustive_best, hill_climb, EnergyEvaluator, EvalMemo};
+use gpm::governors::search::{exhaustive_best, hill_climb, EnergyEvaluator};
 use gpm::harness::report::{fmt, Table};
 use gpm::hw::{ConfigSpace, HwConfig};
 use gpm::sim::predictor::KernelSnapshot;
@@ -69,7 +69,7 @@ fn main() {
     let cap = out.time_s * 1.10;
 
     let (ex, ex_evals) = exhaustive_best(&eval, &snap, &space, cap);
-    let (hc, hc_stats) = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, cap, &mut EvalMemo::new());
+    let (hc, hc_stats) = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, cap);
     let hc_evals = hc_stats.evaluations;
     if let (Some(ex), Some(hc)) = (ex, hc) {
         println!("under a 10% time cap (vs fail-safe):");

@@ -1,6 +1,6 @@
 //! Property-based tests over cross-crate invariants.
 
-use gpm::governors::search::{exhaustive_best, hill_climb, EnergyEvaluator, EvalMemo};
+use gpm::governors::search::{exhaustive_best, hill_climb, EnergyEvaluator};
 use gpm::governors::to::{solve_brute, ToSolver};
 use gpm::governors::PerfTarget;
 use gpm::hw::{ConfigSpace, CpuPState, CuCount, GpuDpm, HwConfig, NbState};
@@ -97,7 +97,7 @@ proptest! {
         // exhaustive reference must cover the same space.
         let space = ConfigSpace::full();
         let (ex, _) = exhaustive_best(&eval, &snap, &space, cap);
-        let (hc, stats) = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, cap, &mut EvalMemo::new());
+        let (hc, stats) = hill_climb(&eval, &snap, HwConfig::FAIL_SAFE, cap);
         let ex = ex.expect("fail-safe is feasible so exhaustive must find something");
         let hc = hc.expect("hill climb starts feasible");
         prop_assert!(hc.time_s <= cap);

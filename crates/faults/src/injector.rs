@@ -3,7 +3,7 @@
 //! [`FaultPlan`] (the deterministic schedule).
 
 use crate::plan::FaultPlan;
-use crate::rng::{hash_words, mix64, signed_unit_f64, unit_f64};
+use crate::rng::{fold, mix64, signed_unit_f64, unit_f64};
 use gpm_hw::HwConfig;
 use gpm_sim::predictor::KernelSnapshot;
 use gpm_sim::{KernelOutcome, NUM_COUNTERS};
@@ -131,10 +131,10 @@ impl FaultPlan {
         if rate <= 0.0 {
             return None;
         }
-        let mut all = Vec::with_capacity(words.len() + 1);
-        all.push(tag);
-        all.extend_from_slice(words);
-        let h = hash_words(self.seed, &all);
+        // `hash_words(seed, &[tag, words..])`, folded in place.
+        let h = words
+            .iter()
+            .fold(fold(mix64(self.seed), tag), |h, &w| fold(h, w));
         (unit_f64(h) < rate).then(|| mix64(h))
     }
 }
@@ -271,6 +271,7 @@ impl FaultInjector for FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::hash_words;
     use gpm_sim::{ApuSimulator, KernelCharacteristics};
 
     fn outcome() -> KernelOutcome {
@@ -315,6 +316,39 @@ mod tests {
             for (x, y) in a.counters.values().iter().zip(b.counters.values()) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
+        }
+    }
+
+    #[test]
+    fn fire_hashes_the_tag_and_key_like_hash_words() {
+        // `fire` folds the tag and key in place; it must draw exactly what
+        // hashing the concatenated word list draws, or every fault
+        // schedule moves.
+        let mut state = 0x5EED_F1EEu64;
+        let mut next = || {
+            state = mix64(state);
+            state
+        };
+        for case in 0..2000 {
+            let plan = FaultPlan::zero(next());
+            let tag = if case % 2 == 0 {
+                [TAG_COUNTER, TAG_SPIKE, TAG_STALE, TAG_TRANSITION, TAG_TDP][case % 5]
+            } else {
+                next()
+            };
+            let words = [next(), next() % 64, next() % 4];
+            let key = &words[..2 + case % 2];
+            let mut all = vec![tag];
+            all.extend_from_slice(key);
+            let h = hash_words(plan.seed, &all);
+            // A rate of 1 always fires and hands out `mix64(h)`; `mix64`
+            // is a bijection, so equal substreams mean equal hashes.
+            assert_eq!(plan.fire(tag, 1.0, key), Some(mix64(h)), "case {case}");
+            assert_eq!(
+                plan.fire(tag, 0.5, key).is_some(),
+                unit_f64(h) < 0.5,
+                "case {case}"
+            );
         }
     }
 

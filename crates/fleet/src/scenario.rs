@@ -11,7 +11,7 @@
 use gpm_faults::FaultPlan;
 use gpm_harness::Scheme;
 use gpm_mpc::HorizonMode;
-use gpm_workloads::{generate_workload, suite, GeneratorParams, Workload};
+use gpm_workloads::{generate_workload, GeneratorParams, Workload, SUITE};
 use serde::{Deserialize, Serialize};
 
 /// Serializable scheme selector — the subset of [`Scheme`] that makes
@@ -159,8 +159,6 @@ impl FleetScenario {
     ///
     /// Deterministic per `(seed, shards, jobs_per_shard)`.
     pub fn mixed(seed: u64, shards: usize, jobs_per_shard: usize) -> FleetScenario {
-        let suite_workloads = suite();
-        let names: Vec<&str> = suite_workloads.iter().map(|w| w.name()).collect();
         let schemes = [
             SchemeSpec::MpcAdaptive,
             SchemeSpec::PpkRf,
@@ -177,7 +175,7 @@ impl FleetScenario {
                 let workload = if draw % 4 == 3 {
                     WorkloadSpec::Generated { seed: draw >> 2 }
                 } else {
-                    WorkloadSpec::Named(names[(draw as usize >> 2) % names.len()].to_string())
+                    WorkloadSpec::Named(SUITE[(draw as usize >> 2) % SUITE.len()].0.to_string())
                 };
                 let scheme = schemes[(draw as usize >> 32) % schemes.len()];
                 jobs.push(JobSpec { workload, scheme });

@@ -391,7 +391,6 @@ fn replay(
         result.energy.accumulate(&outcome.energy);
         result.per_kernel.push(KernelRun {
             position,
-            name: kernel.name().to_string(),
             config: executed,
             time_s: outcome.time_s,
             energy_j: outcome.energy.total_j(),

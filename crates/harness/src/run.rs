@@ -23,10 +23,9 @@ use serde::{Deserialize, Serialize};
 /// Per-invocation record within a [`RunResult`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelRun {
-    /// Position within the application.
+    /// Position within the application; the kernel is
+    /// `workload.kernels()[position]`.
     pub position: usize,
-    /// Kernel name.
-    pub name: String,
     /// Configuration the governor chose.
     pub config: HwConfig,
     /// Measured execution time, seconds.
@@ -178,7 +177,7 @@ mod tests {
         let mut gov = FixedGovernor::new(HwConfig::MAX_PERF);
         let res = ExecEnv::new().run(&sim, &w, &mut gov, PerfTarget::new(1.0, 1.0), 0, false);
         for k in &res.per_kernel {
-            assert!(k.throughput() > 0.0, "{} throughput", k.name);
+            assert!(k.throughput() > 0.0, "kernel {} throughput", k.position);
         }
     }
 }

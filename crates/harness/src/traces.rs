@@ -96,7 +96,7 @@ pub fn power_segments(
         }
         let out = sim.evaluate(kernel, run.config);
         segments.push(PowerSegment {
-            label: run.name.clone(),
+            label: kernel.name().to_string(),
             duration_s: run.time_s,
             power: out.power,
         });
@@ -184,6 +184,46 @@ mod tests {
             "sampled {measured} vs true {}",
             res.total_energy_j()
         );
+    }
+
+    #[test]
+    fn power_segments_carry_kernel_names_and_charged_overheads() {
+        use crate::env::ExecEnv;
+        use gpm_governors::{FixedGovernor, OverheadModel, PerfTarget, PpkGovernor};
+        use gpm_hw::ConfigSpace;
+        use gpm_sim::{OraclePredictor, SimParams};
+        let sim = ApuSimulator::noiseless();
+        // Every hybridsort invocation has a kernel name of its own.
+        let w = workload_by_name("hybridsort").unwrap();
+        let env = ExecEnv::new();
+        let mut fixed = FixedGovernor::new(HwConfig::FAIL_SAFE);
+        let base = env.run(&sim, &w, &mut fixed, PerfTarget::new(1.0, 1.0), 0, false);
+        let target = PerfTarget::new(base.ginstructions, base.kernel_time_s);
+        let mut ppk = PpkGovernor::new(
+            OraclePredictor::new(&sim),
+            SimParams::noiseless(),
+            ConfigSpace::paper_campaign(),
+            OverheadModel::default(),
+        )
+        .with_truth_snapshots(true);
+        let res = env.run(&sim, &w, &mut ppk, target, 0, true);
+        let charged = res.per_kernel.iter().filter(|k| k.overhead_s > 0.0).count();
+        assert!(charged > 0, "the optimizing run charged no overhead");
+
+        let segments = power_segments(&sim, &w, &res);
+        assert_eq!(segments.len(), w.len() + charged);
+        let mut rest = segments.iter();
+        for (kernel, run) in w.kernels().iter().zip(&res.per_kernel) {
+            if run.overhead_s > 0.0 {
+                let opt = rest.next().unwrap();
+                assert_eq!(opt.label, "mpc-optimizer");
+                assert_eq!(opt.duration_s, run.overhead_s);
+            }
+            let seg = rest.next().unwrap();
+            assert_eq!(seg.label, kernel.name(), "position {}", run.position);
+            assert_eq!(seg.duration_s, run.time_s);
+        }
+        assert!(rest.next().is_none());
     }
 
     #[test]

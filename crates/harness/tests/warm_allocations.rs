@@ -7,18 +7,22 @@
 //! little above the count per decision (profiling plus measured
 //! dispatches) measured when it was set:
 //!
-//! | scheme           | before | when set | bound |
-//! |------------------|--------|----------|-------|
-//! | MPC(RF,adaptive) | 7.16   | 3.54     | 3.7   |
-//! | PPK(RF)          | 2.85   | 1.99     | 2.1   |
-//! | TurboCore        | 3.91   | 2.42     | 2.5   |
+//! | scheme           | before | earlier | when set | bound |
+//! |------------------|--------|---------|----------|-------|
+//! | MPC(RF,adaptive) | 7.16   | 3.54    | 2.04     | 2.15  |
+//! | PPK(RF)          | 2.85   | 1.99    | 0.49     | 0.55  |
+//! | TurboCore        | 3.91   | 2.42    | 0.42     | 0.5   |
 //!
 //! "Before" is the same pass when each MPC decision built two
 //! `BTreeMap`s and four `Vec`s for its window, each hill climb collected
 //! its knob sensitivities into a `Vec`, each governor owned a 27 KB climb
 //! memo, and each evaluation cloned the configuration space and the
-//! baseline run. What remains per decision is mostly the replay's own
-//! record of the dispatch (its kernel name) and the MPC plan's window.
+//! baseline run. "Earlier" is the pass when each dispatch's record still
+//! carried its kernel name as a fresh `String`, copied again by every
+//! clone of the cached baseline. What remains is a few allocations per
+//! evaluation (the label strings and per-kernel vectors of the measured
+//! run and of the baseline clone, and the governor itself) and, per MPC
+//! decision, the plan's window.
 
 use gpm_harness::{EvalContext, EvalOptions, ExecEnv, Scheme};
 use gpm_mpc::HorizonMode;
@@ -85,10 +89,10 @@ fn a_warm_suite_pass_stays_within_its_allocation_budget() {
             Scheme::MpcRf {
                 horizon: HorizonMode::Adaptive { alpha: 0.05 },
             },
-            3.7,
+            2.15,
         ),
-        (Scheme::PpkRf, 2.1),
-        (Scheme::TurboCore, 2.5),
+        (Scheme::PpkRf, 0.55),
+        (Scheme::TurboCore, 0.5),
     ];
     // Warm up: baselines cached, per-thread memos allocated.
     for (scheme, _) in schemes {

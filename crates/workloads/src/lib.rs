@@ -37,7 +37,7 @@ pub mod workload;
 pub use extended::extended_suite;
 pub use generator::{generate_population, generate_workload, GeneratorParams};
 pub use microkernels::{astar, max_flops, read_global_memory_coalesced, write_candidates};
-pub use suite::{suite, workload_by_name};
+pub use suite::{suite, workload_by_name, SUITE};
 pub use workload::{Category, Workload};
 
 /// Re-export: the kernel description type workloads are built from.

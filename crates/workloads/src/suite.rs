@@ -398,30 +398,40 @@ pub fn hybridsort() -> Workload {
     .with_suite("Rodinia")
 }
 
+/// Builds one benchmark of [`SUITE`].
+pub type Constructor = fn() -> Workload;
+
+/// Table IV: each benchmark's name and constructor, in the order of the
+/// paper's figures. A lookup builds only the workload it names.
+pub const SUITE: [(&str, Constructor); 15] = [
+    ("mandelbulbGPU", mandelbulb_gpu),
+    ("NBody", nbody),
+    ("lbm", lbm),
+    ("EigenValue", eigenvalue),
+    ("XSBench", xsbench),
+    ("Spmv", spmv),
+    ("kmeans", kmeans),
+    ("swat", swat),
+    ("color", color),
+    ("pb-bfs", pb_bfs),
+    ("mis", mis),
+    ("srad", srad),
+    ("lulesh", lulesh),
+    ("lud", lud),
+    ("hybridsort", hybridsort),
+];
+
 /// The full 15-benchmark suite, in the order of the paper's figures.
 pub fn suite() -> Vec<Workload> {
-    vec![
-        mandelbulb_gpu(),
-        nbody(),
-        lbm(),
-        eigenvalue(),
-        xsbench(),
-        spmv(),
-        kmeans(),
-        swat(),
-        color(),
-        pb_bfs(),
-        mis(),
-        srad(),
-        lulesh(),
-        lud(),
-        hybridsort(),
-    ]
+    SUITE.iter().map(|(_, build)| build()).collect()
 }
 
-/// Looks a workload up by its Table IV name.
+/// Looks a workload up by its Table IV name (case-sensitive).
 pub fn workload_by_name(name: &str) -> Option<Workload> {
-    suite().into_iter().find(|w| w.name() == name)
+    SUITE
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, build)| build())
 }
 
 #[cfg(test)]
@@ -540,6 +550,43 @@ mod tests {
 
     #[test]
     fn unknown_name_is_none() {
-        assert!(workload_by_name("nope").is_none());
+        for name in ["nope", "", "spmv", "SPMV", "Kmeans", "pb_bfs", "Spmv "] {
+            assert!(workload_by_name(name).is_none(), "{name:?}");
+        }
+    }
+
+    #[test]
+    fn every_table_name_resolves_to_its_suite_member() {
+        let all = suite();
+        for ((name, _), member) in SUITE.iter().zip(&all) {
+            assert_eq!(member.name(), *name, "table key and built name differ");
+            assert_eq!(workload_by_name(name).as_ref(), Some(member), "{name}");
+        }
+    }
+
+    #[test]
+    fn suite_order_is_pinned() {
+        let all = suite();
+        let names: Vec<&str> = all.iter().map(|w| w.name()).collect();
+        assert_eq!(
+            names,
+            [
+                "mandelbulbGPU",
+                "NBody",
+                "lbm",
+                "EigenValue",
+                "XSBench",
+                "Spmv",
+                "kmeans",
+                "swat",
+                "color",
+                "pb-bfs",
+                "mis",
+                "srad",
+                "lulesh",
+                "lud",
+                "hybridsort",
+            ]
+        );
     }
 }

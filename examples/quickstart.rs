@@ -68,7 +68,7 @@ fn main() {
         println!(
             "  kernel {:>2} {:<16} -> {} ({:.1} ms)",
             k.position,
-            k.name,
+            workload.kernels()[k.position].name(),
             k.config,
             k.time_s * 1e3
         );

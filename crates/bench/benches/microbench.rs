@@ -33,7 +33,7 @@ fn bench_rf_predict(c: &mut Criterion) {
         KernelCharacteristics::memory_bound("b", 1.5),
     ];
     let space = context::training_space(4);
-    let ds = Dataset::from_campaign(&sim, &kernels, &space, HwConfig::FAIL_SAFE);
+    let ds = Dataset::from_campaign(&sim, &kernels, &space, HwConfig::FAIL_SAFE, 1);
     let rf = RandomForestPredictor::train(&ds, &ForestParams::default(), 7);
     let out = sim.evaluate(&kernels[0], HwConfig::FAIL_SAFE);
     let snap = KernelSnapshot::counters_only(out.counters, HwConfig::FAIL_SAFE, 1.0);
@@ -73,6 +73,7 @@ fn training_split(options: &EvalOptions) -> Dataset {
         &context::training_kernels(),
         &context::training_space(options.train_config_stride),
         HwConfig::FAIL_SAFE,
+        1,
     );
     ds.split(options.test_fraction, options.seed).0
 }
@@ -130,7 +131,7 @@ fn bench_searches(c: &mut Criterion) {
         KernelCharacteristics::memory_bound("b", 1.5),
     ];
     let campaign = context::training_space(4);
-    let ds = Dataset::from_campaign(&sim, &kernels, &campaign, HwConfig::FAIL_SAFE);
+    let ds = Dataset::from_campaign(&sim, &kernels, &campaign, HwConfig::FAIL_SAFE, 1);
     let rf = RandomForestPredictor::train(&ds, &ForestParams::default(), 7);
     let rf_eval = EnergyEvaluator::new(rf, SimParams::noiseless());
     c.bench_function("search/hill_climb_rf", |b| {

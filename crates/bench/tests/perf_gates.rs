@@ -247,6 +247,7 @@ fn forest_fit_is_thread_invariant_and_fully_profiled() {
         &kernels,
         &context::training_space(2),
         HwConfig::FAIL_SAFE,
+        1,
     );
     let (xs, ys) = (ds.xs(), ds.ys_log_time());
 

@@ -2,22 +2,20 @@
 //!
 //! The paper's campaign measured every benchmark kernel at 336 hardware
 //! configurations. On the simulator this is embarrassingly parallel:
-//! kernels are partitioned across worker threads (crossbeam scoped
-//! threads), each runs its share of the campaign, and results merge into
-//! one [`Dataset`]. Sample order is normalized afterwards so the parallel
-//! campaign is bit-identical to the sequential one.
+//! [`Dataset::from_campaign`] partitions the kernels across scoped worker
+//! threads, each measuring its share into its own block of the dataset,
+//! so the parallel campaign is bit-identical to the sequential one.
 
 use gpm_hw::{ConfigSpace, HwConfig};
-use gpm_model::{Dataset, Sample};
+use gpm_model::Dataset;
 use gpm_sim::{ApuSimulator, KernelCharacteristics};
-use parking_lot::Mutex;
 
 /// Runs the measurement campaign for `kernels` over `space` using
-/// `threads` workers, profiling counters at `profile_cfg`.
+/// `threads` workers, profiling counters at `profile_cfg`, under one
+/// `campaign` telemetry span.
 ///
-/// Produces exactly the same dataset as
-/// [`Dataset::from_campaign`] (kernel-major, configuration-minor order),
-/// verified by tests.
+/// Produces exactly the same dataset for every `threads` value
+/// (kernel-major, configuration-minor order), verified by tests.
 ///
 /// # Panics
 ///
@@ -29,27 +27,8 @@ pub fn parallel_campaign(
     profile_cfg: HwConfig,
     threads: usize,
 ) -> Dataset {
-    assert!(threads > 0, "at least one worker thread is required");
-    let results: Mutex<Vec<(usize, Vec<Sample>)>> = Mutex::new(Vec::with_capacity(threads));
-
-    crossbeam::scope(|scope| {
-        for (worker, chunk) in kernels
-            .chunks(kernels.len().div_ceil(threads).max(1))
-            .enumerate()
-        {
-            let results = &results;
-            scope.spawn(move |_| {
-                let part = Dataset::from_campaign(sim, chunk, space, profile_cfg);
-                results.lock().push((worker, part.samples().to_vec()));
-            });
-        }
-    })
-    .expect("campaign worker panicked");
-
-    let mut parts = results.into_inner();
-    parts.sort_by_key(|(worker, _)| *worker);
-    let samples: Vec<Sample> = parts.into_iter().flat_map(|(_, s)| s).collect();
-    Dataset::from_samples(samples)
+    let _span = gpm_telemetry::span("campaign");
+    Dataset::from_campaign(sim, kernels, space, profile_cfg, threads)
 }
 
 /// [`parallel_campaign`] sized to the host: worker count defaults to
@@ -85,11 +64,11 @@ mod tests {
         let sim = ApuSimulator::default();
         let ks = kernels();
         let space = ConfigSpace::nb_cu_sweep(CpuPState::P5, GpuDpm::Dpm4);
-        let seq = Dataset::from_campaign(&sim, &ks, &space, HwConfig::FAIL_SAFE);
+        let seq = Dataset::from_campaign(&sim, &ks, &space, HwConfig::FAIL_SAFE, 1);
         for threads in [1, 2, 3, 8] {
             let par = parallel_campaign(&sim, &ks, &space, HwConfig::FAIL_SAFE, threads);
             assert_eq!(par.len(), seq.len(), "threads = {threads}");
-            assert_eq!(par.samples(), seq.samples(), "threads = {threads}");
+            assert!(par.same_bits(&seq), "threads = {threads}");
         }
     }
 
@@ -107,9 +86,9 @@ mod tests {
         let sim = ApuSimulator::default();
         let ks = kernels();
         let space = ConfigSpace::nb_cu_sweep(CpuPState::P5, GpuDpm::Dpm4);
-        let seq = Dataset::from_campaign(&sim, &ks, &space, HwConfig::FAIL_SAFE);
+        let seq = Dataset::from_campaign(&sim, &ks, &space, HwConfig::FAIL_SAFE, 1);
         let auto = parallel_campaign_auto(&sim, &ks, &space, HwConfig::FAIL_SAFE);
-        assert_eq!(auto.samples(), seq.samples());
+        assert!(auto.same_bits(&seq));
     }
 
     #[test]

@@ -286,7 +286,7 @@ fn replay(
             sink.record(&TraceEvent::Dispatch {
                 run_index,
                 position,
-                kernel: kernel.name().to_string(),
+                kernel: Arc::clone(kernel.shared_name()),
             });
         }
         let decision = governor.select(&ctx);

@@ -6,8 +6,9 @@
 //! seed equal to the default — and a [`ForestCache`] makes each distinct
 //! fit happen once.
 //!
-//! The key is the exact training input: the dataset compared bit for bit
-//! (`f64::to_bits`, so `-0.0` and `0.0` differ and NaN matches itself),
+//! The key is the exact training input: the dataset compared column by
+//! column, bit for bit ([`Dataset::same_bits`], so `-0.0` and `0.0`
+//! differ and NaN matches itself),
 //! the forest parameters, the test fraction and the seed. Keying on the
 //! dataset rather than on the options that produced it leaves no list of
 //! campaign-relevant fields to keep in sync.
@@ -16,7 +17,7 @@
 //! creates one per run and drops it at the end, so separate runs (and
 //! separately timed context builds) never share fits.
 
-use gpm_model::{Dataset, ForestParams, RandomForestPredictor, Sample, TrainReport};
+use gpm_model::{Dataset, ForestParams, RandomForestPredictor, TrainReport};
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -43,28 +44,8 @@ impl Slot {
             && self.forest.num_trees == forest.num_trees
             && self.forest.tree == forest.tree
             && self.forest.bootstrap_fraction.to_bits() == forest.bootstrap_fraction.to_bits()
-            && same_bits(&self.dataset, dataset)
+            && self.dataset.same_bits(dataset)
     }
-}
-
-/// Whether two datasets are identical sample by sample, every float
-/// compared by its bit pattern.
-fn same_bits(a: &Dataset, b: &Dataset) -> bool {
-    let same_sample = |x: &Sample, y: &Sample| {
-        x.time_s.to_bits() == y.time_s.to_bits()
-            && x.gpu_power_w.to_bits() == y.gpu_power_w.to_bits()
-            && x.kernel == y.kernel
-            && x.features.len() == y.features.len()
-            && x.features
-                .iter()
-                .zip(&y.features)
-                .all(|(p, q)| p.to_bits() == q.to_bits())
-    };
-    a.len() == b.len()
-        && a.samples()
-            .iter()
-            .zip(b.samples())
-            .all(|(x, y)| same_sample(x, y))
 }
 
 /// Forests fitted by [`RandomForestPredictor::train_and_evaluate`],
@@ -95,7 +76,8 @@ impl ForestCache {
 
     /// The result of `RandomForestPredictor::train_and_evaluate(&dataset,
     /// forest, test_fraction, seed)`, fitted on the first request for
-    /// these exact inputs and cloned from the cache afterwards. On a miss
+    /// these exact inputs and cloned from the cache afterwards (a clone
+    /// shares the fitted forests; it copies none). On a miss
     /// the dataset becomes part of the key, so it is taken by value.
     pub fn fit(
         &self,

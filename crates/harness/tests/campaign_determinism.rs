@@ -9,11 +9,12 @@ use gpm_hw::HwConfig;
 use gpm_model::Dataset;
 use gpm_sim::ApuSimulator;
 
-/// Serialized bytes of every sample, in dataset order. Comparing the
+/// Serialized bytes of the whole dataset: its feature matrix, targets,
+/// kernel-id column and kernel table, in dataset order. Comparing the
 /// encoded form (rather than `PartialEq` on floats) pins the exact bit
 /// patterns every forest is fitted to.
 fn campaign_bytes(ds: &Dataset) -> String {
-    serde_json::to_string(&ds.samples().to_vec()).expect("samples serialize")
+    serde_json::to_string(ds).expect("datasets serialize")
 }
 
 #[test]
@@ -22,7 +23,7 @@ fn campaign_is_byte_identical_across_thread_counts() {
     let kernels = training_kernels();
     let space = training_space(3);
 
-    let sequential = Dataset::from_campaign(&sim, &kernels, &space, HwConfig::FAIL_SAFE);
+    let sequential = Dataset::from_campaign(&sim, &kernels, &space, HwConfig::FAIL_SAFE, 1);
     let expected = campaign_bytes(&sequential);
 
     for threads in [1usize, 2] {

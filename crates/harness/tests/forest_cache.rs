@@ -7,7 +7,9 @@
 
 use gpm_harness::{EvalContext, EvalOptions, ForestCache};
 use gpm_hw::{ConfigSpace, CpuPState, GpuDpm, HwConfig};
-use gpm_model::{Dataset, ForestParams, RandomForest, RandomForestPredictor, TreeParams};
+use gpm_model::{
+    Dataset, ForestParams, RandomForest, RandomForestPredictor, TreeParams, NUM_FEATURES,
+};
 use gpm_sim::{ApuSimulator, KernelCharacteristics, SimParams};
 use gpm_telemetry::Telemetry;
 use std::sync::Barrier;
@@ -65,6 +67,7 @@ fn small_dataset() -> Dataset {
         &kernels,
         &space,
         HwConfig::FAIL_SAFE,
+        1,
     )
 }
 
@@ -142,11 +145,28 @@ fn every_part_of_the_key_separates_fits() {
 
 #[test]
 fn a_dataset_differing_only_in_the_sign_of_zero_misses() {
-    let mut samples = small_dataset().samples().to_vec();
-    samples[0].features[0] = 0.0;
-    let positive = Dataset::from_samples(samples.clone());
-    samples[0].features[0] = -0.0;
-    let negative = Dataset::from_samples(samples);
+    // Two copies of one campaign whose first feature value is `0.0` in
+    // one and `-0.0` in the other.
+    let source = small_dataset();
+    let with_first_feature = |value: f64| {
+        let mut ds = Dataset::default();
+        for i in 0..source.len() {
+            let mut row = [0.0; NUM_FEATURES];
+            row.copy_from_slice(source.row(i));
+            if i == 0 {
+                row[0] = value;
+            }
+            ds.push(
+                &row,
+                source.time_s()[i],
+                source.gpu_power_w()[i],
+                source.kernel(i),
+            );
+        }
+        ds
+    };
+    let positive = with_first_feature(0.0);
+    let negative = with_first_feature(-0.0);
     // `PartialEq` cannot tell them apart; the cache must.
     assert_eq!(positive, negative);
 

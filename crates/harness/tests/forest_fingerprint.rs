@@ -35,6 +35,7 @@ fn fingerprint(options: &EvalOptions) -> Fingerprint {
         &training_kernels(),
         &training_space(options.train_config_stride),
         HwConfig::FAIL_SAFE,
+        1,
     );
     let (rf, report) = RandomForestPredictor::train_and_evaluate(
         &dataset,

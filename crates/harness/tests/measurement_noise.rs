@@ -7,8 +7,11 @@
 //! time/power pair and every sampled counter each hashing (noise seed,
 //! kernel name, configuration) from scratch, and each counter taking the
 //! first normal of a full Box–Muller pair.
+//!
+//! The campaign reads only the time/power half of a measurement; it must
+//! report what the full `evaluate` does.
 
-use gpm_harness::training_kernels;
+use gpm_harness::{training_kernels, training_space};
 use gpm_hw::HwConfig;
 use gpm_sim::{ApuSimulator, EnergyBreakdown, KernelCharacteristics, KernelOutcome};
 use gpm_workloads::extended_suite;
@@ -124,4 +127,27 @@ fn noise_matches_the_per_draw_hashing_formula_on_every_kernel_and_config() {
     }
     assert_eq!(pairs, kernels.len() * HwConfig::DENSE_COUNT);
     assert!(kernels.len() > training, "no extended kernel was added");
+}
+
+#[test]
+fn the_time_power_half_is_bit_identical_to_evaluate() {
+    let kernels = training_kernels();
+    let space = training_space(1);
+    for (what, sim) in [
+        ("default", ApuSimulator::default()),
+        ("noiseless", ApuSimulator::noiseless()),
+    ] {
+        for k in &kernels {
+            for cfg in &space {
+                let full = sim.evaluate(k, cfg);
+                let half = sim.measure_time_power(k, cfg);
+                assert_eq!(
+                    (half.time_s.to_bits(), half.gpu_power_w.to_bits()),
+                    (full.time_s.to_bits(), full.power.gpu_domain_w().to_bits()),
+                    "{what}: {} at {cfg}",
+                    k.name()
+                );
+            }
+        }
+    }
 }

@@ -88,7 +88,7 @@ impl RandomForest {
     ) -> RandomForest {
         assert!(!xs.is_empty(), "cannot fit a forest to zero samples");
         assert_eq!(xs.len(), ys.len(), "xs and ys must have equal length");
-        let columns = RankedColumns::from_rows(xs.iter().map(Vec::as_slice));
+        let columns = RankedColumns::from_rows(xs);
         RandomForest::fit_ranked(&columns, ys, params, seed, threads)
     }
 
@@ -365,6 +365,7 @@ mod tests {
             &kernels,
             &space,
             HwConfig::FAIL_SAFE,
+            1,
         );
         let seed = 0xA10_7850;
         let (train, _) = dataset.split(0.15, seed);
@@ -388,7 +389,7 @@ mod tests {
         assert_matches_oracle(&xs, &train.ys_log_time(), &params, seed, rf.time_forest());
         assert_matches_oracle(
             &xs,
-            &train.ys_power(),
+            train.gpu_power_w(),
             &params,
             seed.wrapping_add(1),
             rf.power_forest(),

@@ -49,7 +49,7 @@ pub mod metrics;
 pub mod rf_predictor;
 pub mod tree;
 
-pub use dataset::{Dataset, Sample};
+pub use dataset::Dataset;
 pub use error_model::{ErrorInjectedPredictor, ErrorSpec};
 pub use features::{
     encode_config_features, encode_counter_features, encode_features, FEATURE_NAMES,

@@ -13,6 +13,7 @@ use gpm_sim::{CounterSet, NUM_COUNTERS};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Held-out accuracy of a trained predictor, in the units the paper
 /// reports (MAPE fractions; Section VI-D quotes 25% performance and 12%
@@ -47,7 +48,7 @@ pub struct TrainReport {
 /// let sim = ApuSimulator::default();
 /// let kernels = vec![KernelCharacteristics::compute_bound("k", 10.0)];
 /// let space = ConfigSpace::nb_cu_sweep(CpuPState::P5, GpuDpm::Dpm4);
-/// let ds = Dataset::from_campaign(&sim, &kernels, &space, HwConfig::FAIL_SAFE);
+/// let ds = Dataset::from_campaign(&sim, &kernels, &space, HwConfig::FAIL_SAFE, 1);
 /// let rf = RandomForestPredictor::train(&ds, &ForestParams::default(), 1);
 /// # let _ = rf;
 /// ```
@@ -58,17 +59,28 @@ pub struct TrainReport {
 /// deserialization, so saved contexts stay compatible. Deserialization
 /// fails on a forest that does not flatten or was not fitted on
 /// [`NUM_FEATURES`] features.
+///
+/// The forests sit behind one [`Arc`], so a clone copies a pointer and a
+/// tag, never a forest.
 #[derive(Debug, Clone)]
 pub struct RandomForestPredictor {
+    forests: Arc<Forests>,
+    /// Process-unique tag for the thread-local value memo; never reused
+    /// across predictor constructions, so a stale memo entry can only
+    /// ever match the forests it was priced with. Clones share the tag —
+    /// their forests are the same, so memo hits stay correct. Kept
+    /// inline, so a memo hit reads nothing behind the [`Arc`].
+    generation: u64,
+}
+
+/// The fitted forests of a [`RandomForestPredictor`] and their flat
+/// inference engines.
+#[derive(Debug)]
+struct Forests {
     time_forest: RandomForest,
     power_forest: RandomForest,
     time_flat: FlatForest,
     power_flat: FlatForest,
-    /// Process-unique tag for the thread-local value memo; never reused
-    /// across predictor constructions, so a stale memo entry can only
-    /// ever match the forests it was priced with. Clones share the tag —
-    /// their forests are identical, so memo hits stay correct.
-    generation: u64,
 }
 
 /// Source of [`RandomForestPredictor::generation`] tags (never 0).
@@ -79,7 +91,7 @@ impl PartialEq for RandomForestPredictor {
         // The flat engines are deterministic re-encodings and the
         // generation is cache identity, not model state: the fitted
         // forests are the whole comparison.
-        self.time_forest == other.time_forest && self.power_forest == other.power_forest
+        self.time_forest() == other.time_forest() && self.power_forest() == other.power_forest()
     }
 }
 
@@ -98,11 +110,11 @@ impl Serialize for RandomForestPredictor {
         serde::Content::Map(vec![
             (
                 serde::Content::Str("time_forest".to_owned()),
-                self.time_forest.serialize_content(),
+                self.time_forest().serialize_content(),
             ),
             (
                 serde::Content::Str("power_forest".to_owned()),
-                self.power_forest.serialize_content(),
+                self.power_forest().serialize_content(),
             ),
         ])
     }
@@ -297,17 +309,15 @@ impl RandomForestPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if the dataset is empty or its rows are not
-    /// [`NUM_FEATURES`] wide.
+    /// Panics if the dataset is empty.
     pub fn train(dataset: &Dataset, params: &ForestParams, seed: u64) -> RandomForestPredictor {
         assert!(!dataset.is_empty(), "cannot train on an empty dataset");
-        let columns =
-            RankedColumns::from_rows(dataset.samples().iter().map(|s| s.features.as_slice()));
+        let columns = RankedColumns::from_matrix(dataset.features(), dataset.len(), NUM_FEATURES);
         let time_forest =
             RandomForest::fit_ranked(&columns, &dataset.ys_log_time(), params, seed, 0);
         let power_forest = RandomForest::fit_ranked(
             &columns,
-            &dataset.ys_power(),
+            dataset.gpu_power_w(),
             params,
             seed.wrapping_add(1),
             0,
@@ -345,50 +355,58 @@ impl RandomForestPredictor {
         let time_flat = flatten(&time_forest, "time forest")?;
         let power_flat = flatten(&power_forest, "power forest")?;
         Ok(RandomForestPredictor {
-            time_forest,
-            power_forest,
-            time_flat,
-            power_flat,
+            forests: Arc::new(Forests {
+                time_forest,
+                power_forest,
+                time_flat,
+                power_flat,
+            }),
             generation: NEXT_GENERATION.fetch_add(1, Ordering::Relaxed),
         })
     }
 
-    /// Evaluates held-out accuracy on `test`.
+    /// Evaluates held-out accuracy on `test`, walking the flat engines
+    /// over the dataset's rows in place.
     pub fn evaluate(&self, test: &Dataset, train_samples: usize) -> TrainReport {
+        let _span = gpm_telemetry::span("rf.score");
+        let mut log_time_pred = Vec::with_capacity(test.len());
         let mut time_pred = Vec::with_capacity(test.len());
         let mut power_pred = Vec::with_capacity(test.len());
-        let mut time_truth = Vec::with_capacity(test.len());
-        let mut power_truth = Vec::with_capacity(test.len());
-        let mut log_time_pred = Vec::with_capacity(test.len());
-        let mut log_time_truth = Vec::with_capacity(test.len());
-        for s in test.samples() {
-            let lt = self.time_forest.predict(&s.features);
+        for row in test.rows() {
+            let lt = self.time_flat().predict(row);
             log_time_pred.push(lt);
-            log_time_truth.push(s.time_s.max(1e-12).ln());
             time_pred.push(lt.exp());
-            time_truth.push(s.time_s);
-            power_pred.push(self.power_forest.predict(&s.features));
-            power_truth.push(s.gpu_power_w);
+            power_pred.push(self.power_flat().predict(row));
         }
         TrainReport {
-            time_mape: metrics::mape(&time_pred, &time_truth),
-            power_mape: metrics::mape(&power_pred, &power_truth),
-            time_r2: metrics::r2(&log_time_pred, &log_time_truth),
-            power_r2: metrics::r2(&power_pred, &power_truth),
+            time_mape: metrics::mape(&time_pred, test.time_s()),
+            power_mape: metrics::mape(&power_pred, test.gpu_power_w()),
+            time_r2: metrics::r2(&log_time_pred, &test.ys_log_time()),
+            power_r2: metrics::r2(&power_pred, test.gpu_power_w()),
             train_samples,
             test_samples: test.len(),
         }
     }
 
-    /// The fitted `ln(time)` forest (for diagnostics such as permutation
-    /// importance).
+    /// The fitted `ln(time)` forest, nested form.
     pub fn time_forest(&self) -> &RandomForest {
-        &self.time_forest
+        &self.forests.time_forest
     }
 
-    /// The fitted GPU-power forest.
+    /// The fitted GPU-power forest, nested form.
     pub fn power_forest(&self) -> &RandomForest {
-        &self.power_forest
+        &self.forests.power_forest
+    }
+
+    /// The `ln(time)` forest's flat inference engine (for diagnostics
+    /// such as permutation importance).
+    pub fn time_flat(&self) -> &FlatForest {
+        &self.forests.time_flat
+    }
+
+    /// The GPU-power forest's flat inference engine.
+    pub fn power_flat(&self) -> &FlatForest {
+        &self.forests.power_flat
     }
 
     /// This predictor's memo-identity tag: process-unique and strictly
@@ -427,8 +445,8 @@ impl PowerPerfPredictor for RandomForestPredictor {
             counters.copy_from_slice(&encode_counter_features(&snapshot.counters));
             config.copy_from_slice(&encode_config_features(cfg));
             let est = PowerPerfEstimate {
-                time_s: self.time_flat.predict(&row).exp().max(1e-9),
-                gpu_power_w: self.power_flat.predict(&row).max(0.1),
+                time_s: self.time_flat().predict(&row).exp().max(1e-9),
+                gpu_power_w: self.power_flat().predict(&row).max(0.1),
             };
             memo.set(slot, cfg, est);
             est
@@ -455,7 +473,7 @@ mod tests {
             KernelCharacteristics::unscalable("us", 0.01),
         ];
         let space = ConfigSpace::paper_campaign();
-        let ds = Dataset::from_campaign(&sim, &kernels, &space, HwConfig::FAIL_SAFE);
+        let ds = Dataset::from_campaign(&sim, &kernels, &space, HwConfig::FAIL_SAFE, 1);
         (sim, kernels, ds)
     }
 
@@ -559,6 +577,60 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The nested-walk formula of the held-out report: each forest's own
+    /// traversal over a cloned row per sample.
+    fn nested_report(
+        rf: &RandomForestPredictor,
+        test: &Dataset,
+        train_samples: usize,
+    ) -> TrainReport {
+        let xs = test.xs();
+        let log_time_pred: Vec<f64> = xs.iter().map(|x| rf.time_forest().predict(x)).collect();
+        let time_pred: Vec<f64> = log_time_pred.iter().map(|lt| lt.exp()).collect();
+        let power_pred: Vec<f64> = xs.iter().map(|x| rf.power_forest().predict(x)).collect();
+        TrainReport {
+            time_mape: metrics::mape(&time_pred, test.time_s()),
+            power_mape: metrics::mape(&power_pred, test.gpu_power_w()),
+            time_r2: metrics::r2(&log_time_pred, &test.ys_log_time()),
+            power_r2: metrics::r2(&power_pred, test.gpu_power_w()),
+            train_samples,
+            test_samples: test.len(),
+        }
+    }
+
+    #[test]
+    fn held_out_report_matches_the_nested_oracle_bit_for_bit() {
+        let (_, _, ds) = campaign();
+        for (test_fraction, seed) in [(0.2, 11), (0.5, 3)] {
+            let (train, test) = ds.split(test_fraction, seed);
+            let rf = RandomForestPredictor::train(&train, &ForestParams::default(), seed);
+            let got = rf.evaluate(&test, train.len());
+            let want = nested_report(&rf, &test, train.len());
+            let bits = |r: &TrainReport| {
+                [r.time_mape, r.power_mape, r.time_r2, r.power_r2].map(f64::to_bits)
+            };
+            assert_eq!(bits(&got), bits(&want), "split {test_fraction} seed {seed}");
+            assert_eq!(
+                (got.train_samples, got.test_samples),
+                (want.train_samples, want.test_samples)
+            );
+        }
+    }
+
+    #[test]
+    fn clones_share_their_forests() {
+        let (_, _, ds) = campaign();
+        let params = ForestParams {
+            num_trees: 4,
+            ..ForestParams::default()
+        };
+        let rf = RandomForestPredictor::train(&ds, &params, 11);
+        let clone = rf.clone();
+        assert!(Arc::ptr_eq(&rf.forests, &clone.forests));
+        assert_eq!(clone.generation(), rf.generation());
+        assert_eq!(clone, rf);
     }
 
     #[test]

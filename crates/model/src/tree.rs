@@ -30,6 +30,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Hyper-parameters of a single regression tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -101,7 +103,7 @@ impl RegressionTree {
     pub fn fit(xs: &[Vec<f64>], ys: &[f64], params: &TreeParams, seed: u64) -> RegressionTree {
         assert!(!xs.is_empty(), "cannot fit a tree to zero samples");
         assert_eq!(xs.len(), ys.len(), "xs and ys must have equal length");
-        let columns = RankedColumns::from_rows(xs.iter().map(Vec::as_slice));
+        let columns = RankedColumns::from_rows(xs);
         let mut rows: Vec<u32> = (0..columns.num_rows() as u32).collect();
         RegressionTree::fit_ranked(
             &columns,
@@ -297,39 +299,44 @@ pub(crate) struct RankedColumns {
 }
 
 impl RankedColumns {
-    /// Encodes the rows of a feature matrix.
+    /// Encodes a feature matrix given as one `Vec` per row.
     ///
     /// # Panics
     ///
     /// Panics if the rows have inconsistent lengths or there are more
     /// than `u32::MAX - 2` of them.
-    pub(crate) fn from_rows<'a, I>(rows: I) -> RankedColumns
-    where
-        I: Iterator<Item = &'a [f64]> + Clone,
-    {
-        let num_rows = rows.clone().count();
-        assert!(num_rows < NEG_NAN as usize, "too many rows to rank");
-        let num_features = rows.clone().next().map_or(0, <[f64]>::len);
+    pub(crate) fn from_rows(xs: &[Vec<f64>]) -> RankedColumns {
+        let num_features = xs.first().map_or(0, Vec::len);
         assert!(
-            rows.clone().all(|x| x.len() == num_features),
+            xs.iter().all(|x| x.len() == num_features),
             "inconsistent feature dimensionality"
         );
+        RankedColumns::from_matrix(&xs.concat(), xs.len(), num_features)
+    }
+
+    /// Encodes a row-major feature matrix of `num_rows` rows of
+    /// `num_features` values each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `matrix` does not hold `num_rows * num_features` values
+    /// or there are more than `u32::MAX - 2` rows.
+    pub(crate) fn from_matrix(
+        matrix: &[f64],
+        num_rows: usize,
+        num_features: usize,
+    ) -> RankedColumns {
+        assert_eq!(
+            matrix.len(),
+            num_rows * num_features,
+            "inconsistent feature dimensionality"
+        );
+        assert!(num_rows < NEG_NAN as usize, "too many rows to rank");
+        let mut rank_of = RankTable::default();
         let (values, ranks) = (0..num_features)
             .map(|f| {
-                let column: Vec<f64> = rows.clone().map(|x| x[f]).collect();
-                let mut distinct: Vec<f64> =
-                    column.iter().copied().filter(|v| !v.is_nan()).collect();
-                distinct.sort_unstable_by(|a, b| a.total_cmp(b));
-                distinct.dedup();
-                let ranks = column
-                    .iter()
-                    .map(|&v| match v {
-                        v if v.is_nan() && v.is_sign_negative() => NEG_NAN,
-                        v if v.is_nan() => POS_NAN,
-                        v => distinct.partition_point(|&u| u < v) as u32,
-                    })
-                    .collect();
-                (distinct, ranks)
+                let column = || matrix.iter().skip(f).step_by(num_features).copied();
+                rank_column(column, &mut rank_of)
             })
             .unzip();
         RankedColumns {
@@ -346,6 +353,69 @@ impl RankedColumns {
     pub(crate) fn num_features(&self) -> usize {
         self.values.len()
     }
+}
+
+/// One column of [`RankedColumns`]: its sorted distinct non-NaN values
+/// and every row's rank in them.
+type RankedColumn = (Vec<f64>, Vec<u32>);
+
+/// A hash map from a value's bit pattern to its rank in its column.
+type RankTable = HashMap<u64, u32, BuildHasherDefault<BitsHasher>>;
+
+/// Hashes one `u64` bit pattern: a multiply between two xor-shifts,
+/// so the bucket index (low bits) and the control byte (high bits) both
+/// depend on every input bit. Float bit patterns of round values end in
+/// long runs of zeros, which a bare multiply would leave in the low bits.
+#[derive(Default)]
+struct BitsHasher(u64);
+
+impl Hasher for BitsHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only u64 bit patterns are hashed");
+    }
+
+    fn write_u64(&mut self, bits: u64) {
+        let x = (bits ^ (bits >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = x ^ (x >> 29);
+    }
+}
+
+/// Ranks one column; `column` yields its values in row order.
+///
+/// A campaign column holds at most a few hundred distinct values however
+/// many rows it has, so only the distinct bit patterns are sorted, and
+/// each row's rank is then looked up by its bit pattern. Sorting bit
+/// patterns distinct by `total_cmp` and merging `==` values keeps the
+/// same values, in the same order, as sorting the whole column would.
+/// `rank_of` is cleared first; it is passed in so its buckets are
+/// allocated once per matrix, not once per column.
+fn rank_column<I: Iterator<Item = f64>>(
+    column: impl Fn() -> I,
+    rank_of: &mut RankTable,
+) -> RankedColumn {
+    rank_of.clear();
+    for v in column().filter(|v| !v.is_nan()) {
+        rank_of.insert(v.to_bits(), 0);
+    }
+    let mut distinct: Vec<f64> = rank_of.keys().map(|&bits| f64::from_bits(bits)).collect();
+    distinct.sort_unstable_by(f64::total_cmp);
+    distinct.dedup();
+    for (&bits, rank) in rank_of.iter_mut() {
+        let v = f64::from_bits(bits);
+        *rank = distinct.partition_point(|&u| u < v) as u32;
+    }
+    let ranks = column()
+        .map(|v| match v {
+            v if v.is_nan() && v.is_sign_negative() => NEG_NAN,
+            v if v.is_nan() => POS_NAN,
+            v => rank_of[&v.to_bits()],
+        })
+        .collect();
+    (distinct, ranks)
 }
 
 /// Buffers one worker reuses across every node of every tree it fits.
@@ -860,6 +930,62 @@ mod tests {
         what: String,
     }
 
+    /// The rank encoding of one column by its definition: sort a copy of
+    /// the whole column, merge `==` neighbours, and binary-search every
+    /// row.
+    fn sorted_column_oracle(column: &[f64]) -> RankedColumn {
+        let mut distinct: Vec<f64> = column.iter().copied().filter(|v| !v.is_nan()).collect();
+        distinct.sort_unstable_by(f64::total_cmp);
+        distinct.dedup();
+        let ranks = column
+            .iter()
+            .map(|&v| match v {
+                v if v.is_nan() && v.is_sign_negative() => NEG_NAN,
+                v if v.is_nan() => POS_NAN,
+                v => distinct.partition_point(|&u| u < v) as u32,
+            })
+            .collect();
+        (distinct, ranks)
+    }
+
+    #[test]
+    fn ranking_matches_the_sorted_column_oracle() {
+        // Repeated values, both zeros and NaNs of both signs in every
+        // column; the last column has (almost) every value distinct.
+        let rows = 5_000;
+        let width = 5;
+        let mut rng = StdRng::seed_from_u64(41);
+        let specials = [0.0, -0.0, f64::NAN, -f64::NAN, f64::INFINITY];
+        let matrix: Vec<f64> = (0..rows * width)
+            .map(|i| match rng.gen_range(0..10) {
+                _ if i % width == width - 1 => rng.gen_range(-1e3..1e3),
+                0 => specials[i % specials.len()],
+                1..=4 => f64::from(rng.gen_range(0..40)),
+                _ => rng.gen_range(-1e3..1e3),
+            })
+            .collect();
+        let ranked = RankedColumns::from_matrix(&matrix, rows, width);
+        assert_eq!(ranked.num_rows(), rows);
+        assert_eq!(ranked.num_features(), width);
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        for f in 0..width {
+            let column: Vec<f64> = matrix.iter().skip(f).step_by(width).copied().collect();
+            let (values, ranks) = sorted_column_oracle(&column);
+            assert_eq!(bits(&ranked.values[f]), bits(&values), "column {f}");
+            assert_eq!(ranked.ranks[f], ranks, "column {f}");
+        }
+        // A column holding only `0.0` keeps `0.0`; once a `-0.0` joins,
+        // the merged zero is `-0.0`, as in the sorted column.
+        for column in [vec![0.0, 0.0], vec![0.0, -0.0, 0.0], vec![f64::NAN]] {
+            let ranked = RankedColumns::from_matrix(&column, column.len(), 1);
+            let (values, ranks) = sorted_column_oracle(&column);
+            assert_eq!(bits(&ranked.values[0]), bits(&values), "{column:?}");
+            assert_eq!(ranked.ranks[0], ranks, "{column:?}");
+        }
+        let nested: Vec<Vec<f64>> = matrix.chunks(width).map(<[f64]>::to_vec).collect();
+        assert_eq!(RankedColumns::from_rows(&nested).ranks, ranked.ranks);
+    }
+
     /// Calls `check` on every oracle case: three mixed datasets, 1–64
     /// thresholds, leaves of 1–5 samples, with and without feature
     /// subsampling.
@@ -868,7 +994,7 @@ mod tests {
         // values than any feature of the deployed data.
         for (data_seed, n) in [(0u64, 240), (1, 240), (2, 1200)] {
             let (xs, ys) = mixed_dataset(data_seed, n);
-            let columns = RankedColumns::from_rows(xs.iter().map(Vec::as_slice));
+            let columns = RankedColumns::from_rows(&xs);
             let mut rng = StdRng::seed_from_u64(data_seed ^ 0xba9);
             for threshold_candidates in [1, 6, 14, 24, 64] {
                 for min_samples_leaf in 1..=5 {

@@ -2,7 +2,7 @@
 
 use crate::counters::CounterSet;
 use crate::kernel::KernelCharacteristics;
-use crate::outcome::{EnergyBreakdown, KernelOutcome};
+use crate::outcome::{EnergyBreakdown, KernelOutcome, PowerBreakdown, TimeBreakdown, TimePower};
 use crate::params::SimParams;
 use crate::perf;
 use crate::power;
@@ -54,23 +54,73 @@ impl ApuSimulator {
     }
 
     /// Runs `kernel` at `cfg` and reports what instrumented hardware would
-    /// measure, including multiplicative measurement noise on time and GPU
-    /// power. The noise is a pure function of (noise seed, kernel name,
-    /// configuration), so repeated calls agree — and so do re-runs of any
-    /// experiment.
+    /// measure, including multiplicative measurement noise on time, GPU
+    /// power and the sampled counters. The noise is a pure function of
+    /// (noise seed, kernel name, configuration), so repeated calls agree —
+    /// and so do re-runs of any experiment.
+    ///
+    /// The composition of the time/power half
+    /// ([`measure_time_power`](ApuSimulator::measure_time_power) reads
+    /// it alone) and the counter half.
     pub fn evaluate(&self, kernel: &KernelCharacteristics, cfg: HwConfig) -> KernelOutcome {
-        let mut out = self.evaluate_exact(kernel, cfg);
-        if self.params.noise_rel_std > 0.0 {
+        self.complete(kernel, cfg, self.measure(kernel, cfg, true))
+    }
+
+    /// The time and GPU-domain power [`evaluate`](ApuSimulator::evaluate)
+    /// reports for `kernel` at `cfg`, bit for bit, without synthesizing
+    /// the counters: all a measurement-campaign sample keeps.
+    pub fn measure_time_power(&self, kernel: &KernelCharacteristics, cfg: HwConfig) -> TimePower {
+        let m = self.measure(kernel, cfg, true);
+        TimePower {
+            time_s: m.time_s,
+            gpu_power_w: m.power.gpu_domain_w(),
+        }
+    }
+
+    /// The time/power half of a measurement: the analytical model, with
+    /// noise on time and GPU dynamic power when `noisy` and the
+    /// calibration has any.
+    fn measure(&self, kernel: &KernelCharacteristics, cfg: HwConfig, noisy: bool) -> Measured {
+        let time = perf::execution_time(&self.params, kernel, cfg);
+        let mut power = power::kernel_power(&self.params, cfg, &time);
+        let mut time_s = time.total_s;
+        let mut noise = None;
+        if noisy && self.params.noise_rel_std > 0.0 {
             let prefix = self.noise_prefix(kernel.name(), cfg);
             let (zt, zp) = noise_pair(&prefix);
-            let tf = noise_factor(zt, self.params.noise_rel_std);
-            let pf = noise_factor(zp, self.params.noise_rel_std);
-            out.time_s *= tf;
-            out.power.gpu_dyn_w *= pf;
-            out.energy = EnergyBreakdown::from_power(&out.power, out.time_s);
-            out.counters = self.noisy_counters(&prefix, out.counters);
+            time_s *= noise_factor(zt, self.params.noise_rel_std);
+            power.gpu_dyn_w *= noise_factor(zp, self.params.noise_rel_std);
+            noise = Some(prefix);
         }
-        out
+        Measured {
+            time,
+            time_s,
+            power,
+            noise,
+        }
+    }
+
+    /// The counter half of a measurement: synthesizes the counters, adds
+    /// their noise when the time/power half drew any, and integrates the
+    /// energy.
+    fn complete(
+        &self,
+        kernel: &KernelCharacteristics,
+        cfg: HwConfig,
+        m: Measured,
+    ) -> KernelOutcome {
+        let mut counters = CounterSet::synthesize(kernel, cfg, &m.time);
+        if let Some(prefix) = &m.noise {
+            counters = self.noisy_counters(prefix, counters);
+        }
+        KernelOutcome {
+            time_s: m.time_s,
+            time_breakdown: m.time,
+            power: m.power,
+            energy: EnergyBreakdown::from_power(&m.power, m.time_s),
+            counters,
+            ginstructions: kernel.ginstructions(),
+        }
     }
 
     /// The hash of (noise seed, kernel name, configuration): the prefix
@@ -114,18 +164,7 @@ impl ApuSimulator {
     /// Runs the noiseless analytical model — the ground truth used by
     /// oracle predictors and the Theoretically Optimal scheme.
     pub fn evaluate_exact(&self, kernel: &KernelCharacteristics, cfg: HwConfig) -> KernelOutcome {
-        let time = perf::execution_time(&self.params, kernel, cfg);
-        let pwr = power::kernel_power(&self.params, cfg, &time);
-        let counters = CounterSet::synthesize(kernel, cfg, &time);
-        let energy = EnergyBreakdown::from_power(&pwr, time.total_s);
-        KernelOutcome {
-            time_s: time.total_s,
-            time_breakdown: time,
-            power: pwr,
-            energy,
-            counters,
-            ginstructions: kernel.ginstructions(),
-        }
+        self.complete(kernel, cfg, self.measure(kernel, cfg, false))
     }
 
     /// Energy consumed by running optimizer code on the CPU for
@@ -146,6 +185,19 @@ impl ApuSimulator {
     pub fn within_tdp(&self, kernel: &KernelCharacteristics, cfg: HwConfig) -> bool {
         self.evaluate_exact(kernel, cfg).power.package_w() <= self.params.tdp_w
     }
+}
+
+/// The time/power half of one measurement, before its counters.
+struct Measured {
+    /// The noiseless time decomposition the counters are synthesized from.
+    time: TimeBreakdown,
+    /// Measured time: `time.total_s`, with noise when drawn.
+    time_s: f64,
+    /// Power, with noise on the GPU dynamic part when drawn.
+    power: PowerBreakdown,
+    /// The measurement's noise hash prefix, which the counter noise
+    /// continues; `None` when no noise was drawn.
+    noise: Option<DefaultHasher>,
 }
 
 /// Two independent standard-normal draws, deterministic per

@@ -11,6 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// The four GPGPU kernel scaling classes of Figure 2.
 ///
@@ -68,7 +69,9 @@ impl fmt::Display for KernelClass {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelCharacteristics {
-    name: String,
+    /// Shared, so clones of the kernel (one per dispatch position of a
+    /// workload) and trace events name it without copying the string.
+    name: Arc<str>,
     class: KernelClass,
     /// Total vector-ALU work, in giga-operations per invocation.
     compute_gops: f64,
@@ -105,7 +108,7 @@ impl KernelCharacteristics {
     pub fn builder(name: impl Into<String>, compute_gops: f64) -> KernelBuilder {
         KernelBuilder {
             inner: KernelCharacteristics {
-                name: name.into(),
+                name: Arc::from(name.into()),
                 class: KernelClass::Balanced,
                 compute_gops: compute_gops.max(1e-9),
                 memory_gb: 0.1,
@@ -177,6 +180,11 @@ impl KernelCharacteristics {
 
     /// Kernel name (stable identifier within a workload).
     pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The kernel name as a shared string: cloning it copies no bytes.
+    pub fn shared_name(&self) -> &Arc<str> {
         &self.name
     }
 
@@ -288,7 +296,7 @@ impl KernelCharacteristics {
     /// several invocation identities, e.g. `F1`–`F9` in hybridsort).
     pub fn renamed(&self, name: impl Into<String>) -> KernelCharacteristics {
         let mut k = self.clone();
-        k.name = name.into();
+        k.name = Arc::from(name.into());
         k
     }
 }

@@ -48,7 +48,7 @@ pub mod transition;
 pub use apu::ApuSimulator;
 pub use counters::{CounterSet, COUNTER_NAMES, NUM_COUNTERS};
 pub use kernel::{KernelCharacteristics, KernelClass};
-pub use outcome::{EnergyBreakdown, KernelOutcome, PowerBreakdown, TimeBreakdown};
+pub use outcome::{EnergyBreakdown, KernelOutcome, PowerBreakdown, TimeBreakdown, TimePower};
 pub use params::SimParams;
 pub use platform::{Platform, ReplayPlatform};
 pub use predictor::{KernelSnapshot, OraclePredictor, PowerPerfEstimate, PowerPerfPredictor};

@@ -45,6 +45,18 @@ impl EnergyBreakdown {
     }
 }
 
+/// The two quantities a measurement-campaign sample records: the time
+/// and GPU-domain power of [`KernelOutcome`], as
+/// [`ApuSimulator::measure_time_power`](crate::ApuSimulator::measure_time_power)
+/// reports them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TimePower {
+    /// End-to-end kernel time in seconds (with measurement noise).
+    pub time_s: f64,
+    /// GPU-domain power in watts (with measurement noise).
+    pub gpu_power_w: f64,
+}
+
 /// Complete observed outcome of one kernel invocation: what a governor
 /// learns after the kernel retires.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

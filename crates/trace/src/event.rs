@@ -9,6 +9,7 @@
 
 use gpm_hw::{HwConfig, Knob};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Per-knob candidate-visit counters of a configuration search.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -122,8 +123,9 @@ pub enum TraceEvent {
         run_index: usize,
         /// Pattern-window position of the kernel.
         position: usize,
-        /// Kernel name.
-        kernel: String,
+        /// Kernel name, shared with the workload's kernel: recording a
+        /// dispatch copies no string.
+        kernel: Arc<str>,
     },
     /// MPC search telemetry for one decision.
     Search {

@@ -449,7 +449,10 @@ pub fn export_campaign(env: &XpEnv) -> ExperimentOutput {
         kernels.len(),
         space.len()
     );
-    let replay = ReplayPlatform::record(&sim, &kernels, &space);
+    let replay = {
+        let _span = gpm_telemetry::span("campaign");
+        ReplayPlatform::record(&sim, &kernels, &space)
+    };
 
     // The CSV lists the recorded measurements; the replay returns exactly
     // what the simulator measured, so nothing is evaluated twice.

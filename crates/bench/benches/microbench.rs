@@ -125,7 +125,7 @@ fn bench_searches(c: &mut Criterion) {
     });
 
     // The governor's real per-decision search: hill climb priced by the
-    // Random-Forest predictor through its memoized flat engine.
+    // Random-Forest predictor through its value memo and packed forests.
     let kernels = vec![
         KernelCharacteristics::compute_bound("a", 15.0),
         KernelCharacteristics::memory_bound("b", 1.5),

@@ -330,6 +330,8 @@ impl Default for EvalContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpm_model::NUM_FEATURES;
+    use serde_json::Value;
 
     #[test]
     fn training_kernels_are_unique_and_plentiful() {
@@ -372,36 +374,68 @@ mod tests {
         let dir = std::env::temp_dir().join("gpm_ctx_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("garbage.json");
-        // Well-formed saves of a fast context, each with one fault.
+        // Well-formed saves of a fast context, each with one fault in its
+        // time forest.
         EvalContext::build(EvalOptions::fast()).save(&path).unwrap();
-        let saved = std::fs::read_to_string(&path).unwrap();
-        // A split whose right child lies outside its tree.
-        let at = saved.find("\"right\":").unwrap() + "\"right\":".len();
-        let digits = saved[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
-        let bad_tree = format!("{}999999999{}", &saved[..at], &saved[at + digits..]);
+        let saved: Value =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).expect("a save is JSON");
+        let forest = &saved["rf"]["time_forest"];
+        let num_nodes = forest["nodes"].as_array().unwrap().len();
+        let leaf = (1..num_nodes)
+            .find(|&i| forest["nodes"][i][2] == i as i64)
+            .expect("a leaf past the root");
+        assert_ne!(forest["nodes"][0][2], 0, "the first root is a split");
+        let next_root = forest["roots"][1].as_i64().unwrap();
+        let edited = |edit: &dyn Fn(&mut Value)| {
+            let mut value = saved.clone();
+            edit(&mut value["rf"]["time_forest"]);
+            serde_json::to_string(&value).unwrap()
+        };
         // A time forest fitted on three features instead of NUM_FEATURES.
         let xs: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64; 3]).collect();
         let ys: Vec<f64> = xs.iter().map(|x| x[0]).collect();
         let narrow = gpm_model::RandomForest::fit(&xs, &ys, &ForestParams::default(), 1);
-        let (start, end) = (
-            saved.find("\"time_forest\":").unwrap() + "\"time_forest\":".len(),
-            saved.find(",\"power_forest\":").unwrap(),
-        );
-        let narrow_forest = format!(
-            "{}{}{}",
-            &saved[..start],
-            serde_json::to_string(&narrow).unwrap(),
-            &saved[end..]
-        );
+        let narrow = serde_json::to_value(&narrow).unwrap();
         for (garbage, why) in [
-            ("not json at all", ""),
-            (bad_tree.as_str(), "out-of-range right child 999999999"),
-            (narrow_forest.as_str(), "fitted on 3 features"),
+            ("not json at all".to_owned(), String::new()),
+            (
+                edited(&|f| f["nodes"][0][2] = Value::I64(999_999_999)),
+                "right child 999999999 outside its tree".to_owned(),
+            ),
+            (
+                edited(&|f| *f = narrow.clone()),
+                "fitted on 3 features".to_owned(),
+            ),
+            (
+                edited(&|f| f["nodes"][leaf][2] = Value::I64(0)),
+                format!("node {leaf} of tree 0 neither loops to itself"),
+            ),
+            (
+                edited(&|f| f["nodes"][0][2] = Value::I64(next_root)),
+                format!("right child {next_root} outside its tree"),
+            ),
+            (
+                edited(&|f| f["nodes"][0][1] = Value::I64(NUM_FEATURES as i64)),
+                format!("references feature {NUM_FEATURES}, past the {NUM_FEATURES} features"),
+            ),
+            (
+                edited(&|f| {
+                    let Value::Seq(leaf_values) = &mut f["leaf_values"] else {
+                        panic!("leaf values are an array")
+                    };
+                    leaf_values.pop();
+                }),
+                format!("{} leaf values for {num_nodes} nodes", num_nodes - 1),
+            ),
+            (
+                edited(&|f| f["nodes"][0][0] = Value::Null),
+                "split at node 0 has a null threshold".to_owned(),
+            ),
         ] {
             std::fs::write(&path, garbage).unwrap();
             let err = EvalContext::load(&path).unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-            assert!(err.to_string().contains(why), "{err}");
+            assert!(err.to_string().contains(&why), "{err} does not name {why}");
         }
         std::fs::remove_file(&path).ok();
     }

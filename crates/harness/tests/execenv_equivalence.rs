@@ -15,7 +15,7 @@ use gpm_faults::{FaultPlan, FaultyPredictor};
 use gpm_governors::{EqualizerMode, FixedGovernor, OverheadModel, PerfTarget, PpkGovernor};
 use gpm_harness::{turbo_core_baseline, EvalContext, EvalOptions, ExecEnv, Scheme, SchemeOutcome};
 use gpm_hw::{ConfigSpace, HwConfig};
-use gpm_model::{encode_features, ErrorSpec, RandomForestPredictor};
+use gpm_model::{encode_features, ErrorSpec, RandomForestPredictor, RegressionTree};
 use gpm_mpc::{HorizonMode, MpcConfig, MpcGovernor};
 use gpm_sim::{KernelSnapshot, PowerPerfEstimate, PowerPerfPredictor};
 use gpm_trace::{AggregateSink, RingSink, TraceSink};
@@ -318,17 +318,32 @@ fn concurrent_resolution_simulates_each_baseline_once() {
 // ---------------------------------------------------------------------------
 
 /// The seed's scalar RF inference path, reconstructed: one freshly
-/// allocated feature vector per call, nested tree traversal, and the
-/// trait's default looped `predict_batch`.
+/// allocated feature vector per call, nested tree traversal of the
+/// unpacked forests, and the trait's default looped `predict_batch`.
 #[derive(Debug, Clone)]
-struct NestedRfPredictor(RandomForestPredictor);
+struct NestedRfPredictor {
+    time: Vec<RegressionTree>,
+    power: Vec<RegressionTree>,
+}
+
+impl NestedRfPredictor {
+    fn of(rf: &RandomForestPredictor) -> NestedRfPredictor {
+        NestedRfPredictor {
+            time: rf.time_forest().to_trees(),
+            power: rf.power_forest().to_trees(),
+        }
+    }
+}
 
 impl PowerPerfPredictor for NestedRfPredictor {
     fn predict(&self, snapshot: &KernelSnapshot, cfg: HwConfig) -> PowerPerfEstimate {
         let features = encode_features(&snapshot.counters, cfg);
+        let walk = |trees: &[RegressionTree]| {
+            trees.iter().map(|t| t.predict(&features)).sum::<f64>() / trees.len() as f64
+        };
         PowerPerfEstimate {
-            time_s: self.0.time_forest().predict(&features).exp().max(1e-9),
-            gpu_power_w: self.0.power_forest().predict(&features).max(0.1),
+            time_s: walk(&self.time).exp().max(1e-9),
+            gpu_power_w: walk(&self.power).max(0.1),
         }
     }
 
@@ -354,7 +369,7 @@ fn batched_mpc_decisions_are_byte_identical_to_seed_scalar_path() {
         let (_, target) = env.baseline(ctx(), &w);
         let mut batched = MpcGovernor::new(ctx().rf.clone(), ctx().sim.params().clone(), mpc_cfg());
         let mut nested = MpcGovernor::new(
-            NestedRfPredictor(ctx().rf.clone()),
+            NestedRfPredictor::of(&ctx().rf),
             ctx().sim.params().clone(),
             mpc_cfg(),
         );
@@ -385,7 +400,7 @@ fn batched_ppk_decisions_are_byte_identical_to_seed_scalar_path() {
         OverheadModel::default(),
     );
     let mut nested = PpkGovernor::new(
-        NestedRfPredictor(ctx().rf.clone()),
+        NestedRfPredictor::of(&ctx().rf),
         ctx().sim.params().clone(),
         ConfigSpace::paper_campaign(),
         OverheadModel::default(),
@@ -419,7 +434,7 @@ fn batched_path_is_decision_identical_traced_and_faulted() {
                 let (_, target) = env.baseline(ctx(), &w);
                 let result = if nested {
                     let mut gov = MpcGovernor::new(
-                        FaultyPredictor::new(NestedRfPredictor(ctx().rf.clone()), &plan),
+                        FaultyPredictor::new(NestedRfPredictor::of(&ctx().rf), &plan),
                         ctx().sim.params().clone(),
                         mpc_cfg(),
                     );

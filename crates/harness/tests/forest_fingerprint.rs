@@ -3,7 +3,7 @@
 //! `RandomForestPredictor::train_and_evaluate` on an `EvalOptions`
 //! campaign runs the whole training path: the train/test split, the
 //! bootstrap bags drawn from the shared seeded stream, the per-tree split
-//! search, and the threaded fit. The serialized forests are hashed and the
+//! search, and the threaded fit. The saved (packed) forests are hashed and the
 //! held-out report is compared exactly, so any change in how a split is
 //! chosen (including how ties between equally good splits are broken)
 //! fails here even when the accuracy barely moves. Because the options are
@@ -75,10 +75,12 @@ fn default_context_forests_match_recorded_fingerprint() {
     assert_eq!(fingerprint(&EvalOptions::default()), DEFAULT);
 }
 
-/// Recorded from the per-threshold reference fitter.
+/// Recorded from the per-threshold reference fitter; the forest hashes
+/// were re-recorded when forests were first saved in the packed layout,
+/// by packing the previous build's fitted forests and hashing them.
 const FAST: Fingerprint = (
-    0x793c_b38d_2ed7_ab8d,
-    0xca09_1b6d_f011_5ffa,
+    0xfebb_e925_8cf3_7212,
+    0x870e_76f9_059d_cfdd,
     0x3fc3_d077_9eee_c8ad,
     0x3fb0_9676_bfd7_50fd,
     0x3fee_9ecb_5cf1_3c41,
@@ -87,10 +89,10 @@ const FAST: Fingerprint = (
     1742,
 );
 
-/// Recorded from the per-threshold reference fitter.
+/// Recorded as [`FAST`] was.
 const DEFAULT: Fingerprint = (
-    0x8c1f_9b6a_9b4d_800b,
-    0xf619_f057_61a4_d7a4,
+    0x4126_b8af_c6ea_0d1e,
+    0x0864_7d72_b16f_e20c,
     0x3fb5_9b25_896c_6de6,
     0x3fa2_0c82_04b7_7bee,
     0x3fef_9403_3e54_c707,

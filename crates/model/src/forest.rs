@@ -1,7 +1,43 @@
 //! Random Forest regression: bagged CART trees with feature subsampling
-//! (Breiman 2001, the algorithm the paper selected for its predictor).
+//! (Breiman 2001, the algorithm the paper selected for its predictor),
+//! fitted, walked and saved in one packed layout.
+//!
+//! A fit writes every tree straight into one contiguous array of packed
+//! 16-byte nodes — an `f64` threshold, a `u32` feature id and a `u32`
+//! right-child index, with the left child always the next slot — so one
+//! walk step is one load. Each fit worker packs its trees one after
+//! another, and the workers' arrays are joined in tree order.
+//!
+//! Leaves loop back to themselves: a leaf's threshold is NaN and its
+//! right child is its own index. `x <= NaN` is false for every `x`, so
+//! the step `i = if row[f] <= t { i + 1 } else { right }` needs no leaf
+//! test, and a walk that has reached its leaf stays parked there. Leaf
+//! values live in a side array that is read once per tree, and each
+//! tree's depth is recorded when the forest is assembled, so a walk runs
+//! an exact number of steps.
+//!
+//! [`RandomForest::predict`] advances eight trees at once, for the
+//! group's greatest depth. Each walk is a dependent load chain (node →
+//! feature → compare → next node); eight independent chains overlap
+//! their latencies instead of adding them up, and the direction of each
+//! step is a conditional move, since a mispredicted jump would flush
+//! every lane.
+//!
+//! The walk is bit-identical to the nested enum-node walk of
+//! [`RegressionTree`], into which [`RandomForest::to_trees`] unpacks a
+//! forest: every comparison (`x[feature] <= threshold`, so NaN features
+//! go right), every leaf value, and the per-row accumulation order (tree
+//! 0, tree 1, …, from `-0.0` as `Iterator::sum` starts, then one division
+//! by the tree count) are the nested walk's. The tests of this module and
+//! of `tests/flat_equivalence.rs` pin that guarantee.
+//!
+//! A forest is saved as the same arrays, and a load checks the layout
+//! before any walk trusts it.
 
-use crate::tree::{FitScratch, RankedColumns, RegressionTree, SimdTier, TreeParams};
+use crate::features::NUM_FEATURES;
+use crate::tree::{
+    PackedNode, PackedTrees, RankedColumns, RegressionTree, SimdTier, TreeFitter, TreeParams,
+};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -29,7 +65,20 @@ impl Default for ForestParams {
     }
 }
 
-/// A fitted Random Forest: the mean of its trees' predictions.
+/// Trees the walk advances together.
+const LANES: usize = 8;
+
+/// A fitted Random Forest: the mean of its trees' predictions, held in
+/// the packed layout (see the [module docs](self)).
+///
+/// Layout invariants, which a fit establishes and a load checks:
+/// * every split's right child lies after it and inside its own tree,
+///   so its left child, the next slot, does too;
+/// * every leaf loops to itself;
+/// * every feature id is `< num_features`, and the node and leaf-value
+///   arrays have one entry per node.
+///
+/// Equality is bit for bit.
 ///
 /// # Examples
 ///
@@ -42,12 +91,12 @@ impl Default for ForestParams {
 /// let err = (forest.predict(&[40.0, 40.0]) - 80.0).abs();
 /// assert!(err < 20.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomForest {
-    trees: Vec<RegressionTree>,
-    /// For each tree, the training-sample indices it saw (bootstrap
-    /// membership), kept for out-of-bag evaluation.
-    in_bag: Vec<Vec<bool>>,
+    trees: PackedTrees,
+    /// Depth in edges of each tree: the steps a walk of it needs.
+    depths: Vec<u32>,
+    num_features: usize,
 }
 
 impl RandomForest {
@@ -71,9 +120,10 @@ impl RandomForest {
     ///
     /// Determinism is preserved by construction: every bootstrap bag is
     /// drawn **sequentially** from the single seeded stream before any
-    /// tree is fitted, and each tree then derives its own split/subsample
-    /// RNG from `seed ^ t·0x9e37` — so the fitted forest is bit-identical
-    /// for every `threads` value (pinned by a unit test).
+    /// tree is fitted, each tree then derives its own split/subsample
+    /// RNG from `seed ^ t·0x9e37`, and the workers' trees are joined in
+    /// tree order — so the fitted forest is bit-identical for every
+    /// `threads` value (pinned by a unit test).
     ///
     /// # Panics
     ///
@@ -115,37 +165,16 @@ impl RandomForest {
         }
 
         let mut bags = draw_bags(columns.num_rows(), params, seed);
-        let in_bag = bags
-            .iter()
-            .map(|bag| {
-                let mut seen = vec![false; columns.num_rows()];
-                for &row in bag {
-                    seen[row as usize] = true;
-                }
-                seen
-            })
-            .collect();
-
         let num_trees = bags.len();
         let threads = RandomForest::resolved_fit_threads(threads, num_trees);
         let tree_seed = |t: usize| seed ^ (t as u64).wrapping_mul(0x9e37);
         let tier = SimdTier::detected();
-        let fit_chunk = |first: usize, bags: &mut [Vec<u32>]| -> Vec<RegressionTree> {
-            let mut scratch = FitScratch::default();
-            bags.iter_mut()
-                .enumerate()
-                .map(|(off, bag)| {
-                    RegressionTree::fit_ranked(
-                        columns,
-                        ys,
-                        bag,
-                        &tree_params,
-                        tree_seed(first + off),
-                        &mut scratch,
-                        tier,
-                    )
-                })
-                .collect()
+        let fit_chunk = |first: usize, bags: &mut [Vec<u32>]| -> PackedTrees {
+            let mut fitter = TreeFitter::new(columns, ys, &tree_params, tier);
+            for (off, bag) in bags.iter_mut().enumerate() {
+                fitter.fit(bag, tree_seed(first + off));
+            }
+            fitter.trees
         };
         let chunk = num_trees.div_ceil(threads);
         let fit_chunk = &fit_chunk;
@@ -157,10 +186,12 @@ impl RandomForest {
                 .collect();
             workers
                 .into_iter()
-                .flat_map(|worker| worker.join().expect("tree fit panicked"))
-                .collect()
+                .fold(PackedTrees::default(), |mut trees, worker| {
+                    trees.append(worker.join().expect("tree fit panicked"));
+                    trees
+                })
         });
-        RandomForest { trees, in_bag }
+        RandomForest::assemble(columns.num_features(), trees).expect("a fit lays out valid trees")
     }
 
     /// The number of worker threads a fit of `num_trees` trees asked for
@@ -175,95 +206,242 @@ impl RandomForest {
         threads.clamp(1, num_trees.max(1))
     }
 
-    /// Mean prediction over all trees.
+    /// A forest of packed trees: checks every layout invariant the walk
+    /// relies on, gives each leaf its NaN threshold (a saved leaf has
+    /// none; the walk needs one) and records each tree's depth.
     ///
-    /// Dimensionality checking follows [`RegressionTree::predict`]'s
-    /// contract: debug builds assert, release builds rely on callers
-    /// validating the row width at the batch boundary.
-    pub fn predict(&self, x: &[f64]) -> f64 {
-        self.trees.iter().map(|t| t.predict(x)).sum::<f64>() / self.trees.len() as f64
-    }
-
-    /// Per-tree predictions written into `out` (cleared and refilled, so
-    /// the allocation is reused across calls); exposes ensemble spread for
-    /// diagnostics without a per-call allocation.
-    pub fn predict_all_into(&self, x: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.trees.iter().map(|t| t.predict(x)));
-    }
-
-    /// Allocating convenience wrapper around
-    /// [`predict_all_into`](RandomForest::predict_all_into) for one-shot
-    /// diagnostics callers.
-    pub fn predict_all(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.trees.len());
-        self.predict_all_into(x, &mut out);
-        out
-    }
-
-    /// The fitted trees, for flattening into a
-    /// [`FlatForest`](crate::FlatForest).
-    pub(crate) fn trees(&self) -> &[RegressionTree] {
-        &self.trees
-    }
-
-    /// A forest of trees fitted one by one, so tests can put trees of
-    /// unlike shapes side by side.
-    #[cfg(test)]
-    pub(crate) fn from_trees(trees: Vec<RegressionTree>) -> RandomForest {
-        RandomForest {
-            in_bag: vec![Vec::new(); trees.len()],
-            trees,
+    /// # Errors
+    ///
+    /// Names a fault; a fit never makes one, so only a corrupted or
+    /// hand-edited saved forest can.
+    fn assemble(num_features: usize, mut trees: PackedTrees) -> Result<RandomForest, String> {
+        if trees.roots.is_empty() {
+            return Err("no trees".to_owned());
         }
+        if trees.leaf_values.len() != trees.nodes.len() {
+            return Err(format!(
+                "{} leaf values for {} nodes",
+                trees.leaf_values.len(),
+                trees.nodes.len()
+            ));
+        }
+        if u32::try_from(trees.nodes.len()).is_err() {
+            return Err(format!("{} nodes overflow u32 indices", trees.nodes.len()));
+        }
+        if trees.roots[0] != 0 {
+            return Err(format!("tree 0 starts at node {}, not 0", trees.roots[0]));
+        }
+        // Children sit after their parent, so one backward pass over a
+        // tree sees both children's depths before the parent's.
+        let mut depth = vec![0u32; trees.nodes.len()];
+        let mut depths = Vec::with_capacity(trees.roots.len());
+        for t in 0..trees.roots.len() {
+            let span = trees.span(t);
+            if span.is_empty() {
+                return Err(format!("tree {t} has no nodes"));
+            }
+            for i in span.clone().rev() {
+                let node = &mut trees.nodes[i];
+                let right = node.right as usize;
+                if node.feature as usize >= num_features {
+                    return Err(format!(
+                        "node {i} of tree {t} references feature {}, past the {num_features} \
+                         features",
+                        node.feature
+                    ));
+                }
+                if right == i {
+                    node.threshold = f64::NAN;
+                    continue;
+                }
+                if right < i {
+                    return Err(format!(
+                        "node {i} of tree {t} neither loops to itself (a leaf) nor has its \
+                         right child after it (a split): right child {right}"
+                    ));
+                }
+                if right >= span.end {
+                    return Err(format!(
+                        "split at node {i} has its right child {right} outside its tree, \
+                         nodes {}..{}",
+                        span.start, span.end
+                    ));
+                }
+                if node.threshold.is_nan() {
+                    return Err(format!("split at node {i} has a null threshold"));
+                }
+                depth[i] = 1 + depth[i + 1].max(depth[right]);
+            }
+            depths.push(depth[span.start]);
+        }
+        Ok(RandomForest {
+            trees,
+            depths,
+            num_features,
+        })
+    }
+
+    /// Mean prediction over all trees for one row — bit-identical to the
+    /// nested walk of [`to_trees`](RandomForest::to_trees).
+    ///
+    /// Trees go in groups of eight, and every lane of a group advances
+    /// for the group's greatest depth: a lane that reaches its leaf early
+    /// stays parked there, so afterwards each lane sits on exactly the
+    /// leaf the nested walk reaches. A group short of eight trees parks
+    /// its spare lanes on the last node, a leaf of the last tree, whose
+    /// value is never added. The sum starts from `-0.0`, as
+    /// `Iterator::sum` does, and adds the leaves in tree order.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic unless `row` has exactly the fitted
+    /// dimensionality; release builds panic only when a feature a walk
+    /// reads lies past the end of `row`.
+    pub fn predict(&self, row: &[f64]) -> f64 {
+        debug_assert_eq!(row.len(), self.num_features, "feature dimensionality");
+        let PackedTrees {
+            nodes,
+            leaf_values,
+            roots,
+        } = &self.trees;
+        let spare = nodes.len() - 1;
+        let mut sum = -0.0;
+        for (roots, depths) in roots.chunks(LANES).zip(self.depths.chunks(LANES)) {
+            let mut lanes = [spare; LANES];
+            for (lane, &root) in lanes.iter_mut().zip(roots) {
+                *lane = root as usize;
+            }
+            for _ in 0..depths.iter().copied().max().unwrap_or(0) {
+                for i in &mut lanes {
+                    let node = nodes[*i];
+                    *i = node.next(*i, row[node.feature as usize]);
+                }
+            }
+            for &i in &lanes[..roots.len()] {
+                sum += leaf_values[i];
+            }
+        }
+        sum / self.num_trees() as f64
+    }
+
+    /// Unpacks every tree into the nested enum-node form, the reference
+    /// the oracle tests check fits and walks against. The mean of the
+    /// trees' predictions, summed in tree order, is
+    /// [`predict`](RandomForest::predict) bit for bit.
+    pub fn to_trees(&self) -> Vec<RegressionTree> {
+        (0..self.num_trees())
+            .map(|t| RegressionTree::unpack(&self.trees, t, self.num_features))
+            .collect()
     }
 
     /// Number of trees in the ensemble.
     pub fn num_trees(&self) -> usize {
-        self.trees.len()
+        self.trees.roots.len()
     }
 
-    /// Out-of-bag prediction for training sample `i` of the fit: the mean
-    /// over the trees whose bootstrap did *not* contain `i`. `None` when
-    /// every tree saw the sample (possible for small ensembles).
-    pub fn oob_predict(&self, i: usize, x: &[f64]) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for (tree, bag) in self.trees.iter().zip(&self.in_bag) {
-            if !bag.get(i).copied().unwrap_or(false) {
-                sum += tree.predict(x);
-                n += 1;
-            }
-        }
-        (n > 0).then(|| sum / n as f64)
+    /// Dimensionality the forest was fitted on.
+    pub fn num_features(&self) -> usize {
+        self.num_features
     }
 
-    /// Out-of-bag RMSE over the training set — the free generalization
-    /// estimate classic Random Forests report (Breiman 2001). Samples seen
-    /// by every tree are skipped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs`/`ys` differ in length from the training set.
-    pub fn oob_rmse(&self, xs: &[Vec<f64>], ys: &[f64]) -> f64 {
-        assert_eq!(xs.len(), ys.len(), "xs and ys must have equal length");
-        assert_eq!(
-            xs.len(),
-            self.in_bag.first().map_or(xs.len(), Vec::len),
-            "out-of-bag evaluation needs the original training set"
-        );
-        let mut sse = 0.0;
-        let mut n = 0usize;
-        for (i, (x, &y)) in xs.iter().zip(ys).enumerate() {
-            if let Some(pred) = self.oob_predict(i, x) {
-                sse += (pred - y) * (pred - y);
-                n += 1;
-            }
+    /// A forest of one tree fitted to every row of `(xs, ys)` in order,
+    /// without a bootstrap bag.
+    #[cfg(test)]
+    pub(crate) fn fit_unbagged(
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        params: &TreeParams,
+        seed: u64,
+    ) -> RandomForest {
+        let columns = RankedColumns::from_rows(xs);
+        let mut fitter = TreeFitter::new(&columns, ys, params, SimdTier::detected());
+        fitter.fit(&mut (0..xs.len() as u32).collect::<Vec<_>>(), seed);
+        RandomForest::assemble(columns.num_features(), fitter.trees).unwrap()
+    }
+
+    /// The trees of `forests`, side by side in one forest, so tests can
+    /// put trees of unlike shapes in one walk.
+    #[cfg(test)]
+    pub(crate) fn concat(forests: Vec<RandomForest>) -> RandomForest {
+        let num_features = forests[0].num_features;
+        let trees = forests
+            .into_iter()
+            .fold(PackedTrees::default(), |mut trees, forest| {
+                trees.append(forest.trees);
+                trees
+            });
+        RandomForest::assemble(num_features, trees).unwrap()
+    }
+}
+
+impl PartialEq for RandomForest {
+    fn eq(&self, other: &RandomForest) -> bool {
+        let (a, b) = (&self.trees, &other.trees);
+        self.num_features == other.num_features
+            && a.roots == b.roots
+            && a.nodes == b.nodes
+            // As long as the equal node arrays, so the zip checks them all.
+            && a.leaf_values.iter().zip(&b.leaf_values).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+}
+
+/// The saved form of a [`RandomForest`]: its packed arrays, each node as
+/// `[threshold, feature, right]`. The depths are recomputed on load.
+///
+/// JSON has no NaN, so a leaf's threshold goes out as `null`; a leaf is
+/// known by its structure (its right child is itself), and the load
+/// gives it back its NaN. A `null` threshold on a split is a fault.
+#[derive(Serialize, Deserialize)]
+struct SavedForest {
+    num_features: usize,
+    roots: Vec<u32>,
+    nodes: Vec<(f64, u32, u32)>,
+    leaf_values: Vec<f64>,
+}
+
+impl Serialize for RandomForest {
+    fn serialize_content(&self) -> serde::Content {
+        SavedForest {
+            num_features: self.num_features,
+            roots: self.trees.roots.clone(),
+            nodes: self
+                .trees
+                .nodes
+                .iter()
+                .map(|node| (node.threshold, node.feature, node.right))
+                .collect(),
+            leaf_values: self.trees.leaf_values.clone(),
         }
-        if n == 0 {
-            0.0
-        } else {
-            (sse / n as f64).sqrt()
+        .serialize_content()
+    }
+}
+
+impl Deserialize for RandomForest {
+    /// Loads a saved forest, checking every layout invariant, since a
+    /// saved file is input from outside the program. Only the predictor's
+    /// forests are saved, so a forest must be [`NUM_FEATURES`] wide.
+    fn deserialize_content(content: &serde::Content) -> Result<RandomForest, serde::DeError> {
+        let saved = SavedForest::deserialize_content(content)?;
+        if saved.num_features != NUM_FEATURES {
+            return Err(serde::DeError::custom(format!(
+                "forest fitted on {} features, not {NUM_FEATURES}",
+                saved.num_features
+            )));
         }
+        let trees = PackedTrees {
+            nodes: saved
+                .nodes
+                .into_iter()
+                .map(|(threshold, feature, right)| PackedNode {
+                    threshold,
+                    feature,
+                    right,
+                })
+                .collect(),
+            leaf_values: saved.leaf_values,
+            roots: saved.roots,
+        };
+        RandomForest::assemble(saved.num_features, trees).map_err(serde::DeError::custom)
     }
 }
 
@@ -309,13 +487,12 @@ mod tests {
             .get_or_insert(default_subsample);
         let bags = draw_bags(xs.len(), params, seed);
         assert_eq!(forest.num_trees(), bags.len());
-        for (t, (tree, bag)) in forest.trees().iter().zip(&bags).enumerate() {
+        for (t, (tree, bag)) in forest.to_trees().iter().zip(&bags).enumerate() {
             let bag_xs: Vec<Vec<f64>> = bag.iter().map(|&r| xs[r as usize].clone()).collect();
             let bag_ys: Vec<f64> = bag.iter().map(|&r| ys[r as usize]).collect();
             let tree_seed = seed ^ (t as u64).wrapping_mul(0x9e37);
             let reference = oracle::fit(&bag_xs, &bag_ys, &tree_params, tree_seed);
-            // `assert!`, not `assert_eq!`: a deployed tree prints as ~100 KB.
-            assert!(tree == &reference, "tree {t} diverged from the oracle");
+            oracle::assert_same(tree, &reference, &format!("tree {t}"));
         }
     }
 
@@ -439,28 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_all_has_num_trees_entries() {
-        let (xs, ys) = noisy_linear(0);
-        let params = ForestParams {
-            num_trees: 12,
-            ..ForestParams::default()
-        };
-        let forest = RandomForest::fit(&xs, &ys, &params, 7);
-        assert_eq!(forest.num_trees(), 12);
-        assert_eq!(forest.predict_all(&[1.0, 1.0]).len(), 12);
-    }
-
-    #[test]
-    fn mean_of_predict_all_is_predict() {
-        let (xs, ys) = noisy_linear(1);
-        let forest = RandomForest::fit(&xs, &ys, &ForestParams::default(), 3);
-        let x = [55.0, 2.0];
-        let all = forest.predict_all(&x);
-        let mean = all.iter().sum::<f64>() / all.len() as f64;
-        assert!((mean - forest.predict(&x)).abs() < 1e-12);
-    }
-
-    #[test]
     fn fit_is_bit_identical_across_thread_counts() {
         let (xs, ys) = noisy_linear(4);
         let params = ForestParams {
@@ -488,19 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_all_into_reuses_allocation_and_matches_wrapper() {
-        let (xs, ys) = noisy_linear(1);
-        let forest = RandomForest::fit(&xs, &ys, &ForestParams::default(), 3);
-        let mut out = Vec::new();
-        forest.predict_all_into(&[55.0, 2.0], &mut out);
-        assert_eq!(out, forest.predict_all(&[55.0, 2.0]));
-        let cap = out.capacity();
-        forest.predict_all_into(&[10.0, 1.0], &mut out);
-        assert_eq!(out.capacity(), cap, "refill must not reallocate");
-        assert_eq!(out.len(), forest.num_trees());
-    }
-
-    #[test]
     fn single_tree_forest_works() {
         let (xs, ys) = noisy_linear(0);
         let params = ForestParams {
@@ -519,34 +661,203 @@ mod tests {
     }
 
     #[test]
-    fn oob_error_approximates_held_out_error() {
-        // OOB RMSE should be in the same ballpark as RMSE on a fresh
-        // held-out set drawn from the same process.
-        let (xs, ys) = noisy_linear(0);
-        let (train_x, test_x) = xs.split_at(100);
-        let (train_y, test_y) = ys.split_at(100);
-        let forest = RandomForest::fit(train_x, train_y, &ForestParams::default(), 7);
-        let oob = forest.oob_rmse(train_x, train_y);
-        let held_sse: f64 = test_x
-            .iter()
-            .zip(test_y)
-            .map(|(x, &y)| (forest.predict(x) - y) * (forest.predict(x) - y))
-            .sum();
-        let held = (held_sse / test_x.len() as f64).sqrt();
-        assert!(oob > 0.0);
-        assert!(oob < held * 3.0 + 1.0, "OOB {oob} vs held-out {held}");
+    #[should_panic(expected = "equal length")]
+    fn mismatched_lengths_panic() {
+        let _ = RandomForest::fit(&[vec![1.0]], &[1.0, 2.0], &ForestParams::default(), 1);
     }
 
     #[test]
-    fn oob_predict_excludes_in_bag_trees() {
-        let (xs, ys) = noisy_linear(2);
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "feature dimensionality")]
+    fn predict_wrong_arity_panics() {
+        let (xs, ys) = noisy_linear(0);
+        let forest = RandomForest::fit(&xs, &ys, &ForestParams::default(), 1);
+        let _ = forest.predict(&[1.0, 2.0, 3.0]);
+    }
+
+    /// The nested walk: the mean of the unpacked trees' predictions, in
+    /// tree order.
+    fn nested_predict(trees: &[RegressionTree], row: &[f64]) -> f64 {
+        trees.iter().map(|t| t.predict(row)).sum::<f64>() / trees.len() as f64
+    }
+
+    /// A random regression problem of the model's real dimensionality.
+    fn random_problem(seed: u64, n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let xs: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                (0..NUM_FEATURES)
+                    .map(|_| rng.gen_range(-5.0..5.0))
+                    .collect()
+            })
+            .collect();
+        let ys: Vec<f64> = xs
+            .iter()
+            .map(|x| x[0] * 2.0 - x[3] + (x[7] * x[1]).sin() + rng.gen_range(-0.1..0.1))
+            .collect();
+        (xs, ys)
+    }
+
+    #[test]
+    fn packed_walk_is_bit_identical_to_nested_across_random_forests() {
+        for seed in 0..8u64 {
+            let (xs, ys) = random_problem(seed, 160);
+            let params = ForestParams {
+                num_trees: 9,
+                tree: TreeParams {
+                    max_depth: 7,
+                    min_samples_leaf: 2,
+                    feature_subsample: None,
+                    threshold_candidates: 8,
+                },
+                bootstrap_fraction: 0.8,
+            };
+            let forest = RandomForest::fit(&xs, &ys, &params, seed ^ 0xDEAD);
+            let trees = forest.to_trees();
+            for x in &xs {
+                assert_eq!(
+                    forest.predict(x).to_bits(),
+                    nested_predict(&trees, x).to_bits(),
+                    "seed {seed}: packed and nested walks diverged"
+                );
+            }
+        }
+    }
+
+    /// Probe rows: values inside the training range, then NaN, +∞ and
+    /// −∞ in each feature position in turn and in all of them at once.
+    fn probe_rows(seed: u64) -> Vec<Vec<f64>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rows: Vec<Vec<f64>> = (0..NUM_FEATURES + 10)
+            .map(|_| {
+                (0..NUM_FEATURES)
+                    .map(|_| rng.gen_range(-6.0..6.0))
+                    .collect()
+            })
+            .collect();
+        for special in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for f in 0..NUM_FEATURES {
+                let mut row = rows[f].clone();
+                row[f] = special;
+                rows.push(row);
+            }
+            rows.push(vec![special; NUM_FEATURES]);
+        }
+        rows
+    }
+
+    /// Asserts that the packed walk reproduces the nested one bit for
+    /// bit on every row.
+    fn assert_walk_matches(forest: &RandomForest, rows: &[Vec<f64>], what: &str) {
+        let trees = forest.to_trees();
+        for row in rows {
+            assert_eq!(
+                forest.predict(row).to_bits(),
+                nested_predict(&trees, row).to_bits(),
+                "{what}: the packed walk diverged on {row:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn walk_is_bit_identical_for_every_group_shape() {
+        // Tree counts below, at and past one and several 8-tree groups,
+        // so the last group is full, partial or a single tree.
+        let (xs, ys) = random_problem(17, 120);
+        let rows = probe_rows(17);
+        for num_trees in [1, 7, 8, 9, 17, 24, 48] {
+            let params = ForestParams {
+                num_trees,
+                tree: TreeParams {
+                    max_depth: 6,
+                    ..TreeParams::default()
+                },
+                bootstrap_fraction: 0.8,
+            };
+            let forest = RandomForest::fit(&xs, &ys, &params, num_trees as u64);
+            assert_walk_matches(&forest, &rows, &format!("{num_trees} trees"));
+        }
+    }
+
+    #[test]
+    fn walk_is_bit_identical_for_single_leaf_and_uneven_depth_trees() {
+        let (xs, ys) = random_problem(5, 200);
+        let tree = |max_depth: usize| {
+            let params = TreeParams {
+                max_depth,
+                ..TreeParams::default()
+            };
+            RandomForest::fit_unbagged(&xs, &ys, &params, 0)
+        };
+        // Single leaves (depth 0) next to the deepest trees in one group:
+        // the early lanes must stay parked on their leaves.
+        let uneven = RandomForest::concat(
+            [0, 12, 1, 0, 9, 3, 12, 0, 2, 11, 0]
+                .into_iter()
+                .map(tree)
+                .collect(),
+        );
+        let leaves = RandomForest::concat((0..3).map(|_| tree(0)).collect());
+        assert!(
+            uneven.depths.contains(&0) && uneven.depths.iter().any(|&d| d >= 9),
+            "depths {:?}",
+            uneven.depths
+        );
+        let rows = probe_rows(5);
+        assert_walk_matches(&uneven, &rows, "uneven depths");
+        assert_walk_matches(&leaves, &rows, "single leaves");
+    }
+
+    #[test]
+    fn nan_features_take_the_right_branch() {
+        let xs: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64]).collect();
+        let ys: Vec<f64> = xs
+            .iter()
+            .map(|x| if x[0] < 20.0 { 1.0 } else { 5.0 })
+            .collect();
+        let params = TreeParams {
+            max_depth: 1,
+            ..TreeParams::default()
+        };
+        let forest = RandomForest::fit_unbagged(&xs, &ys, &params, 0);
+        let trees = forest.to_trees();
+        for (x, side) in [
+            (f64::NAN, 5.0),
+            (f64::INFINITY, 5.0),
+            (f64::NEG_INFINITY, 1.0),
+        ] {
+            assert_eq!(nested_predict(&trees, &[x]), side, "nested walk at {x}");
+            assert_eq!(forest.predict(&[x]), side, "packed walk at {x}");
+        }
+    }
+
+    #[test]
+    fn single_leaf_trees_have_depth_zero() {
+        let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64; NUM_FEATURES]).collect();
+        let ys = vec![7.5; 20];
+        let forest = RandomForest::fit(
+            &xs,
+            &ys,
+            &ForestParams {
+                num_trees: 2,
+                ..ForestParams::default()
+            },
+            1,
+        );
+        assert_eq!(forest.predict(&xs[0]), 7.5);
+        assert_eq!(forest.depths, [0, 0]);
+    }
+
+    #[test]
+    fn forest_reports_shape() {
+        let (xs, ys) = random_problem(9, 60);
         let params = ForestParams {
-            num_trees: 16,
+            num_trees: 5,
             ..ForestParams::default()
         };
-        let forest = RandomForest::fit(&xs, &ys, &params, 3);
-        // Some sample must be out-of-bag for at least one tree.
-        let any_oob = (0..xs.len()).any(|i| forest.oob_predict(i, &xs[i]).is_some());
-        assert!(any_oob);
+        let forest = RandomForest::fit(&xs, &ys, &params, 2);
+        assert_eq!(forest.num_trees(), 5);
+        assert_eq!(forest.num_features(), NUM_FEATURES);
+        assert!(forest.depths.iter().all(|&d| d > 0));
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::dataset::Dataset;
 use crate::features::NUM_FEATURES;
-use crate::flat::FlatForest;
+use crate::forest::RandomForest;
 use crate::metrics::rmse;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -50,7 +50,7 @@ impl FeatureImportance {
 /// Panics if the evaluation set is empty or `targets` does not hold one
 /// value per sample.
 pub fn permutation_importance(
-    forest: &FlatForest,
+    forest: &RandomForest,
     eval_set: &Dataset,
     targets: &[f64],
     seed: u64,
@@ -91,7 +91,8 @@ pub fn permutation_importance(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forest::{ForestParams, RandomForest};
+    use crate::forest::ForestParams;
+    use crate::RegressionTree;
     use gpm_hw::{ConfigSpace, HwConfig};
     use gpm_sim::{ApuSimulator, KernelCharacteristics};
 
@@ -113,21 +114,22 @@ mod tests {
         ds
     }
 
-    fn power_forest(ds: &Dataset) -> FlatForest {
-        let forest = RandomForest::fit(&ds.xs(), ds.gpu_power_w(), &ForestParams::default(), 5);
-        FlatForest::from_forest(&forest).unwrap()
+    fn power_forest(ds: &Dataset) -> RandomForest {
+        RandomForest::fit(&ds.xs(), ds.gpu_power_w(), &ForestParams::default(), 5)
     }
 
-    /// The nested-walk formula the flat walk replaced: the forest's own
-    /// traversal over a cloned row per permuted sample.
+    /// The nested-walk formula the packed walk replaced: the unpacked
+    /// trees' mean over a cloned row per permuted sample.
     fn nested_oracle(
-        forest: &RandomForest,
+        trees: &[RegressionTree],
         eval_set: &Dataset,
         targets: &[f64],
         seed: u64,
     ) -> Vec<FeatureImportance> {
+        let predict =
+            |x: &[f64]| trees.iter().map(|t| t.predict(x)).sum::<f64>() / trees.len() as f64;
         let xs = eval_set.xs();
-        let preds: Vec<f64> = xs.iter().map(|x| forest.predict(x)).collect();
+        let preds: Vec<f64> = xs.iter().map(|x| predict(x)).collect();
         let baseline = rmse(&preds, targets);
         let mut rng = StdRng::seed_from_u64(seed);
         (0..xs[0].len())
@@ -140,7 +142,7 @@ mod tests {
                     .map(|(x, &v)| {
                         let mut x2 = x.clone();
                         x2[f] = v;
-                        forest.predict(&x2)
+                        predict(&x2)
                     })
                     .collect();
                 FeatureImportance {
@@ -190,7 +192,7 @@ mod tests {
     }
 
     #[test]
-    fn flat_walk_matches_the_nested_oracle_bit_for_bit() {
+    fn packed_walk_matches_the_nested_oracle_bit_for_bit() {
         let sim = ApuSimulator::default();
         let kernels = [
             KernelCharacteristics::compute_bound("cb", 15.0),
@@ -214,10 +216,10 @@ mod tests {
             (train.gpu_power_w().to_vec(), test.gpu_power_w().to_vec()),
         ] {
             let forest = RandomForest::fit(&train.xs(), &targets, &params, 4);
-            let flat = FlatForest::from_forest(&forest).unwrap();
+            let trees = forest.to_trees();
             for seed in [7, 8] {
-                let got = permutation_importance(&flat, &test, &test_targets, seed);
-                let want = nested_oracle(&forest, &test, &test_targets, seed);
+                let got = permutation_importance(&forest, &test, &test_targets, seed);
+                let want = nested_oracle(&trees, &test, &test_targets, seed);
                 assert_eq!(got.len(), want.len());
                 for (g, w) in got.iter().zip(&want) {
                     assert_eq!(g.feature, w.feature);

@@ -3,7 +3,6 @@
 
 use crate::dataset::Dataset;
 use crate::features::{encode_config_features, encode_counter_features, NUM_FEATURES};
-use crate::flat::FlatForest;
 use crate::forest::{ForestParams, RandomForest};
 use crate::metrics;
 use crate::tree::RankedColumns;
@@ -52,79 +51,43 @@ pub struct TrainReport {
 /// let rf = RandomForestPredictor::train(&ds, &ForestParams::default(), 1);
 /// # let _ = rf;
 /// ```
-/// Inference happens on flattened [`FlatForest`] copies of the fitted
-/// forests (bit-identical to the nested traversal; see the [`crate::flat`]
-/// module). The serialized format carries only the two nested forests —
-/// the flat engines are deterministic re-encodings rebuilt on
-/// deserialization, so saved contexts stay compatible. Deserialization
-/// fails on a forest that does not flatten or was not fitted on
-/// [`NUM_FEATURES`] features.
 ///
-/// The forests sit behind one [`Arc`], so a clone copies a pointer and a
-/// tag, never a forest.
-#[derive(Debug, Clone)]
+/// Both forests are the packed [`RandomForest`]s every prediction walks
+/// and a save writes, as `{"time_forest": …, "power_forest": …}`; a
+/// load checks each forest's layout and that it is [`NUM_FEATURES`]
+/// wide.
+///
+/// Each forest sits behind an [`Arc`], so a clone copies two pointers
+/// and a tag, never a forest. Equality compares the forests bit for bit.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RandomForestPredictor {
-    forests: Arc<Forests>,
-    /// Process-unique tag for the thread-local value memo; never reused
-    /// across predictor constructions, so a stale memo entry can only
-    /// ever match the forests it was priced with. Clones share the tag —
-    /// their forests are the same, so memo hits stay correct. Kept
-    /// inline, so a memo hit reads nothing behind the [`Arc`].
-    generation: u64,
+    time_forest: Arc<RandomForest>,
+    power_forest: Arc<RandomForest>,
+    #[serde(skip)]
+    generation: Generation,
 }
 
-/// The fitted forests of a [`RandomForestPredictor`] and their flat
-/// inference engines.
-#[derive(Debug)]
-struct Forests {
-    time_forest: RandomForest,
-    power_forest: RandomForest,
-    time_flat: FlatForest,
-    power_flat: FlatForest,
-}
+/// Process-unique tag for the thread-local value memo: every predictor
+/// construction, a load included, draws a fresh one (as its `Default`),
+/// so a stale memo entry can only ever match the forests it was priced
+/// with. Clones share the tag — their forests are the same, so memo hits
+/// stay correct. It is cache identity, not model state, so it never
+/// makes two predictors unequal.
+#[derive(Debug, Clone, Copy)]
+struct Generation(u64);
 
-/// Source of [`RandomForestPredictor::generation`] tags (never 0).
+/// Source of [`Generation`] tags (never 0).
 static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
 
-impl PartialEq for RandomForestPredictor {
-    fn eq(&self, other: &Self) -> bool {
-        // The flat engines are deterministic re-encodings and the
-        // generation is cache identity, not model state: the fitted
-        // forests are the whole comparison.
-        self.time_forest() == other.time_forest() && self.power_forest() == other.power_forest()
+impl Default for Generation {
+    fn default() -> Generation {
+        Generation(NEXT_GENERATION.fetch_add(1, Ordering::Relaxed))
     }
 }
 
-/// Serialized form of [`RandomForestPredictor`]: the fitted forests only,
-/// field-compatible with predictors saved before the flat engine existed.
-#[derive(Serialize, Deserialize)]
-struct SavedForests {
-    time_forest: RandomForest,
-    power_forest: RandomForest,
-}
-
-// Hand-written so the wire format stays exactly `SavedForests` while the
-// in-memory type also carries the derived flat engines.
-impl Serialize for RandomForestPredictor {
-    fn serialize_content(&self) -> serde::Content {
-        serde::Content::Map(vec![
-            (
-                serde::Content::Str("time_forest".to_owned()),
-                self.time_forest().serialize_content(),
-            ),
-            (
-                serde::Content::Str("power_forest".to_owned()),
-                self.power_forest().serialize_content(),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for RandomForestPredictor {
-    fn deserialize_content(content: &serde::Content) -> Result<Self, serde::DeError> {
-        let saved = SavedForests::deserialize_content(content)?;
-        RandomForestPredictor::from_forests(saved.time_forest, saved.power_forest)
-            .map_err(serde::DeError::custom)
+impl PartialEq for Generation {
+    fn eq(&self, _: &Generation) -> bool {
+        true
     }
 }
 
@@ -323,60 +286,40 @@ impl RandomForestPredictor {
             0,
         );
         RandomForestPredictor::from_forests(time_forest, power_forest)
-            .expect("training rows are NUM_FEATURES wide")
     }
 
-    /// Assembles a predictor from fitted forests, building the flat
-    /// inference engines. Each assembly gets a fresh
-    /// [`generation`](RandomForestPredictor::generation) tag, so
+    /// Assembles a predictor from fitted forests. Each assembly gets a
+    /// fresh [`generation`](RandomForestPredictor::generation) tag, so
     /// retraining (e.g. via [`RandomForest::fit_with_threads`]) can never
     /// be served stale per-thread memo entries.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Describes the problem when a forest does not flatten (see
-    /// [`FlatForest::from_forest`]) or was fitted on other than
-    /// [`NUM_FEATURES`] features, the width of every row the predictor
-    /// encodes.
-    pub fn from_forests(
-        time_forest: RandomForest,
-        power_forest: RandomForest,
-    ) -> Result<RandomForestPredictor, String> {
-        let flatten = |forest: &RandomForest, what: &str| {
-            let flat = FlatForest::from_forest(forest).map_err(|e| format!("{what}: {e}"))?;
-            if flat.num_features() != NUM_FEATURES {
-                return Err(format!(
-                    "{what} was fitted on {} features, not {NUM_FEATURES}",
-                    flat.num_features()
-                ));
-            }
-            Ok(flat)
-        };
-        let time_flat = flatten(&time_forest, "time forest")?;
-        let power_flat = flatten(&power_forest, "power forest")?;
-        Ok(RandomForestPredictor {
-            forests: Arc::new(Forests {
-                time_forest,
-                power_forest,
-                time_flat,
-                power_flat,
-            }),
-            generation: NEXT_GENERATION.fetch_add(1, Ordering::Relaxed),
-        })
+    /// Panics if a forest was fitted on other than [`NUM_FEATURES`]
+    /// features, the width of every row the predictor encodes.
+    pub fn from_forests(time_forest: RandomForest, power_forest: RandomForest) -> Self {
+        for forest in [&time_forest, &power_forest] {
+            assert_eq!(forest.num_features(), NUM_FEATURES, "forest width");
+        }
+        RandomForestPredictor {
+            time_forest: Arc::new(time_forest),
+            power_forest: Arc::new(power_forest),
+            generation: Generation::default(),
+        }
     }
 
-    /// Evaluates held-out accuracy on `test`, walking the flat engines
-    /// over the dataset's rows in place.
+    /// Evaluates held-out accuracy on `test`, walking both forests over
+    /// the dataset's rows in place.
     pub fn evaluate(&self, test: &Dataset, train_samples: usize) -> TrainReport {
         let _span = gpm_telemetry::span("rf.score");
         let mut log_time_pred = Vec::with_capacity(test.len());
         let mut time_pred = Vec::with_capacity(test.len());
         let mut power_pred = Vec::with_capacity(test.len());
         for row in test.rows() {
-            let lt = self.time_flat().predict(row);
+            let lt = self.time_forest.predict(row);
             log_time_pred.push(lt);
             time_pred.push(lt.exp());
-            power_pred.push(self.power_flat().predict(row));
+            power_pred.push(self.power_forest.predict(row));
         }
         TrainReport {
             time_mape: metrics::mape(&time_pred, test.time_s()),
@@ -388,25 +331,14 @@ impl RandomForestPredictor {
         }
     }
 
-    /// The fitted `ln(time)` forest, nested form.
+    /// The fitted `ln(time)` forest.
     pub fn time_forest(&self) -> &RandomForest {
-        &self.forests.time_forest
+        &self.time_forest
     }
 
-    /// The fitted GPU-power forest, nested form.
+    /// The fitted GPU-power forest.
     pub fn power_forest(&self) -> &RandomForest {
-        &self.forests.power_forest
-    }
-
-    /// The `ln(time)` forest's flat inference engine (for diagnostics
-    /// such as permutation importance).
-    pub fn time_flat(&self) -> &FlatForest {
-        &self.forests.time_flat
-    }
-
-    /// The GPU-power forest's flat inference engine.
-    pub fn power_flat(&self) -> &FlatForest {
-        &self.forests.power_flat
+        &self.power_forest
     }
 
     /// This predictor's memo-identity tag: process-unique and strictly
@@ -414,7 +346,7 @@ impl RandomForestPredictor {
     /// estimates only if their generations are equal — i.e. only a
     /// predictor and its clones.
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.generation.0
     }
 
     /// Convenience: split, train, and report in one call.
@@ -435,7 +367,7 @@ impl PowerPerfPredictor for RandomForestPredictor {
     fn predict(&self, snapshot: &KernelSnapshot, cfg: HwConfig) -> PowerPerfEstimate {
         MEMO.with(|memo| {
             let memo = &mut *memo.borrow_mut();
-            let key = SnapshotKey::new(self.generation, &snapshot.counters);
+            let key = SnapshotKey::new(self.generation.0, &snapshot.counters);
             let slot = memo.slot(&key, key.fingerprint());
             if let Some(est) = memo.get(slot, cfg) {
                 return est;
@@ -445,8 +377,8 @@ impl PowerPerfPredictor for RandomForestPredictor {
             counters.copy_from_slice(&encode_counter_features(&snapshot.counters));
             config.copy_from_slice(&encode_config_features(cfg));
             let est = PowerPerfEstimate {
-                time_s: self.time_flat().predict(&row).exp().max(1e-9),
-                gpu_power_w: self.power_flat().predict(&row).max(0.1),
+                time_s: self.time_forest.predict(&row).exp().max(1e-9),
+                gpu_power_w: self.power_forest.predict(&row).max(0.1),
             };
             memo.set(slot, cfg, est);
             est
@@ -461,8 +393,10 @@ impl PowerPerfPredictor for RandomForestPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RegressionTree;
     use gpm_hw::{ConfigSpace, CpuPState, GpuDpm};
     use gpm_sim::{ApuSimulator, KernelCharacteristics};
+    use serde_json::Value;
 
     fn campaign() -> (ApuSimulator, Vec<KernelCharacteristics>, Dataset) {
         let sim = ApuSimulator::default();
@@ -534,17 +468,23 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The seed formula: one-shot encoding + nested forest traversal +
-    /// exp/clamp, touching no thread-local state.
+    /// The mean of the nested walks of `trees`, in tree order.
+    fn walk(trees: &[RegressionTree], row: &[f64]) -> f64 {
+        trees.iter().map(|t| t.predict(row)).sum::<f64>() / trees.len() as f64
+    }
+
+    /// The seed formula on `rf`'s forests, unpacked once: one-shot
+    /// encoding + nested walk + exp/clamp, touching no thread-local state.
     fn nested_reference(
         rf: &RandomForestPredictor,
-        snap: &KernelSnapshot,
-        cfg: HwConfig,
-    ) -> PowerPerfEstimate {
-        let features = crate::features::encode_features(&snap.counters, cfg);
-        PowerPerfEstimate {
-            time_s: rf.time_forest().predict(&features).exp().max(1e-9),
-            gpu_power_w: rf.power_forest().predict(&features).max(0.1),
+    ) -> impl Fn(&KernelSnapshot, HwConfig) -> PowerPerfEstimate {
+        let (time, power) = (rf.time_forest().to_trees(), rf.power_forest().to_trees());
+        move |snap, cfg| {
+            let features = crate::features::encode_features(&snap.counters, cfg);
+            PowerPerfEstimate {
+                time_s: walk(&time, &features).exp().max(1e-9),
+                gpu_power_w: walk(&power, &features).max(0.1),
+            }
         }
     }
 
@@ -563,6 +503,7 @@ mod tests {
         // on the walk that fills the memo and on the hit that reads it.
         let (_, _, ds) = campaign();
         let rf = RandomForestPredictor::train(&ds, &ForestParams::default(), 11);
+        let nested = nested_reference(&rf);
         let snap = KernelSnapshot::counters_only(
             gpm_sim::CounterSet::from_values([1e8, 40.0, 60.0, 1e5, 6.0, 3.0, 1e6, 1e6]),
             HwConfig::FAIL_SAFE,
@@ -572,7 +513,7 @@ mod tests {
             for cfg in &ConfigSpace::paper_campaign() {
                 assert_bits_eq(
                     rf.predict(&snap, cfg),
-                    nested_reference(&rf, &snap, cfg),
+                    nested(&snap, cfg),
                     &format!("{cfg}"),
                 );
             }
@@ -587,9 +528,10 @@ mod tests {
         train_samples: usize,
     ) -> TrainReport {
         let xs = test.xs();
-        let log_time_pred: Vec<f64> = xs.iter().map(|x| rf.time_forest().predict(x)).collect();
+        let (time, power) = (rf.time_forest().to_trees(), rf.power_forest().to_trees());
+        let log_time_pred: Vec<f64> = xs.iter().map(|x| walk(&time, x)).collect();
         let time_pred: Vec<f64> = log_time_pred.iter().map(|lt| lt.exp()).collect();
-        let power_pred: Vec<f64> = xs.iter().map(|x| rf.power_forest().predict(x)).collect();
+        let power_pred: Vec<f64> = xs.iter().map(|x| walk(&power, x)).collect();
         TrainReport {
             time_mape: metrics::mape(&time_pred, test.time_s()),
             power_mape: metrics::mape(&power_pred, test.gpu_power_w()),
@@ -628,7 +570,8 @@ mod tests {
         };
         let rf = RandomForestPredictor::train(&ds, &params, 11);
         let clone = rf.clone();
-        assert!(Arc::ptr_eq(&rf.forests, &clone.forests));
+        assert!(Arc::ptr_eq(&rf.time_forest, &clone.time_forest));
+        assert!(Arc::ptr_eq(&rf.power_forest, &clone.power_forest));
         assert_eq!(clone.generation(), rf.generation());
         assert_eq!(clone, rf);
     }
@@ -643,6 +586,7 @@ mod tests {
         let (_, _, ds) = campaign();
         let rf_a = RandomForestPredictor::train(&ds, &ForestParams::default(), 11);
         let rf_b = RandomForestPredictor::train(&ds, &ForestParams::default(), 23);
+        let (nested_a, nested_b) = (nested_reference(&rf_a), nested_reference(&rf_b));
         let snaps: Vec<KernelSnapshot> = (0..MEMO_SNAPSHOTS / 2 + 5)
             .map(|i| {
                 let f = 1.0 + i as f64 * 0.37;
@@ -670,12 +614,7 @@ mod tests {
             .iter()
             .map(|snap| {
                 cfgs.iter()
-                    .map(|&cfg| {
-                        [
-                            nested_reference(&rf_a, snap, cfg),
-                            nested_reference(&rf_b, snap, cfg),
-                        ]
-                    })
+                    .map(|&cfg| [nested_a(snap, cfg), nested_b(snap, cfg)])
                     .collect()
             })
             .collect();
@@ -718,6 +657,7 @@ mod tests {
         // served, still matches the nested reference.
         let (_, _, ds) = campaign();
         let rf = RandomForestPredictor::train(&ds, &ForestParams::default(), 11);
+        let nested = nested_reference(&rf);
         let snaps: Vec<KernelSnapshot> = (0..4)
             .map(|i| {
                 KernelSnapshot::counters_only(
@@ -744,11 +684,7 @@ mod tests {
                 rf.predict_batch(snap, &cfgs[..cfgs.len() / 2], &mut batch);
                 for &cfg in &cfgs {
                     let what = format!("round {round} snapshot {i} {cfg}");
-                    assert_bits_eq(
-                        rf.predict(snap, cfg),
-                        nested_reference(&rf, snap, cfg),
-                        &what,
-                    );
+                    assert_bits_eq(rf.predict(snap, cfg), nested(snap, cfg), &what);
                 }
             }
         }
@@ -853,8 +789,14 @@ mod tests {
         assert_ne!(key(1).fingerprint(), key(3).fingerprint());
     }
 
+    /// The keys of a JSON object, in order.
+    fn keys(value: &Value) -> Vec<&str> {
+        let map = value.as_map().expect("an object");
+        map.iter().map(|(k, _)| k.as_str().unwrap()).collect()
+    }
+
     #[test]
-    fn serde_roundtrip_rebuilds_flat_engines() {
+    fn serde_roundtrip_keeps_the_packed_forests_bit_for_bit() {
         let (_, _, ds) = campaign();
         let params = ForestParams {
             num_trees: 6,
@@ -863,16 +805,42 @@ mod tests {
         let rf = RandomForestPredictor::train(&ds, &params, 11);
         let json = serde_json::to_string(&rf).unwrap();
         let back: RandomForestPredictor = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, rf, "flat engines must rebuild identically on load");
-        // The wire format carries only the nested forests.
-        let value: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let keys: Vec<&str> = value
-            .as_map()
+        assert_eq!(back, rf, "the forests must load bit for bit");
+        assert_ne!(
+            back.generation(),
+            rf.generation(),
+            "a load is a new predictor"
+        );
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+
+        // The wire format is the two packed forests and nothing per
+        // sample or per tree beyond each root.
+        let mut value: Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(keys(&value), ["time_forest", "power_forest"]);
+        for forest in ["time_forest", "power_forest"] {
+            assert_eq!(
+                keys(&value[forest]),
+                ["num_features", "roots", "nodes", "leaf_values"]
+            );
+            assert_eq!(value[forest]["roots"].as_array().unwrap().len(), 6);
+        }
+
+        // Negative zeros in a split threshold and a leaf value survive.
+        let forest = &mut value["time_forest"];
+        let leaf = forest["nodes"]
+            .as_array()
             .unwrap()
             .iter()
-            .map(|(k, _)| k.as_str().unwrap())
-            .collect();
-        assert_eq!(keys, ["time_forest", "power_forest"]);
+            .zip(0..)
+            .position(|(node, i)| node[2] == i)
+            .expect("a leaf");
+        assert_ne!(leaf, 0, "the root is a split");
+        forest["nodes"][0][0] = Value::F64(-0.0);
+        forest["leaf_values"][leaf] = Value::F64(-0.0);
+        let edited = serde_json::to_string(&value).unwrap();
+        assert!(edited.contains("[-0.0,"), "{}", &edited[..200]);
+        let back: RandomForestPredictor = serde_json::from_str(&edited).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), edited);
     }
 
     #[test]

@@ -25,6 +25,13 @@
 //! lanes make the same IEEE additions, multiplications and divisions at
 //! every width (Rust never fuses them into FMAs), so every tier grows the
 //! same tree bit for bit.
+//!
+//! A `TreeFitter` writes each tree straight into the packed 16-byte
+//! layout that forests are walked and saved in (`PackedNode`): it
+//! reserves a node's slot before recursing left, so a split's left child
+//! is always the next slot, and fills the split in once its right child's
+//! index is known. [`RegressionTree`], the nested enum-node form, is only
+//! the reference the oracle tests compare fits and walks against.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -58,7 +65,94 @@ impl Default for TreeParams {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One split or leaf of a fitted tree in the packed layout: 16 bytes.
+///
+/// The left child of a split is always the next slot, since the fitter
+/// reserves a node's slot before it recurses left. A leaf's right child
+/// is its own index and its threshold is NaN, so the walk step
+/// `if x <= threshold { i + 1 } else { right }` parks on it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PackedNode {
+    /// Split threshold; NaN at a leaf, where every comparison fails.
+    pub(crate) threshold: f64,
+    /// Feature id compared at this node; 0 at a leaf, whose comparison
+    /// never decides anything.
+    pub(crate) feature: u32,
+    /// Right-child index into the forest's node array; a leaf holds its
+    /// own index.
+    pub(crate) right: u32,
+}
+
+impl PackedNode {
+    /// The leaf at node index `i`: it loops back to itself.
+    pub(crate) fn leaf(i: usize) -> PackedNode {
+        PackedNode {
+            threshold: f64::NAN,
+            feature: 0,
+            right: i as u32,
+        }
+    }
+
+    /// One walk step from this node, stored at index `i`, given the value
+    /// `x` of its feature. The direction is data, so it is a conditional
+    /// move: a mispredicted jump would flush every other lane of the walk.
+    #[inline(always)]
+    pub(crate) fn next(self, i: usize, x: f64) -> usize {
+        std::hint::select_unpredictable(x <= self.threshold, i + 1, self.right as usize)
+    }
+}
+
+impl PartialEq for PackedNode {
+    /// Bit for bit, so a `-0.0` threshold differs from `0.0` and a leaf's
+    /// NaN equals itself.
+    fn eq(&self, other: &PackedNode) -> bool {
+        (self.threshold.to_bits(), self.feature, self.right)
+            == (other.threshold.to_bits(), other.feature, other.right)
+    }
+}
+
+/// Fitted trees in the packed layout, tree after tree, with child
+/// indices counted from the start of `nodes`: what a fit worker appends
+/// its trees to and a [`RandomForest`](crate::RandomForest) holds.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PackedTrees {
+    pub(crate) nodes: Vec<PackedNode>,
+    /// Leaf value per node, index-aligned with `nodes` (0.0 at splits).
+    pub(crate) leaf_values: Vec<f64>,
+    /// Index of each tree's root in `nodes`.
+    pub(crate) roots: Vec<u32>,
+}
+
+impl PackedTrees {
+    /// Appends `other`'s trees after these, rebasing its indices.
+    pub(crate) fn append(&mut self, other: PackedTrees) {
+        if self.roots.is_empty() {
+            *self = other;
+            return;
+        }
+        let base = self.nodes.len() as u32;
+        self.roots
+            .extend(other.roots.iter().map(|&root| root + base));
+        self.nodes
+            .extend(other.nodes.iter().map(|&node| PackedNode {
+                right: node.right + base,
+                ..node
+            }));
+        self.leaf_values.extend_from_slice(&other.leaf_values);
+    }
+
+    /// The node indices of tree `t`: from its root to the next tree's.
+    pub(crate) fn span(&self, t: usize) -> std::ops::Range<usize> {
+        let end = self
+            .roots
+            .get(t + 1)
+            .map_or(self.nodes.len(), |&root| root as usize);
+        self.roots[t] as usize..end
+    }
+}
+
+/// A node of a [`RegressionTree`], the nested reference form.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Node {
     Leaf {
         value: f64,
@@ -71,81 +165,43 @@ pub(crate) enum Node {
     },
 }
 
-/// A fitted CART regression tree.
+/// One tree as an array of enum nodes, walked one `match` per step: the
+/// reference the packed forest walk is checked against, bit for bit.
 ///
-/// # Examples
-///
-/// ```
-/// use gpm_model::{RegressionTree, TreeParams};
-///
-/// let xs: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64]).collect();
-/// let ys: Vec<f64> = xs.iter().map(|x| if x[0] < 20.0 { 1.0 } else { 5.0 }).collect();
-/// let tree = RegressionTree::fit(&xs, &ys, &TreeParams::default(), 1);
-/// assert!((tree.predict(&[3.0]) - 1.0).abs() < 1e-9);
-/// assert!((tree.predict(&[33.0]) - 5.0).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Only [`RandomForest::to_trees`](crate::RandomForest::to_trees) and the
+/// per-threshold oracle fitter of the tests build one; forests are fitted,
+/// walked and saved in the packed layout.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegressionTree {
     nodes: Vec<Node>,
     num_features: usize,
 }
 
 impl RegressionTree {
-    /// Fits a tree to `(xs, ys)`.
-    ///
-    /// `seed` drives feature subsampling; trees with
-    /// `feature_subsample: None` are deterministic regardless of seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` is empty, `ys.len() != xs.len()`, or feature vectors
-    /// have inconsistent lengths.
-    pub fn fit(xs: &[Vec<f64>], ys: &[f64], params: &TreeParams, seed: u64) -> RegressionTree {
-        assert!(!xs.is_empty(), "cannot fit a tree to zero samples");
-        assert_eq!(xs.len(), ys.len(), "xs and ys must have equal length");
-        let columns = RankedColumns::from_rows(xs);
-        let mut rows: Vec<u32> = (0..columns.num_rows() as u32).collect();
-        RegressionTree::fit_ranked(
-            &columns,
-            ys,
-            &mut rows,
-            params,
-            seed,
-            &mut FitScratch::default(),
-            SimdTier::detected(),
-        )
-    }
-
-    /// Fits a tree to the samples `rows` of `columns` (repeats allowed, in
-    /// the order the samples were drawn), searching splits with `tier`'s
-    /// build. `rows` is reordered in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this CPU cannot run `tier`.
-    pub(crate) fn fit_ranked(
-        columns: &RankedColumns,
-        ys: &[f64],
-        rows: &mut [u32],
-        params: &TreeParams,
-        seed: u64,
-        scratch: &mut FitScratch,
-        tier: SimdTier,
-    ) -> RegressionTree {
-        assert!(tier.is_supported(), "this CPU cannot run the {tier:?} tier");
-        let mut fitter = Fitter {
-            columns,
-            ys,
-            params,
-            rng: StdRng::seed_from_u64(seed),
-            scratch,
-            tier,
-            nodes: Vec::new(),
-        };
-        fitter.build(rows, 0);
+    /// Unpacks tree `t` of `trees`, fitted on `num_features` features.
+    pub(crate) fn unpack(trees: &PackedTrees, t: usize, num_features: usize) -> RegressionTree {
+        let span = trees.span(t);
+        let base = span.start;
+        let nodes = span
+            .map(|i| {
+                let node = trees.nodes[i];
+                if node.right as usize == i {
+                    Node::Leaf {
+                        value: trees.leaf_values[i],
+                    }
+                } else {
+                    Node::Split {
+                        feature: node.feature as usize,
+                        threshold: node.threshold,
+                        left: i + 1 - base,
+                        right: node.right as usize - base,
+                    }
+                }
+            })
+            .collect();
         RegressionTree {
-            nodes: fitter.nodes,
-            num_features: columns.num_features(),
+            nodes,
+            num_features,
         }
     }
 
@@ -153,14 +209,9 @@ impl RegressionTree {
     ///
     /// # Panics
     ///
-    /// The dimensionality check is a `debug_assert!`: callers must pass a
-    /// vector of exactly the training dimensionality
-    /// ([`num_features`](RegressionTree::num_features)). Debug builds panic
-    /// on a mismatch; release builds skip the per-call check (this sits on
-    /// the optimizer's innermost loop) and a *shorter* vector then panics
-    /// on the out-of-bounds feature access, while a longer one silently
-    /// ignores the extra entries. Batch callers should validate once at
-    /// the batch boundary instead.
+    /// Debug builds panic unless `x` has exactly the training
+    /// dimensionality; release builds panic only when a feature it
+    /// reads lies past the end of `x`.
     pub fn predict(&self, x: &[f64]) -> f64 {
         debug_assert_eq!(
             x.len(),
@@ -181,38 +232,6 @@ impl RegressionTree {
                 }
             }
         }
-    }
-
-    /// Number of nodes in the fitted tree.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Dimensionality of the feature vectors the tree was fitted on.
-    pub fn num_features(&self) -> usize {
-        self.num_features
-    }
-
-    /// The fitted node array (crate-internal; consumed by the flat
-    /// inference engine).
-    pub(crate) fn nodes(&self) -> &[Node] {
-        &self.nodes
-    }
-
-    /// Whether the tree is a single leaf.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.len() <= 1
-    }
-
-    /// Maximum depth actually reached.
-    pub fn depth(&self) -> usize {
-        fn walk(nodes: &[Node], at: usize) -> usize {
-            match nodes[at] {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + walk(nodes, left).max(walk(nodes, right)),
-            }
-        }
-        walk(&self.nodes, 0)
     }
 }
 
@@ -418,9 +437,9 @@ fn rank_column<I: Iterator<Item = f64>>(
     (distinct, ranks)
 }
 
-/// Buffers one worker reuses across every node of every tree it fits.
+/// Buffers a [`TreeFitter`] reuses across every node of every tree.
 #[derive(Debug, Default)]
-pub(crate) struct FitScratch {
+struct FitScratch {
     /// The node's targets and squared targets, in sample order.
     ys: Vec<f64>,
     qs: Vec<f64>,
@@ -456,20 +475,60 @@ struct Split {
     sse: f64,
 }
 
-struct Fitter<'a> {
+/// Fits trees one after another straight into the packed layout: one per
+/// fit worker, reusing its buffers across every tree.
+pub(crate) struct TreeFitter<'a> {
     columns: &'a RankedColumns,
     ys: &'a [f64],
     params: &'a TreeParams,
-    rng: StdRng,
-    scratch: &'a mut FitScratch,
-    /// Which build of the split search runs; `fit_ranked` checked that
-    /// this CPU supports it.
+    /// Which build of the split search runs; `new` checked that this CPU
+    /// supports it.
     tier: SimdTier,
-    nodes: Vec<Node>,
+    /// The feature subsampling stream of the tree being fitted.
+    rng: StdRng,
+    scratch: FitScratch,
+    /// Every tree fitted so far.
+    pub(crate) trees: PackedTrees,
 }
 
-impl Fitter<'_> {
-    fn build(&mut self, rows: &mut [u32], depth: usize) -> usize {
+impl<'a> TreeFitter<'a> {
+    /// A fitter of trees on `columns` against the targets `ys`, searching
+    /// splits with `tier`'s build.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this CPU cannot run `tier`.
+    pub(crate) fn new(
+        columns: &'a RankedColumns,
+        ys: &'a [f64],
+        params: &'a TreeParams,
+        tier: SimdTier,
+    ) -> TreeFitter<'a> {
+        assert!(tier.is_supported(), "this CPU cannot run the {tier:?} tier");
+        TreeFitter {
+            columns,
+            ys,
+            params,
+            tier,
+            rng: StdRng::seed_from_u64(0),
+            scratch: FitScratch::default(),
+            trees: PackedTrees::default(),
+        }
+    }
+
+    /// Fits one tree to the samples `rows` (repeats allowed, in the order
+    /// the samples were drawn), subsampling features with a stream seeded
+    /// by `seed`, and appends it to [`trees`](TreeFitter::trees). `rows`
+    /// is reordered in place.
+    pub(crate) fn fit(&mut self, rows: &mut [u32], seed: u64) {
+        self.rng = StdRng::seed_from_u64(seed);
+        self.trees.roots.push(self.trees.nodes.len() as u32);
+        self.build(rows, 0);
+    }
+
+    /// Appends the subtree of `rows` in preorder: a node, its left
+    /// subtree, then its right subtree.
+    fn build(&mut self, rows: &mut [u32], depth: usize) {
         let sum = rows.iter().map(|&r| self.ys[r as usize]).sum::<f64>();
         let mean = sum / rows.len() as f64;
         let stop = depth >= self.params.max_depth
@@ -482,10 +541,16 @@ impl Fitter<'_> {
         } else {
             self.best_split(rows, sum)
         };
+        let slot = self.trees.nodes.len();
+        self.trees.nodes.push(PackedNode::leaf(slot));
         let Some(split) = split else {
-            self.nodes.push(Node::Leaf { value: mean });
-            return self.nodes.len() - 1;
+            self.trees.leaf_values.push(mean);
+            return;
         };
+        // The slot is reserved before recursing, so the left child is the
+        // next one; the split is written over it once the right child's
+        // index is known.
+        self.trees.leaf_values.push(0.0);
 
         // Stable partition, so each child keeps the sample order its sums
         // are accumulated in. Every row is written to both sides and only
@@ -507,18 +572,14 @@ impl Fitter<'_> {
         rows[left..].copy_from_slice(&spill[..right]);
         let (left_rows, right_rows) = rows.split_at_mut(left);
 
-        // Reserve this node's slot before recursing.
-        let slot = self.nodes.len();
-        self.nodes.push(Node::Leaf { value: mean });
-        let left = self.build(left_rows, depth + 1);
-        let right = self.build(right_rows, depth + 1);
-        self.nodes[slot] = Node::Split {
-            feature: split.feature,
+        self.build(left_rows, depth + 1);
+        let right = self.trees.nodes.len();
+        self.build(right_rows, depth + 1);
+        self.trees.nodes[slot] = PackedNode {
             threshold: split.threshold,
-            left,
-            right,
+            feature: split.feature as u32,
+            right: right as u32,
         };
-        slot
     }
 
     /// The split with the least child SSE, earliest in (shuffled feature,
@@ -528,8 +589,8 @@ impl Fitter<'_> {
         match self.tier {
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             SimdTier::Avx2 => {
-                // SAFETY: `fit_ranked` only builds a fitter for a tier that
-                // `is_supported` found this CPU runs: AVX2.
+                // SAFETY: `TreeFitter::new` only builds a fitter for a tier
+                // that `is_supported` found this CPU runs: AVX2.
                 unsafe { self.search_avx2(rows, sum) }
             }
             _ => self.search(rows, sum),
@@ -547,7 +608,7 @@ impl Fitter<'_> {
     #[inline(always)]
     fn search(&mut self, rows: &[u32], sum: f64) -> Option<Split> {
         let num_features = self.columns.num_features();
-        let s = &mut *self.scratch;
+        let s = &mut self.scratch;
         s.features.clear();
         s.features.extend(0..num_features);
         if let Some(k) = self.params.feature_subsample {
@@ -725,6 +786,16 @@ pub(crate) mod oracle {
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
+    /// Asserts that `tree` is the oracle's `reference` bit for bit:
+    /// `Debug` prints every float in full, down to the sign of a zero.
+    pub(crate) fn assert_same(tree: &RegressionTree, reference: &RegressionTree, what: &str) {
+        // `assert!`, not `assert_eq!`: a deployed tree prints as ~100 KB.
+        assert!(
+            format!("{tree:?}") == format!("{reference:?}"),
+            "{what}: the tree diverged from the oracle"
+        );
+    }
+
     /// Fits a tree to `(xs, ys)` the way the ranked fitter must.
     pub(crate) fn fit(
         xs: &[Vec<f64>],
@@ -852,6 +923,7 @@ pub(crate) mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RandomForest;
     use rand::{Rng, RngCore};
 
     /// A seeded dataset whose columns cover what the ranked fitter must
@@ -902,17 +974,6 @@ mod tests {
             })
             .collect();
         (xs, ys)
-    }
-
-    /// Asserts the ranked fitter and the oracle grow the same tree, down
-    /// to the sign of a zero threshold.
-    fn assert_same_tree(ranked: &RegressionTree, reference: &RegressionTree, what: &str) {
-        assert_eq!(ranked, reference, "{what}");
-        assert_eq!(
-            serde_json::to_string(ranked).expect("tree serializes"),
-            serde_json::to_string(reference).expect("tree serializes"),
-            "{what}"
-        );
     }
 
     /// One oracle case: a bootstrap bag (repeated rows, in draw order) of a
@@ -1029,12 +1090,20 @@ mod tests {
         }
     }
 
+    /// The one tree of a forest fitted to every row of `(xs, ys)` in
+    /// order, unpacked.
+    fn fit_tree(xs: &[Vec<f64>], ys: &[f64], params: &TreeParams, seed: u64) -> RegressionTree {
+        RandomForest::fit_unbagged(xs, ys, params, seed)
+            .to_trees()
+            .remove(0)
+    }
+
     #[test]
     fn ranked_fit_matches_the_oracle_bit_for_bit() {
-        // The public entry point ranks the bag's own rows.
+        // Ranks the bag's own rows, then packs the tree into a forest.
         for_each_oracle_case(|case| {
-            let fitted = RegressionTree::fit(&case.bag_xs, &case.bag_ys, &case.params, case.seed);
-            assert_same_tree(&fitted, &case.reference, &case.what);
+            let fitted = fit_tree(&case.bag_xs, &case.bag_ys, &case.params, case.seed);
+            oracle::assert_same(&fitted, &case.reference, &case.what);
         });
     }
 
@@ -1051,20 +1120,16 @@ mod tests {
         assert_eq!(tiers[0], SimdTier::detected());
         assert!(tiers.contains(&SimdTier::Portable));
         // Each tier fits the bag's rows of the whole dataset's ranks.
-        let mut scratch = FitScratch::default();
         for_each_oracle_case(|case| {
             for &tier in &tiers {
-                let fitted = RegressionTree::fit_ranked(
-                    case.columns,
-                    case.ys,
-                    &mut case.bag.clone(),
-                    &case.params,
-                    case.seed,
-                    &mut scratch,
-                    tier,
+                let mut fitter = TreeFitter::new(case.columns, case.ys, &case.params, tier);
+                fitter.fit(&mut case.bag.clone(), case.seed);
+                let fitted = RegressionTree::unpack(&fitter.trees, 0, case.columns.num_features());
+                oracle::assert_same(
+                    &fitted,
+                    &case.reference,
+                    &format!("{}, {tier:?}", case.what),
                 );
-                let what = format!("{}, {tier:?} tier", case.what);
-                assert_same_tree(&fitted, &case.reference, &what);
             }
         });
     }
@@ -1080,9 +1145,9 @@ mod tests {
             feature_subsample: None,
             threshold_candidates: 64,
         };
-        let tree = RegressionTree::fit(&xs, &ys, &params, 1);
+        let tree = fit_tree(&xs, &ys, &params, 1);
         let split_features: Vec<usize> = tree
-            .nodes()
+            .nodes
             .iter()
             .filter_map(|node| match node {
                 Node::Split { feature, .. } => Some(*feature),
@@ -1109,7 +1174,7 @@ mod tests {
     #[test]
     fn learns_step_function_exactly() {
         let (xs, ys) = step_data();
-        let tree = RegressionTree::fit(&xs, &ys, &TreeParams::default(), 1);
+        let tree = fit_tree(&xs, &ys, &TreeParams::default(), 1);
         assert!((tree.predict(&[10.0, 0.0]) + 2.0).abs() < 1e-9);
         assert!((tree.predict(&[80.0, 0.0]) - 4.0).abs() < 1e-9);
     }
@@ -1118,8 +1183,8 @@ mod tests {
     fn constant_target_yields_single_leaf() {
         let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
         let ys = vec![7.5; 20];
-        let tree = RegressionTree::fit(&xs, &ys, &TreeParams::default(), 1);
-        assert!(tree.is_empty());
+        let tree = fit_tree(&xs, &ys, &TreeParams::default(), 1);
+        assert_eq!(tree.nodes.len(), 1);
         assert_eq!(tree.predict(&[123.0]), 7.5);
     }
 
@@ -1130,7 +1195,7 @@ mod tests {
             max_depth: 0,
             ..TreeParams::default()
         };
-        let tree = RegressionTree::fit(&xs, &ys, &params, 1);
+        let tree = fit_tree(&xs, &ys, &params, 1);
         let mean = ys.iter().sum::<f64>() / ys.len() as f64;
         assert!((tree.predict(&[0.0, 0.0]) - mean).abs() < 1e-9);
     }
@@ -1142,16 +1207,16 @@ mod tests {
             min_samples_leaf: 60,
             ..TreeParams::default()
         };
-        let tree = RegressionTree::fit(&xs, &ys, &params, 1);
+        let tree = fit_tree(&xs, &ys, &params, 1);
         // 100 samples cannot split into two leaves of ≥60.
-        assert!(tree.is_empty());
+        assert_eq!(tree.nodes.len(), 1);
     }
 
     #[test]
     fn deeper_trees_fit_finer_structure() {
         let xs: Vec<Vec<f64>> = (0..128).map(|i| vec![i as f64]).collect();
         let ys: Vec<f64> = xs.iter().map(|x| (x[0] / 16.0).floor()).collect();
-        let shallow = RegressionTree::fit(
+        let shallow = fit_tree(
             &xs,
             &ys,
             &TreeParams {
@@ -1160,7 +1225,7 @@ mod tests {
             },
             1,
         );
-        let deep = RegressionTree::fit(
+        let deep = fit_tree(
             &xs,
             &ys,
             &TreeParams {
@@ -1176,7 +1241,7 @@ mod tests {
                 .sum()
         };
         assert!(sse(&deep) < sse(&shallow) * 0.2);
-        assert!(deep.depth() > shallow.depth());
+        assert!(deep.nodes.len() > shallow.nodes.len());
     }
 
     #[test]
@@ -1189,43 +1254,16 @@ mod tests {
             .iter()
             .map(|x| if x[0] < 50.0 { 0.0 } else { 10.0 })
             .collect();
-        let tree = RegressionTree::fit(&xs, &ys, &TreeParams::default(), 1);
+        let tree = fit_tree(&xs, &ys, &TreeParams::default(), 1);
         assert!((tree.predict(&[10.0, 5.0]) - 0.0).abs() < 1e-9);
         assert!((tree.predict(&[90.0, 5.0]) - 10.0).abs() < 1e-9);
     }
 
     #[test]
-    #[should_panic(expected = "zero samples")]
-    fn empty_fit_panics() {
-        let _ = RegressionTree::fit(&[], &[], &TreeParams::default(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn mismatched_lengths_panic() {
-        let _ = RegressionTree::fit(&[vec![1.0]], &[1.0, 2.0], &TreeParams::default(), 1);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "dimensionality mismatch")]
-    fn predict_wrong_arity_panics() {
-        let tree = RegressionTree::fit(
-            &[vec![1.0], vec![2.0], vec![3.0], vec![4.0]],
-            &[1.0, 2.0, 3.0, 4.0],
-            &TreeParams::default(),
-            1,
-        );
-        let _ = tree.predict(&[1.0, 2.0]);
-    }
-
-    #[test]
     fn fit_is_deterministic_without_subsampling() {
         let (xs, ys) = step_data();
-        let a = RegressionTree::fit(&xs, &ys, &TreeParams::default(), 1);
-        let b = RegressionTree::fit(&xs, &ys, &TreeParams::default(), 999);
-        for x in &xs {
-            assert_eq!(a.predict(x), b.predict(x));
-        }
+        let a = fit_tree(&xs, &ys, &TreeParams::default(), 1);
+        let b = fit_tree(&xs, &ys, &TreeParams::default(), 999);
+        assert_eq!(a, b);
     }
 }

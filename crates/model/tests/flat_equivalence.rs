@@ -1,8 +1,8 @@
-//! Property tests pinning the flat-inference engine to the nested
-//! traversal: across randomly fitted forests, flat predictions are
-//! bit-identical to [`RandomForest::predict`].
+//! Property tests pinning the packed forest walk to the nested
+//! traversal: across randomly fitted forests, [`RandomForest::predict`]
+//! is bit-identical to the mean of the unpacked trees' predictions.
 
-use gpm_model::{FlatForest, ForestParams, RandomForest, TreeParams, NUM_FEATURES};
+use gpm_model::{ForestParams, RandomForest, TreeParams, NUM_FEATURES};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,7 +41,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn flat_forest_is_bit_identical_to_nested(
+    fn packed_walk_is_bit_identical_to_nested(
         seed in 0u64..(1u64 << 32),
         num_trees in 1usize..8,
         max_depth in 2usize..8,
@@ -49,7 +49,7 @@ proptest! {
     ) {
         let (xs, ys) = random_problem(seed, rows);
         let forest = RandomForest::fit(&xs, &ys, &forest_params(num_trees, max_depth), seed);
-        let flat = FlatForest::from_forest(&forest).unwrap();
+        let trees = forest.to_trees();
         // Training rows land exactly on leaves; probe rows exercise both
         // branch directions away from fitted thresholds.
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
@@ -57,23 +57,8 @@ proptest! {
             .map(|_| (0..NUM_FEATURES).map(|_| rng.gen_range(-12.0..12.0)).collect())
             .collect();
         for x in xs.iter().take(25).chain(&probes) {
-            prop_assert_eq!(flat.predict(x).to_bits(), forest.predict(x).to_bits());
-        }
-    }
-
-    #[test]
-    fn predict_all_into_matches_scalar_mean(
-        seed in 0u64..(1u64 << 32),
-        num_trees in 1usize..8,
-    ) {
-        let (xs, ys) = random_problem(seed, 40);
-        let forest = RandomForest::fit(&xs, &ys, &forest_params(num_trees, 5), seed);
-        let mut per_tree = Vec::new();
-        for x in xs.iter().take(10) {
-            forest.predict_all_into(x, &mut per_tree);
-            prop_assert_eq!(per_tree.len(), forest.num_trees());
-            let mean = per_tree.iter().sum::<f64>() / per_tree.len() as f64;
-            prop_assert_eq!(mean.to_bits(), forest.predict(x).to_bits());
+            let nested = trees.iter().map(|t| t.predict(x)).sum::<f64>() / trees.len() as f64;
+            prop_assert_eq!(forest.predict(x).to_bits(), nested.to_bits());
         }
     }
 }

@@ -7,7 +7,8 @@
 
 use gpm_hw::{ConfigSpace, HwConfig};
 use gpm_model::{
-    encode_features, ForestParams, RandomForest, RandomForestPredictor, TreeParams, NUM_FEATURES,
+    encode_features, ForestParams, RandomForest, RandomForestPredictor, RegressionTree, TreeParams,
+    NUM_FEATURES,
 };
 use gpm_sim::predictor::{KernelSnapshot, PowerPerfPredictor};
 use gpm_sim::CounterSet;
@@ -52,7 +53,7 @@ fn fit_predictor(seed: u64, threads: usize) -> RandomForestPredictor {
     let (_, ys_power) = random_problem(seed ^ 0xABCD, 60);
     let time = RandomForest::fit_with_threads(&xs, &ys_time, &params(), seed, threads);
     let power = RandomForest::fit_with_threads(&xs, &ys_power, &params(), seed ^ 1, threads);
-    RandomForestPredictor::from_forests(time, power).unwrap()
+    RandomForestPredictor::from_forests(time, power)
 }
 
 fn snapshot(seed: u64) -> KernelSnapshot {
@@ -71,11 +72,15 @@ fn reference_sweep(
     snap: &KernelSnapshot,
     cfgs: &[HwConfig],
 ) -> Vec<u64> {
+    let nested = |trees: &[RegressionTree], x: &[f64]| {
+        trees.iter().map(|t| t.predict(x)).sum::<f64>() / trees.len() as f64
+    };
+    let (time, power) = (rf.time_forest().to_trees(), rf.power_forest().to_trees());
     cfgs.iter()
         .flat_map(|&cfg| {
             let features = encode_features(&snap.counters, cfg);
-            let time_s = rf.time_forest().predict(&features).exp().max(1e-9);
-            let gpu_power_w = rf.power_forest().predict(&features).max(0.1);
+            let time_s = nested(&time, &features).exp().max(1e-9);
+            let gpu_power_w = nested(&power, &features).max(0.1);
             [time_s.to_bits(), gpu_power_w.to_bits()]
         })
         .collect()

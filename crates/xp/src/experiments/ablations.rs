@@ -298,8 +298,8 @@ pub fn model_accuracy(env: &XpEnv) -> ExperimentOutput {
         let (train, test) = dataset.split(0.2, options.seed);
         let rf = RandomForestPredictor::train(&train, &options.forest, options.seed);
         (
-            permutation_importance(rf.time_flat(), &test, &test.ys_log_time(), 7),
-            permutation_importance(rf.power_flat(), &test, test.gpu_power_w(), 7),
+            permutation_importance(rf.time_forest(), &test, &test.ys_log_time(), 7),
+            permutation_importance(rf.power_forest(), &test, test.gpu_power_w(), 7),
         )
     };
     let mut imp_table = Table::new(vec!["feature", "time importance", "power importance"]);

@@ -74,3 +74,31 @@ fn run_rejects_unknown_workload_and_scheme() {
     assert!(!ok);
     assert!(stderr.contains("unknown scheme"));
 }
+
+#[test]
+fn run_with_cache_trains_then_loads_the_same_predictor() {
+    let cache = std::env::temp_dir().join(format!("gpm_cli_cache_{}.json", std::process::id()));
+    std::fs::remove_file(&cache).ok();
+    let cache_arg = cache.to_str().expect("a UTF-8 temp path");
+    let args = [
+        "run",
+        "--workload",
+        "kmeans",
+        "--scheme",
+        "mpc",
+        "--fast",
+        "--json",
+        "--cache",
+        cache_arg,
+    ];
+    let (trained, stderr, ok) = gpm(&args);
+    assert!(ok, "stderr: {stderr}");
+    assert!(stderr.contains("saved trained predictor"), "{stderr}");
+    let (loaded, stderr, ok) = gpm(&args);
+    std::fs::remove_file(&cache).ok();
+    assert!(ok, "stderr: {stderr}");
+    assert!(stderr.contains("loading trained predictor"), "{stderr}");
+    assert_eq!(loaded, trained, "the loaded predictor decided differently");
+    let v: serde_json::Value = serde_json::from_str(&loaded).expect("valid JSON");
+    assert_eq!(v["workload"], "kmeans");
+}

@@ -311,7 +311,8 @@ fn fleet_auto_workers_scale() {
     // the median over several calls on one fast context.
     let forests = ForestCache::new();
     let ctx = EvalContext::build_cached(Mode::Fast.options(), &forests);
-    let env = XpEnv::new(Mode::Fast, Some(&ctx), &forests);
+    let artifacts = std::env::temp_dir();
+    let env = XpEnv::new(Mode::Fast, Some(&ctx), &forests, &artifacts);
     let mut speedups = Vec::with_capacity(FLEET_ROUNDS);
     for _ in 0..FLEET_ROUNDS {
         let out = fleet_scaling(&env);

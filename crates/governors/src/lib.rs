@@ -26,7 +26,6 @@ pub mod fixed;
 pub mod governor;
 pub mod ppk;
 pub mod search;
-pub mod static_best;
 pub mod to;
 pub mod turbocore;
 
@@ -34,6 +33,5 @@ pub use equalizer::{Equalizer, EqualizerMode};
 pub use fixed::{FixedGovernor, PlannedGovernor};
 pub use governor::{Governor, GovernorDecision, KernelContext, OverheadModel, PerfTarget};
 pub use ppk::PpkGovernor;
-pub use static_best::{plan_static_best, static_best_governor};
 pub use to::{plan_optimal, ToPlan, ToSolver};
 pub use turbocore::TurboCore;

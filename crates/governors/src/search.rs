@@ -9,7 +9,6 @@
 //! the latter is the paper's greedy knob-by-knob optimizer with its
 //! `Σ|knob|` (≈19× cheaper) evaluation budget.
 
-use crate::governor::PerfTarget;
 use gpm_hw::{ConfigSpace, HwConfig, Knob, KnobDirection};
 use gpm_sim::predictor::{KernelSnapshot, PowerPerfPredictor};
 use gpm_sim::SimParams;
@@ -392,18 +391,6 @@ fn climb<P: PowerPerfPredictor>(
         anomalies,
     };
     (Some(current), stats)
-}
-
-/// Convenience: the Eq. 5 time cap for the next kernel, given the target
-/// and running sums. Negative caps mean no configuration can satisfy the
-/// constraint (the caller should fail safe).
-pub fn next_kernel_time_cap(
-    target: &PerfTarget,
-    elapsed_gi: f64,
-    elapsed_kernel_s: f64,
-    expected_gi: f64,
-) -> f64 {
-    target.time_cap(elapsed_gi, elapsed_kernel_s, expected_gi)
 }
 
 #[cfg(test)]

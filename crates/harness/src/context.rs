@@ -11,6 +11,7 @@ use gpm_sim::{ApuSimulator, KernelCharacteristics, SimParams};
 use gpm_workloads::{suite, Workload};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -306,12 +307,19 @@ impl EvalContext {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors; malformed files yield
+    /// Propagates filesystem errors; malformed files, and options or
+    /// accuracy reports holding a non-finite float, yield
     /// [`std::io::ErrorKind::InvalidData`].
     pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<EvalContext> {
+        let invalid = |e| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
         let json = std::fs::read_to_string(path)?;
-        let saved: SavedContext = serde_json::from_str(&json)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        let saved: SavedContext =
+            serde_json::from_str(&json).map_err(|e| invalid(e.to_string()))?;
+        let non_finite = non_finite_float(&EvalOptions::default(), &saved.options, "options")
+            .or_else(|| non_finite_float(&TrainReport::default(), &saved.rf_report, "rf_report"));
+        if let Some(path) = non_finite {
+            return Err(invalid(format!("{path} is not a finite number")));
+        }
         Ok(EvalContext::assemble(
             ApuSimulator::new(saved.options.sim_params.clone()),
             saved.rf,
@@ -319,6 +327,33 @@ impl EvalContext {
             saved.options,
         ))
     }
+}
+
+/// The dotted path, under `field`, of the first float of `loaded` that
+/// is not a finite number. The vendored serde reads JSON `null` into an
+/// `f64` as NaN and writes NaN back as `null`, as it writes an `Option`
+/// that is `None`; so a float is recognised by where `reference`, a value
+/// with every float finite, holds a number.
+fn non_finite_float<T: Serialize>(reference: &T, loaded: &T, field: &str) -> Option<String> {
+    fn walk(reference: &Value, loaded: &Value, path: &str) -> Option<String> {
+        match (reference, loaded) {
+            (Value::Map(reference), Value::Map(loaded)) => {
+                reference
+                    .iter()
+                    .zip(loaded)
+                    .find_map(|((key, reference), (_, loaded))| {
+                        let Value::Str(key) = key else {
+                            return None;
+                        };
+                        walk(reference, loaded, &format!("{path}.{key}"))
+                    })
+            }
+            (Value::F64(_), Value::Null) => Some(path.to_string()),
+            _ => None,
+        }
+    }
+    let value = |v: &T| serde_json::to_value(v).expect("a context serializes");
+    walk(&value(reference), &value(loaded), field)
 }
 
 impl Default for EvalContext {
@@ -331,7 +366,6 @@ impl Default for EvalContext {
 mod tests {
     use super::*;
     use gpm_model::NUM_FEATURES;
-    use serde_json::Value;
 
     #[test]
     fn training_kernels_are_unique_and_plentiful() {
@@ -436,6 +470,41 @@ mod tests {
             let err = EvalContext::load(&path).unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
             assert!(err.to_string().contains(&why), "{err} does not name {why}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn load_rejects_non_finite_options_and_report_fields() {
+        let dir = std::env::temp_dir().join("gpm_ctx_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("non_finite.json");
+        EvalContext::build(EvalOptions::fast()).save(&path).unwrap();
+        let saved: Value =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).expect("a save is JSON");
+        // A fast context leaves `feature_subsample` unset: a `null` there
+        // is an `Option`, not a float.
+        assert!(saved["options"]["forest"]["tree"]["feature_subsample"].is_null());
+        for field in [
+            "options.test_fraction",
+            "options.forest.bootstrap_fraction",
+            "options.sim_params.tdp_w",
+            "rf_report.time_mape",
+            "rf_report.power_r2",
+        ] {
+            let mut edited = saved.clone();
+            let mut at = &mut edited;
+            for key in field.split('.') {
+                at = &mut at[key];
+            }
+            *at = Value::Null;
+            std::fs::write(&path, serde_json::to_string(&edited).unwrap()).unwrap();
+            let err = EvalContext::load(&path).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            assert!(
+                err.to_string().contains(field),
+                "{err} does not name {field}"
+            );
         }
         std::fs::remove_file(&path).ok();
     }

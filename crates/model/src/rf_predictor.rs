@@ -17,7 +17,7 @@ use std::sync::Arc;
 /// Held-out accuracy of a trained predictor, in the units the paper
 /// reports (MAPE fractions; Section VI-D quotes 25% performance and 12%
 /// power).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct TrainReport {
     /// MAPE of execution-time predictions on the held-out set.
     pub time_mape: f64,

@@ -14,6 +14,7 @@ use gpm_telemetry::{Telemetry, TelemetrySnapshot};
 use gpm_trace::{AggregateSink, TraceSink, TraceSummary};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Evaluation depth: `Fast` uses the reduced measurement campaign and
@@ -32,6 +33,16 @@ impl Mode {
         match self {
             Mode::Fast => "fast",
             Mode::Full => "full",
+        }
+    }
+
+    /// Where this mode's experiment records live, relative to the
+    /// repository root: `reproduce`'s default output and the golden
+    /// ledger the registry reads.
+    pub fn record_dir(self) -> &'static str {
+        match self {
+            Mode::Fast => "results/fast/xp",
+            Mode::Full => "results/xp",
         }
     }
 
@@ -201,27 +212,42 @@ impl ExperimentOutput {
 
 /// The per-run environment handed to an experiment: the shared
 /// [`EvalContext`] (when the experiment declares it needs one), the
-/// run's [`ForestCache`], the evaluation [`Mode`], and a per-experiment
-/// trace aggregate every scheme evaluation feeds.
+/// run's [`ForestCache`], the evaluation [`Mode`], the directory for its
+/// text artifacts, and a per-experiment trace aggregate every scheme
+/// evaluation feeds.
 pub struct XpEnv<'a> {
     mode: Mode,
     ctx: Option<&'a EvalContext>,
     forests: &'a ForestCache,
+    artifact_dir: &'a Path,
     sink: Arc<AggregateSink>,
     telemetry: Telemetry,
 }
 
 impl<'a> XpEnv<'a> {
     /// Builds an environment for one experiment run; `forests` is the
-    /// run's cache of trained forests.
-    pub fn new(mode: Mode, ctx: Option<&'a EvalContext>, forests: &'a ForestCache) -> XpEnv<'a> {
+    /// run's cache of trained forests, `artifact_dir` where its text
+    /// artifacts go.
+    pub fn new(
+        mode: Mode,
+        ctx: Option<&'a EvalContext>,
+        forests: &'a ForestCache,
+        artifact_dir: &'a Path,
+    ) -> XpEnv<'a> {
         XpEnv {
             mode,
             ctx,
             forests,
+            artifact_dir,
             sink: Arc::new(AggregateSink::new()),
             telemetry: Telemetry::new(),
         }
+    }
+
+    /// The path of the text artifact `file` (a figure, a CSV, a
+    /// telemetry dump) of this run.
+    pub fn artifact(&self, file: &str) -> PathBuf {
+        self.artifact_dir.join(file)
     }
 
     /// The evaluation mode.

@@ -480,12 +480,14 @@ pub fn export_campaign(env: &XpEnv) -> ExperimentOutput {
             .expect("writing to a String cannot fail");
         }
     }
-    emit_text("results/campaign.csv", &csv);
+    let path = env.artifact("campaign.csv");
+    emit_text(&path, &csv);
 
     let out = format!(
-        "exported {} measurements: results/campaign.csv ({} KiB)\n",
+        "exported {} measurements: {} ({} KiB)\n",
         replay.len(),
-        std::fs::metadata("results/campaign.csv")
+        path.display(),
+        std::fs::metadata(&path)
             .map(|m| m.len() / 1024)
             .unwrap_or(0),
     );

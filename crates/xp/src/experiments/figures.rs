@@ -87,7 +87,7 @@ pub fn fig2(_env: &XpEnv) -> ExperimentOutput {
 
 /// Figure 3: per-invocation normalized kernel throughput for the three
 /// highlighted irregular benchmarks, plus the SVG rendition.
-pub fn fig3(_env: &XpEnv) -> ExperimentOutput {
+pub fn fig3(env: &XpEnv) -> ExperimentOutput {
     let sim = ApuSimulator::default();
     let mut out = String::from("Figure 3: normalized kernel throughput by execution order\n\n");
     let mut metrics = Vec::new();
@@ -117,7 +117,7 @@ pub fn fig3(_env: &XpEnv) -> ExperimentOutput {
         &svg_series,
         "normalized throughput",
     );
-    emit_text("results/fig3.svg", &svg);
+    emit_text(env.artifact("fig3.svg"), &svg);
     ExperimentOutput::new(out, metrics)
 }
 
@@ -240,8 +240,8 @@ pub fn fig8(env: &XpEnv) -> ExperimentOutput {
         "speedup",
         Some(1.0),
     );
-    emit_text("results/fig8a.svg", &savings);
-    emit_text("results/fig8b.svg", &speedup);
+    emit_text(env.artifact("fig8a.svg"), &savings);
+    emit_text(env.artifact("fig8b.svg"), &speedup);
 
     ExperimentOutput::new(
         out,

@@ -6,10 +6,10 @@
 //! that an untimed traced pass opens one `env.dispatch` span per
 //! dispatch its decision trace counts.
 //!
-//! Writes the run's profile next to its JSON artifact, through
-//! working-directory-relative paths: `results/telemetry_prom.txt`
-//! (Prometheus text), `results/telemetry_flame.folded` (folded stacks,
-//! pipe through `flamegraph.pl`), and `results/telemetry_trace.json`
+//! Writes the run's profile to its artifact directory (`results/` in
+//! full mode, `results/fast/` in fast mode): `telemetry_prom.txt`
+//! (Prometheus text), `telemetry_flame.folded` (folded stacks, pipe
+//! through `flamegraph.pl`), and `telemetry_trace.json`
 //! (chrome://tracing JSON, loadable in Perfetto).
 
 use crate::artifact::emit_text;
@@ -122,9 +122,12 @@ pub fn telemetry_overhead(env: &XpEnv) -> ExperimentOutput {
         .snapshot()
         .span("env.dispatch")
         .map_or(0, |s| s.count);
-    emit_text("results/telemetry_prom.txt", &prom);
-    emit_text("results/telemetry_flame.folded", &snapshot.to_folded());
-    emit_text("results/telemetry_trace.json", &traced.chrome_trace());
+    emit_text(env.artifact("telemetry_prom.txt"), &prom);
+    emit_text(
+        env.artifact("telemetry_flame.folded"),
+        &snapshot.to_folded(),
+    );
+    emit_text(env.artifact("telemetry_trace.json"), &traced.chrome_trace());
 
     let mut table = Table::new(vec!["side", "best pass s"]);
     table.row(vec!["clean".into(), fmt(best_clean_s, 4)]);

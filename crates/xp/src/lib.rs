@@ -19,7 +19,6 @@ pub mod artifact;
 pub mod cli;
 pub mod experiment;
 pub mod experiments;
-pub mod golden;
 pub mod registry;
 pub mod runner;
 pub mod suite;

@@ -1,13 +1,17 @@
 //! The experiment registry: every figure, table, ablation, and
-//! extension study, with its paper expectations and recorded golden
-//! values.
+//! extension study, with its paper expectations and the golden values
+//! its committed records hold.
 
-use crate::experiment::{Expectation, Experiment, Mode, Source, XpEnv};
+use crate::experiment::{Expectation, Experiment, Metric, Mode, Source, XpEnv};
 use crate::experiments::{ablations, extensions, figures, fleet, robustness, tables, telemetry};
-use crate::golden::golden_for;
+use crate::runner::record_path;
+use serde::Deserialize;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
-/// A golden expectation that binds in both modes with tolerance 0 —
-/// used for exact structural facts (state counts, invocation counts).
+/// An expectation that binds in both modes with tolerance 0 — used for
+/// exact structural facts (state counts, invocation counts).
 fn exact(metric: &'static str, expected: f64) -> Expectation {
     Expectation {
         metric,
@@ -16,6 +20,116 @@ fn exact(metric: &'static str, expected: f64) -> Expectation {
         source: Source::Paper,
         mode: None,
     }
+}
+
+/// Experiments whose metrics time the host: their records set no golden.
+const HOST_TIMED: [&str; 2] = ["fleet_scaling", "telemetry_overhead"];
+
+/// The golden tolerance of a recorded value: exact (0) for integral
+/// values, else the wider of 2% relative and 0.02 absolute — tight
+/// enough to flag behaviour changes, loose enough to survive
+/// cross-platform libm variance.
+pub fn default_tolerance(value: f64) -> f64 {
+    if value.fract() == 0.0 && value.abs() < 1e9 {
+        0.0
+    } else {
+        (value.abs() * 0.02).max(0.02)
+    }
+}
+
+/// The part of an experiment record the golden ledger reads.
+#[derive(Deserialize)]
+struct Recorded {
+    metrics: Vec<Metric>,
+}
+
+/// The metrics of every experiment record in `dir`, by experiment name,
+/// host-timed experiments left out.
+///
+/// # Panics
+///
+/// Panics, naming the file, when a record cannot be read or parsed, or
+/// holds a metric that is not a finite number (the vendored JSON reader
+/// turns `null` into NaN).
+fn read_records(dir: &Path) -> BTreeMap<String, Vec<Metric>> {
+    let entries =
+        std::fs::read_dir(dir).unwrap_or_else(|e| panic!("golden records {}: {e}", dir.display()));
+    let mut records = BTreeMap::new();
+    for entry in entries {
+        let path = entry
+            .unwrap_or_else(|e| panic!("golden records {}: {e}", dir.display()))
+            .path();
+        let Some(name) = path.file_stem().and_then(|s| s.to_str()) else {
+            continue;
+        };
+        if path.extension().is_none_or(|ext| ext != "json") || HOST_TIMED.contains(&name) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("golden record {}: {e}", path.display()));
+        let record: Recorded = serde_json::from_str(&text)
+            .unwrap_or_else(|e| panic!("golden record {}: {e}", path.display()));
+        for m in &record.metrics {
+            assert!(
+                m.value.is_finite(),
+                "golden record {}: metric {} is not a finite number",
+                path.display(),
+                m.name
+            );
+        }
+        // Name order: an experiment that reorders its metrics keeps its
+        // gates in place.
+        let mut metrics = record.metrics;
+        metrics.sort_by(|a, b| a.name.cmp(&b.name));
+        records.insert(name.to_string(), metrics);
+    }
+    records
+}
+
+/// The committed record directory of `mode`, in the checkout this crate
+/// was built from: a benchmark may run the suite from anywhere.
+fn committed_dir(mode: Mode) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("the crate sits at crates/xp")
+        .join(mode.record_dir())
+}
+
+/// Golden expectations for one experiment under one mode: every metric
+/// of its committed record, at [`default_tolerance`]. Both modes' records
+/// are read once per process, on the first call — before a run writes
+/// any record, so every gate of a run compares against the committed
+/// values.
+///
+/// # Panics
+///
+/// Panics, naming the file, when a non-host-timed experiment has no
+/// committed record, or when a committed record cannot be parsed or
+/// holds a metric that is not a finite number.
+pub fn golden_for(name: &str, mode: Mode) -> Vec<Expectation> {
+    static LEDGER: OnceLock<[BTreeMap<String, Vec<Metric>>; 2]> = OnceLock::new();
+    if HOST_TIMED.contains(&name) {
+        return Vec::new();
+    }
+    let ledger =
+        LEDGER.get_or_init(|| [Mode::Fast, Mode::Full].map(|m| read_records(&committed_dir(m))));
+    let metrics = ledger[mode as usize].get(name).unwrap_or_else(|| {
+        panic!(
+            "no committed record {}",
+            record_path(&committed_dir(mode), name).display()
+        )
+    });
+    metrics
+        .iter()
+        .map(|m| Expectation {
+            metric: &m.name,
+            expected: m.value,
+            tol: default_tolerance(m.value),
+            source: Source::Golden,
+            mode: Some(mode),
+        })
+        .collect()
 }
 
 fn entry(
@@ -42,7 +156,7 @@ fn entry(
 
 /// Builds the full registry, in stable order. Paper tolerance bands are
 /// wide — the substrate is an analytical simulator, not the authors'
-/// A10-7850K — while golden bands (merged from [`crate::golden`]) are
+/// A10-7850K — while golden bands (from the committed records) are
 /// tight regression gates on this implementation.
 pub fn registry() -> Vec<Experiment> {
     vec![
@@ -330,6 +444,8 @@ pub fn registry_names() -> Vec<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::check_gates;
+    use serde_json::Value;
 
     #[test]
     fn names_are_unique_and_nonempty() {
@@ -353,13 +469,120 @@ mod tests {
     }
 
     #[test]
+    fn tolerance_rule_distinguishes_counts_from_measurements() {
+        assert_eq!(default_tolerance(30.0), 0.0);
+        assert_eq!(default_tolerance(0.0), 0.0);
+        assert!((default_tolerance(24.8) - 0.496).abs() < 1e-9);
+        assert_eq!(default_tolerance(0.001), 0.02);
+    }
+
+    #[test]
+    fn every_experiment_but_the_host_timed_has_a_record_in_each_mode() {
+        for mode in [Mode::Fast, Mode::Full] {
+            let records = read_records(&committed_dir(mode));
+            for name in registry_names() {
+                assert!(
+                    record_path(&committed_dir(mode), name).exists(),
+                    "{mode}: no record of {name}"
+                );
+                let goldens = golden_for(name, mode);
+                if HOST_TIMED.contains(&name) {
+                    assert!(goldens.is_empty(), "{name} times the host");
+                    continue;
+                }
+                assert!(!goldens.is_empty(), "{mode}: {name} records no metric");
+                assert_eq!(goldens.len(), records[name].len());
+                let gates = check_gates(&goldens, &records[name], mode);
+                assert!(gates.iter().all(|g| g.pass), "{mode}: {name} {gates:?}");
+            }
+        }
+    }
+
+    /// A scratch directory holding `record`'s committed fast-mode record,
+    /// its metrics passed through `edit`.
+    fn edited_copy(test: &str, record: &str, edit: impl Fn(&mut Vec<Value>)) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("gpm_xp_{test}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let committed = record_path(&committed_dir(Mode::Fast), record);
+        let mut value: Value =
+            serde_json::from_str(&std::fs::read_to_string(committed).unwrap()).unwrap();
+        let Value::Seq(metrics) = &mut value["metrics"] else {
+            panic!("a record's metrics are an array")
+        };
+        edit(metrics);
+        std::fs::write(
+            record_path(&dir, record),
+            serde_json::to_string(&value).unwrap(),
+        )
+        .unwrap();
+        dir
+    }
+
+    /// The message of the panic `f` raises.
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let panic = std::panic::catch_unwind(f).expect_err("expected a panic");
+        panic.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    #[test]
+    fn moving_one_metric_past_its_tolerance_fails_that_gate() {
+        let goldens = golden_for("fig8", Mode::Fast);
+        let moved = goldens
+            .iter()
+            .position(|g| g.tol > 0.0)
+            .expect("fig8 has a measured metric");
+        let golden = &goldens[moved];
+        for (shift, passes) in [(0.5, true), (1.5, false)] {
+            let dir = edited_copy("moved_metric", "fig8", |metrics| {
+                let m = metrics
+                    .iter_mut()
+                    .find(|m| m["name"].as_str() == Some(golden.metric))
+                    .unwrap();
+                m["value"] = Value::F64(golden.expected + shift * golden.tol);
+            });
+            let gates = check_gates(&goldens, &read_records(&dir)["fig8"], Mode::Fast);
+            for (i, g) in gates.iter().enumerate() {
+                assert_eq!(g.pass, passes || i != moved, "shift {shift}: {g:?}");
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_missing_record_fails_loudly_naming_the_file() {
+        let message = panic_message(|| {
+            golden_for("definitely-not-registered", Mode::Fast);
+        });
+        assert!(
+            message.contains("results/fast/xp/definitely-not-registered.json"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn a_null_metric_fails_loudly_naming_the_file_and_metric() {
+        let dir = edited_copy("null_metric", "fig9", |metrics| {
+            metrics[0]["value"] = Value::Null;
+        });
+        let path = record_path(&dir, "fig9");
+        let message = panic_message(|| {
+            read_records(&dir);
+        });
+        assert!(message.contains(&path.display().to_string()), "{message}");
+        assert!(
+            message.contains("metric rel_energy_savings_pct is not a finite number"),
+            "{message}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn static_experiments_run_and_pass_their_gates() {
-        use crate::experiment::{check_gates, Mode, XpEnv};
         for name in ["table1", "table2", "table4"] {
             let e = registry().into_iter().find(|e| e.name == name).unwrap();
             assert!(!e.needs_ctx);
             let forests = gpm_harness::ForestCache::new();
-            let env = XpEnv::new(Mode::Fast, None, &forests);
+            let env = XpEnv::new(Mode::Fast, None, &forests, Path::new("results/fast"));
             let out = (e.run)(&env);
             let gates = check_gates(&e.expectations, &out.metrics, Mode::Fast);
             for g in &gates {

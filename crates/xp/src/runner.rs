@@ -35,20 +35,28 @@ pub struct RunConfig {
 
 impl RunConfig {
     /// The default configuration for `mode`: full registry, auto
-    /// parallelism, artifacts under `results/xp`, aggregate under
+    /// parallelism, records under the mode's [`Mode::record_dir`]
+    /// (`results/xp` or `results/fast/xp`), aggregate under
     /// `results/REPRO_<mode>.json`.
     pub fn for_mode(mode: Mode) -> RunConfig {
         RunConfig {
             mode,
             filter: Vec::new(),
             jobs: 0,
-            out_dir: PathBuf::from("results/xp"),
+            out_dir: PathBuf::from(mode.record_dir()),
             resume: false,
             aggregate_path: Some(PathBuf::from(format!(
                 "results/REPRO_{}.json",
                 mode.as_str()
             ))),
         }
+    }
+
+    /// Where experiments write their text artifacts (figures, the
+    /// campaign CSV, telemetry dumps): the parent of `out_dir`, so they
+    /// sit beside the records of the same run.
+    pub fn artifact_dir(&self) -> &Path {
+        self.out_dir.parent().unwrap_or(&self.out_dir)
     }
 }
 
@@ -169,7 +177,8 @@ pub fn select(filter: &[String]) -> Vec<Experiment> {
         .collect()
 }
 
-fn artifact_path(out_dir: &Path, name: &str) -> PathBuf {
+/// The record of experiment `name` in `out_dir`.
+pub(crate) fn record_path(out_dir: &Path, name: &str) -> PathBuf {
     out_dir.join(format!("{name}.json"))
 }
 
@@ -178,7 +187,7 @@ fn artifact_path(out_dir: &Path, name: &str) -> PathBuf {
 /// Gates are re-checked against the *current* expectations so registry
 /// updates take effect on resume.
 fn load_checkpoint(exp: &Experiment, cfg: &RunConfig) -> Option<ExperimentRecord> {
-    let path = artifact_path(&cfg.out_dir, exp.name);
+    let path = record_path(&cfg.out_dir, exp.name);
     let text = std::fs::read_to_string(&path).ok()?;
     let root: Value = serde_json::from_str(&text).ok()?;
     let version = match &root {
@@ -203,12 +212,13 @@ fn load_checkpoint(exp: &Experiment, cfg: &RunConfig) -> Option<ExperimentRecord
 /// not take down the suite).
 fn run_one(
     exp: &Experiment,
-    mode: Mode,
+    cfg: &RunConfig,
     ctx: Option<&EvalContext>,
     forests: &ForestCache,
 ) -> ExperimentRecord {
+    let mode = cfg.mode;
     let started = std::time::Instant::now();
-    let env = XpEnv::new(mode, ctx, forests);
+    let env = XpEnv::new(mode, ctx, forests, cfg.artifact_dir());
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         // Scope the whole run under the experiment's registry so any
         // span fired on this thread (model fits, searches, dispatches)
@@ -365,7 +375,7 @@ pub fn run_suite(cfg: &RunConfig) -> SuiteReport {
                 };
                 let exp = &selected[idx];
                 eprintln!("[{}] running {} ({})", cfg.mode, exp.name, exp.paper_ref);
-                let record = run_one(exp, cfg.mode, ctx.as_ref(), &forests);
+                let record = run_one(exp, cfg, ctx.as_ref(), &forests);
                 eprintln!(
                     "[{}] {} {} in {} ms",
                     cfg.mode,
@@ -380,7 +390,7 @@ pub fn run_suite(cfg: &RunConfig) -> SuiteReport {
     .expect("runner worker panicked outside catch_unwind");
 
     for (idx, record) in results.into_inner() {
-        emit_artifact(artifact_path(&cfg.out_dir, &record.name), &record);
+        emit_artifact(record_path(&cfg.out_dir, &record.name), &record);
         slots[idx] = Some(record);
     }
 
@@ -547,6 +557,25 @@ mod tests {
             assert_eq!(a.metrics, b.metrics);
             assert_eq!(a.text, b.text);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn text_artifacts_land_beside_the_records() {
+        let dir = std::env::temp_dir().join("gpm_xp_runner_artifact_test");
+        std::fs::remove_dir_all(&dir).ok();
+        let cfg = RunConfig {
+            mode: Mode::Fast,
+            filter: vec!["fig3".to_string()],
+            jobs: 1,
+            out_dir: dir.join("xp"),
+            resume: false,
+            aggregate_path: None,
+        };
+        assert!(run_suite(&cfg).all_passed);
+        assert!(dir.join("xp/fig3.json").exists());
+        assert!(dir.join("fig3.svg").exists());
+        assert!(!Path::new("results/fig3.svg").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

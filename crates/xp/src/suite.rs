@@ -16,11 +16,6 @@ pub struct BenchRow {
     pub vs_baseline: Comparison,
 }
 
-/// Evaluates `scheme` across the full suite in a clean environment.
-pub fn evaluate_suite(ctx: &EvalContext, scheme: Scheme) -> Vec<BenchRow> {
-    evaluate_suite_with(&ExecEnv::new(), ctx, scheme)
-}
-
 /// Evaluates `scheme` across the full suite under `env` — the traced /
 /// faulted report paths layer their middleware here.
 pub fn evaluate_suite_with(env: &ExecEnv, ctx: &EvalContext, scheme: Scheme) -> Vec<BenchRow> {

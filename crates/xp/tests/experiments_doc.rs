@@ -2,7 +2,7 @@
 //! goldens at the table's one-decimal rounding: a golden that moves
 //! without the document following it fails here.
 
-use gpm_xp::golden::golden_for;
+use gpm_xp::registry::golden_for;
 use gpm_xp::Mode;
 
 const DOC: &str = include_str!("../../../EXPERIMENTS.md");

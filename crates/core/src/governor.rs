@@ -4,7 +4,8 @@
 //! Lifecycle, matching Section V-B:
 //!
 //! 1. **First application invocation** — no stored knowledge. The governor
-//!    behaves exactly like PPK (fail-safe for the very first kernel, then
+//!    behaves exactly like PPK: it decides each kernel with the shared
+//!    [`ppk_step`] (fail-safe for the very first kernel, then
 //!    one-kernel-lookback optimization) while the pattern extractor records
 //!    the execution order and the total PPK optimization time `T_PPK`.
 //! 2. **`end_run`** — the recorded order becomes the reference pattern;
@@ -19,8 +20,10 @@ use crate::optimizer::{optimize_window, optimize_window_exact};
 use crate::search_order::{average_full_horizon, search_order, ProfiledKernel};
 use crate::stats::MpcStats;
 use gpm_faults::{no_faults, FaultInjector, FaultKey};
-use gpm_governors::search::{hill_climb, EnergyEvaluator};
-use gpm_governors::{Governor, GovernorDecision, KernelContext, OverheadModel, PerfTarget};
+use gpm_governors::search::{record_search, EnergyEvaluator, SearchStats};
+use gpm_governors::{
+    ppk_step, Governor, GovernorDecision, KernelContext, OverheadModel, PerfTarget,
+};
 use gpm_hw::HwConfig;
 use gpm_pattern::PatternExtractor;
 use gpm_sim::predictor::{KernelSnapshot, PowerPerfPredictor};
@@ -57,12 +60,6 @@ pub struct MpcConfig {
     /// (used by the `search_order_ablation` binary to quantify the
     /// heuristic's contribution).
     pub use_search_order: bool,
-    /// Extension beyond the paper: once the extractor detects a repeating
-    /// kernel pattern *during the profiling run* (Totoni-style on-line
-    /// detection), start MPC-style lookahead immediately using the
-    /// detected period instead of waiting for the run to finish. Off by
-    /// default (the paper runs pure PPK throughout the first invocation).
-    pub period_lookahead: bool,
 }
 
 /// The adaptive-MPC power-management governor (the paper's contribution).
@@ -178,130 +175,24 @@ impl<P: PowerPerfPredictor> MpcGovernor<P> {
         }
     }
 
-    /// Extension: an MPC-style decision during the profiling run, with
-    /// lookahead synthesized from the detected period — the kernel
-    /// expected at future position `q` is the one observed at `q − p`.
-    /// Returns `None` when no period has been confirmed yet (fewer than
-    /// two full periods observed) or the window would be empty.
-    fn period_decision(&mut self, ctx: &KernelContext) -> Option<GovernorDecision> {
-        let period = self.extractor.current_period()?;
-        let run = self.extractor.run_so_far();
-        if run.len() < 2 * period || ctx.position != run.len() {
-            return None;
-        }
-        // Lookahead is sound up to one full period ahead.
-        let ids: Vec<usize> = (ctx.position..ctx.position + period)
-            .map(|q| run[q - period])
-            .collect();
-        let mut window = std::mem::take(&mut self.window);
-        window.clear();
-        for (q, id) in (ctx.position..).zip(ids) {
-            if let Some(snap) = self.window_snapshot(ctx.run_index, q, id) {
-                window.push((q, snap));
-            }
-        }
-        // Visited in execution order.
-        let plan = optimize_window(
-            &self.evaluator,
-            &window,
-            &[],
-            ctx.position,
-            period,
-            ctx.elapsed_gi,
-            ctx.elapsed_kernel_s,
-            &ctx.target,
-        );
-        self.window = window;
-        let plan = plan?;
-        let overhead_s = self.cfg.overhead.cost_s(plan.evaluations);
-        self.t_ppk += overhead_s; // still first-invocation optimization cost
-        self.pending_overhead_s = overhead_s;
-        self.stats.prediction_anomalies += plan.search.anomalies;
-        self.stats
-            .record_decision(period, plan.evaluations, overhead_s, plan.fail_safe);
-        if self.trace.enabled() {
-            self.trace.record(&TraceEvent::Search {
-                run_index: ctx.run_index,
-                position: ctx.position,
-                horizon: Some(period),
-                evaluations: plan.evaluations,
-                visits: plan.search.visits,
-                pruned: plan.search.pruned,
-                overhead_s,
-            });
-            if plan.fail_safe {
-                let reason = if plan.search.anomalies > 0 {
-                    FailSafeReason::PredictionAnomaly
-                } else {
-                    FailSafeReason::InfeasibleWindow
-                };
-                self.trace.record(&TraceEvent::FailSafe {
-                    run_index: ctx.run_index,
-                    position: ctx.position,
-                    reason,
-                });
-            }
-        }
-        Some(GovernorDecision {
-            config: plan.config,
-            overhead_s,
-            evaluations: plan.evaluations,
-            horizon: Some(period),
-            predicted: plan.chosen,
-        })
-    }
-
-    /// PPK-style decision used while profiling (and past the reference
-    /// pattern's end).
+    /// PPK decision used while profiling (and past the reference
+    /// pattern's end): the shared [`ppk_step`], plus this governor's
+    /// bookkeeping.
     fn ppk_decision(&mut self, ctx: &KernelContext, charge_t_ppk: bool) -> GovernorDecision {
         self.stats.profiling_decisions += 1;
-        let Some(last) = self.last_snapshot.as_ref() else {
-            return GovernorDecision::instant(HwConfig::FAIL_SAFE);
-        };
-        let cap = ctx
-            .target
-            .time_cap(ctx.elapsed_gi, ctx.elapsed_kernel_s, last.ginstructions);
-        let (best, stats) = {
-            let _span = gpm_telemetry::span("search.hill_climb");
-            hill_climb(&self.evaluator, last, HwConfig::FAIL_SAFE, cap)
-        };
-        let config = best.map(|b| b.config).unwrap_or(HwConfig::FAIL_SAFE);
-        let overhead_s = self.cfg.overhead.cost_s(stats.evaluations);
+        let (decision, search) = ppk_step(
+            &self.evaluator,
+            self.last_snapshot.as_ref(),
+            ctx,
+            self.cfg.overhead,
+            &*self.trace,
+        );
         if charge_t_ppk {
-            self.t_ppk += overhead_s;
+            self.t_ppk += decision.overhead_s;
         }
-        self.pending_overhead_s = overhead_s;
-        self.stats.prediction_anomalies += stats.anomalies;
-        if self.trace.enabled() {
-            self.trace.record(&TraceEvent::Search {
-                run_index: ctx.run_index,
-                position: ctx.position,
-                horizon: None,
-                evaluations: stats.evaluations,
-                visits: stats.visits,
-                pruned: stats.pruned,
-                overhead_s,
-            });
-            if best.is_none() {
-                let reason = if stats.anomalies > 0 {
-                    FailSafeReason::PredictionAnomaly
-                } else {
-                    FailSafeReason::InfeasibleCap
-                };
-                self.trace.record(&TraceEvent::FailSafe {
-                    run_index: ctx.run_index,
-                    position: ctx.position,
-                    reason,
-                });
-            }
-        }
-        GovernorDecision {
-            config,
-            overhead_s,
-            evaluations: stats.evaluations,
-            horizon: None,
-            predicted: best,
-        }
+        self.pending_overhead_s = decision.overhead_s;
+        self.stats.prediction_anomalies += search.anomalies;
+        decision
     }
 
     /// Full MPC decision once the reference pattern exists.
@@ -315,17 +206,14 @@ impl<P: PowerPerfPredictor> MpcGovernor<P> {
             // No optimization budget: run the performance-safe default.
             self.stats.record_decision(0, 0, 0.0, false);
             self.pending_overhead_s = 0.0;
-            if self.trace.enabled() {
-                self.trace.record(&TraceEvent::Search {
-                    run_index: ctx.run_index,
-                    position: ctx.position,
-                    horizon: Some(0),
-                    evaluations: 0,
-                    visits: gpm_trace::KnobVisits::default(),
-                    pruned: 0,
-                    overhead_s: 0.0,
-                });
-            }
+            record_search(
+                &*self.trace,
+                ctx,
+                Some(0),
+                &SearchStats::default(),
+                0.0,
+                None,
+            );
             return GovernorDecision {
                 config: HwConfig::FAIL_SAFE,
                 overhead_s: 0.0,
@@ -387,31 +275,14 @@ impl<P: PowerPerfPredictor> MpcGovernor<P> {
         self.stats.record_decision(h, evals, overhead_s, fail_safe);
         self.pending_overhead_s = overhead_s;
         self.stats.prediction_anomalies += search.anomalies;
-        if self.trace.enabled() {
-            self.trace.record(&TraceEvent::Search {
-                run_index: ctx.run_index,
-                position: ctx.position,
-                horizon: Some(h),
-                evaluations: evals,
-                visits: search.visits,
-                pruned: search.pruned,
-                overhead_s,
-            });
-            if fail_safe {
-                let reason = if current_rejected {
-                    FailSafeReason::StalePattern
-                } else if search.anomalies > 0 {
-                    FailSafeReason::PredictionAnomaly
-                } else {
-                    FailSafeReason::InfeasibleWindow
-                };
-                self.trace.record(&TraceEvent::FailSafe {
-                    run_index: ctx.run_index,
-                    position: ctx.position,
-                    reason,
-                });
-            }
-        }
+        let fail_safe = fail_safe.then_some(if current_rejected {
+            FailSafeReason::StalePattern
+        } else if search.anomalies > 0 {
+            FailSafeReason::PredictionAnomaly
+        } else {
+            FailSafeReason::InfeasibleWindow
+        });
+        record_search(&*self.trace, ctx, Some(h), &search, overhead_s, fail_safe);
         GovernorDecision {
             config,
             overhead_s,
@@ -439,13 +310,7 @@ impl<P: PowerPerfPredictor> Governor for MpcGovernor<P> {
             // Profiling run, or the application outgrew its reference
             // pattern: fall back to history-based behaviour. T_PPK only
             // accumulates during true profiling.
-            let charge = self.search.is_none();
-            if self.cfg.period_lookahead && charge {
-                if let Some(d) = self.period_decision(ctx) {
-                    return d;
-                }
-            }
-            self.ppk_decision(ctx, charge)
+            self.ppk_decision(ctx, self.search.is_none())
         }
     }
 
@@ -723,57 +588,6 @@ mod tests {
         let (_, _, overhead) = drive(&mut mpc, &sim, &kernels, target, 1);
         assert_eq!(overhead, 0.0);
         assert_eq!(mpc.t_ppk(), 0.0);
-    }
-
-    #[test]
-    fn period_lookahead_kicks_in_during_profiling() {
-        // A strictly periodic application (AB)^6: after two observed
-        // periods, the extension should switch from PPK to windowed
-        // decisions with horizon = period while still in run 0.
-        let sim = ApuSimulator::noiseless();
-        let a = KernelCharacteristics::compute_bound("a", 20.0);
-        let b = KernelCharacteristics::memory_bound("b", 1.0);
-        let mut kernels = Vec::new();
-        for _ in 0..6 {
-            kernels.push(a.clone());
-            kernels.push(b.clone());
-        }
-        let target = baseline_target(&sim, &kernels);
-
-        let cfg = MpcConfig {
-            store_truth: true,
-            period_lookahead: true,
-            ..MpcConfig::default()
-        };
-        let mut mpc = oracle_mpc(&sim, cfg);
-        drive(&mut mpc, &sim, &kernels, target, 0);
-        // Some profiling decisions were windowed with the detected period.
-        let period_decisions = mpc.stats().horizons.iter().filter(|&&h| h == 2).count();
-        assert!(
-            period_decisions >= 4,
-            "only {period_decisions} period-based decisions"
-        );
-    }
-
-    #[test]
-    fn period_lookahead_is_inert_for_aperiodic_apps() {
-        let sim = ApuSimulator::noiseless();
-        let kernels: Vec<KernelCharacteristics> = (0..6)
-            .map(|i| KernelCharacteristics::compute_bound(format!("k{i}"), 8.0 + 4.0 * i as f64))
-            .collect();
-        let target = baseline_target(&sim, &kernels);
-        let cfg = MpcConfig {
-            store_truth: true,
-            period_lookahead: true,
-            ..MpcConfig::default()
-        };
-        let mut mpc = oracle_mpc(&sim, cfg);
-        drive(&mut mpc, &sim, &kernels, target, 0);
-        assert!(
-            mpc.stats().horizons.is_empty(),
-            "no windowed decisions expected"
-        );
-        assert_eq!(mpc.stats().profiling_decisions, 6);
     }
 
     #[test]

@@ -32,6 +32,6 @@ pub mod turbocore;
 pub use equalizer::{Equalizer, EqualizerMode};
 pub use fixed::{FixedGovernor, PlannedGovernor};
 pub use governor::{Governor, GovernorDecision, KernelContext, OverheadModel, PerfTarget};
-pub use ppk::PpkGovernor;
+pub use ppk::{ppk_step, PpkGovernor};
 pub use to::{plan_optimal, ToPlan, ToSolver};
 pub use turbocore::TurboCore;

@@ -8,7 +8,7 @@
 //! throughput phase changes — the failure mode that motivates MPC.
 
 use crate::governor::{Governor, GovernorDecision, KernelContext, OverheadModel};
-use crate::search::{hill_climb, EnergyEvaluator};
+use crate::search::{hill_climb, record_search, EnergyEvaluator, SearchStats};
 use gpm_hw::{ConfigSpace, HwConfig};
 use gpm_sim::predictor::{KernelSnapshot, PowerPerfPredictor};
 use gpm_sim::{KernelCharacteristics, KernelOutcome, SimParams};
@@ -79,61 +79,73 @@ impl<P: PowerPerfPredictor> PpkGovernor<P> {
     }
 }
 
+/// One PPK decision (Section III) for the kernel at `ctx`, recording its
+/// `Search` and any `FailSafe` event on `trace`.
+///
+/// With no `last` snapshot the kernel runs at the fail-safe configuration
+/// at no cost. Otherwise the hill climb prices `last` (the upcoming
+/// kernel is assumed to repeat it) under the Eq. 2 time cap, falling back
+/// to fail-safe when no configuration meets the cap. [`PpkGovernor`]
+/// decides every kernel this way; the MPC governor decides its profiling
+/// invocation this way, which is what makes it "behave exactly like PPK"
+/// there (Section V-B). Returns the decision and its search telemetry.
+pub fn ppk_step<P: PowerPerfPredictor>(
+    evaluator: &EnergyEvaluator<P>,
+    last: Option<&KernelSnapshot>,
+    ctx: &KernelContext,
+    overhead: OverheadModel,
+    trace: &dyn TraceSink,
+) -> (GovernorDecision, SearchStats) {
+    let Some(last) = last else {
+        // No history yet: fail safe, no optimization charged.
+        return (
+            GovernorDecision::instant(HwConfig::FAIL_SAFE),
+            SearchStats::default(),
+        );
+    };
+    // Eq. 2: the upcoming kernel (assumed equal to the previous one) must
+    // keep cumulative throughput at or above target.
+    let cap = ctx
+        .target
+        .time_cap(ctx.elapsed_gi, ctx.elapsed_kernel_s, last.ginstructions);
+    let (best, stats) = {
+        let _span = gpm_telemetry::span("search.hill_climb");
+        hill_climb(evaluator, last, HwConfig::FAIL_SAFE, cap)
+    };
+    let overhead_s = overhead.cost_s(stats.evaluations);
+    // Distinguish a predictor gone bad from a genuinely unsatisfiable cap.
+    let fail_safe = best.is_none().then_some(if stats.anomalies > 0 {
+        FailSafeReason::PredictionAnomaly
+    } else {
+        FailSafeReason::InfeasibleCap
+    });
+    record_search(trace, ctx, None, &stats, overhead_s, fail_safe);
+    let decision = GovernorDecision {
+        config: best.map_or(HwConfig::FAIL_SAFE, |b| b.config),
+        overhead_s,
+        evaluations: stats.evaluations,
+        horizon: None,
+        predicted: best,
+    };
+    (decision, stats)
+}
+
 impl<P: PowerPerfPredictor> Governor for PpkGovernor<P> {
     fn name(&self) -> &str {
         "ppk"
     }
 
     fn select(&mut self, ctx: &KernelContext) -> GovernorDecision {
-        let Some(last) = self.last.as_ref() else {
-            // No history yet: fail safe, no optimization charged.
-            return GovernorDecision::instant(HwConfig::FAIL_SAFE);
-        };
-        // Eq. 2: the upcoming kernel (assumed equal to the previous one)
-        // must keep cumulative throughput at or above target.
-        let cap = ctx
-            .target
-            .time_cap(ctx.elapsed_gi, ctx.elapsed_kernel_s, last.ginstructions);
-        let (best, stats) = {
-            let _span = gpm_telemetry::span("search.hill_climb");
-            hill_climb(&self.evaluator, last, HwConfig::FAIL_SAFE, cap)
-        };
-        let config = best.map(|b| b.config).unwrap_or(HwConfig::FAIL_SAFE);
-        let overhead_s = self.overhead.cost_s(stats.evaluations);
-        self.total_overhead_s += overhead_s;
-        self.total_evaluations += stats.evaluations;
-        if self.trace.enabled() {
-            self.trace.record(&TraceEvent::Search {
-                run_index: ctx.run_index,
-                position: ctx.position,
-                horizon: None,
-                evaluations: stats.evaluations,
-                visits: stats.visits,
-                pruned: stats.pruned,
-                overhead_s,
-            });
-            if best.is_none() {
-                // Distinguish a predictor gone bad from a genuinely
-                // unsatisfiable cap.
-                let reason = if stats.anomalies > 0 {
-                    FailSafeReason::PredictionAnomaly
-                } else {
-                    FailSafeReason::InfeasibleCap
-                };
-                self.trace.record(&TraceEvent::FailSafe {
-                    run_index: ctx.run_index,
-                    position: ctx.position,
-                    reason,
-                });
-            }
-        }
-        GovernorDecision {
-            config,
-            overhead_s,
-            evaluations: stats.evaluations,
-            horizon: None,
-            predicted: best,
-        }
+        let (decision, _) = ppk_step(
+            &self.evaluator,
+            self.last.as_ref(),
+            ctx,
+            self.overhead,
+            &*self.trace,
+        );
+        self.total_overhead_s += decision.overhead_s;
+        self.total_evaluations += decision.evaluations;
+        decision
     }
 
     fn observe(

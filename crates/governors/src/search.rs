@@ -9,10 +9,11 @@
 //! the latter is the paper's greedy knob-by-knob optimizer with its
 //! `Σ|knob|` (≈19× cheaper) evaluation budget.
 
+use crate::governor::KernelContext;
 use gpm_hw::{ConfigSpace, HwConfig, Knob, KnobDirection};
 use gpm_sim::predictor::{KernelSnapshot, PowerPerfPredictor};
 use gpm_sim::SimParams;
-use gpm_trace::KnobVisits;
+use gpm_trace::{FailSafeReason, KnobVisits, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
 
 /// Telemetry of one search invocation: how many candidates were priced,
@@ -38,6 +39,40 @@ impl SearchStats {
         self.visits.merge(&other.visits);
         self.pruned += other.pruned;
         self.anomalies += other.anomalies;
+    }
+}
+
+/// Records one decision's search on `trace`: a [`TraceEvent::Search`]
+/// with `horizon`, `stats` and the charged `overhead_s`, then a
+/// [`TraceEvent::FailSafe`] when the decision fell back to the fail-safe
+/// configuration for `fail_safe`. The one place either event is built
+/// for a governor decision.
+pub fn record_search(
+    trace: &dyn TraceSink,
+    ctx: &KernelContext,
+    horizon: Option<usize>,
+    stats: &SearchStats,
+    overhead_s: f64,
+    fail_safe: Option<FailSafeReason>,
+) {
+    if !trace.enabled() {
+        return;
+    }
+    trace.record(&TraceEvent::Search {
+        run_index: ctx.run_index,
+        position: ctx.position,
+        horizon,
+        evaluations: stats.evaluations,
+        visits: stats.visits,
+        pruned: stats.pruned,
+        overhead_s,
+    });
+    if let Some(reason) = fail_safe {
+        trace.record(&TraceEvent::FailSafe {
+            run_index: ctx.run_index,
+            position: ctx.position,
+            reason,
+        });
     }
 }
 

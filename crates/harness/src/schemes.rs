@@ -18,7 +18,7 @@ use gpm_governors::{
 };
 use gpm_model::{ErrorInjectedPredictor, ErrorSpec};
 use gpm_mpc::{HorizonMode, MpcConfig, MpcGovernor, MpcStats};
-use gpm_sim::{ApuSimulator, OraclePredictor};
+use gpm_sim::{ApuSimulator, OraclePredictor, PowerPerfPredictor};
 use gpm_workloads::Workload;
 use std::borrow::Cow;
 
@@ -162,18 +162,23 @@ impl ExecEnv {
         scheme: Scheme,
     ) -> SchemeOutcome {
         let sim = &ctx.sim;
-        let plan = self.fault_plan();
         let (baseline, target) = self.baseline(ctx, workload);
-
-        // The standard two-invocation protocol: profile on run 0, measure
-        // on run 1, with the environment's middleware installed once.
-        let profile_and_measure =
-            |gov: &mut dyn Governor, provide_truth: bool| -> (RunResult, RunResult) {
-                self.install(gov);
-                let profiling = self.run(sim, workload, gov, target, 0, provide_truth);
-                let measured = self.run(sim, workload, gov, target, 1, provide_truth);
-                (profiling, measured)
-            };
+        let protocol = Protocol {
+            env: self,
+            ctx,
+            workload,
+            target,
+        };
+        // The limit studies run the full horizon with no overheads.
+        let ideal = MpcConfig {
+            horizon_mode: HorizonMode::Full,
+            overhead: OverheadModel::free(),
+            ..MpcConfig::default()
+        };
+        let ideal_truth = MpcConfig {
+            store_truth: true,
+            ..ideal
+        };
 
         let (profiling, measured, mpc_stats) = match scheme {
             Scheme::TurboCore => {
@@ -183,111 +188,36 @@ impl ExecEnv {
                 (None, measured, None)
             }
             Scheme::PpkOracle => {
-                let mut gov = PpkGovernor::new(
-                    FaultyPredictor::new(OraclePredictor::new(sim), plan),
-                    sim.params().clone(),
-                    ctx.campaign_space().clone(),
-                    OverheadModel::free(),
-                )
-                .with_truth_snapshots(true);
-                let (profiling, measured) = profile_and_measure(&mut gov, true);
-                (Some(profiling), measured, None)
+                protocol.ppk(OraclePredictor::new(sim), OverheadModel::free(), true)
             }
-            Scheme::PpkRf => {
-                let mut gov = PpkGovernor::new(
-                    FaultyPredictor::new(&ctx.rf, plan),
-                    sim.params().clone(),
-                    ctx.campaign_space().clone(),
-                    OverheadModel::default(),
-                );
-                let (profiling, measured) = profile_and_measure(&mut gov, false);
-                (Some(profiling), measured, None)
-            }
-            Scheme::MpcRf { horizon } => {
-                let cfg = MpcConfig {
+            Scheme::PpkRf => protocol.ppk(&ctx.rf, OverheadModel::default(), false),
+            Scheme::MpcRf { horizon } => protocol.mpc(
+                &ctx.rf,
+                MpcConfig {
                     horizon_mode: horizon,
-                    overhead: OverheadModel::default(),
-                    store_truth: false,
                     ..MpcConfig::default()
-                };
-                let mut gov = MpcGovernor::new(
-                    FaultyPredictor::new(&ctx.rf, plan),
-                    sim.params().clone(),
-                    cfg,
-                );
-                let (profiling, measured) = profile_and_measure(&mut gov, false);
-                let stats = gov.stats().clone();
-                (Some(profiling), measured, Some(stats))
-            }
-            Scheme::MpcRfOverhead { horizon, overhead } => {
-                let cfg = MpcConfig {
+                },
+                false,
+            ),
+            Scheme::MpcRfOverhead { horizon, overhead } => protocol.mpc(
+                &ctx.rf,
+                MpcConfig {
                     horizon_mode: horizon,
                     overhead,
-                    store_truth: false,
                     ..MpcConfig::default()
-                };
-                let mut gov = MpcGovernor::new(
-                    FaultyPredictor::new(&ctx.rf, plan),
-                    sim.params().clone(),
-                    cfg,
-                );
-                let (profiling, measured) = profile_and_measure(&mut gov, false);
-                let stats = gov.stats().clone();
-                (Some(profiling), measured, Some(stats))
-            }
-            Scheme::MpcRfIdealized => {
-                let cfg = MpcConfig {
-                    horizon_mode: HorizonMode::Full,
-                    overhead: OverheadModel::free(),
-                    store_truth: false,
-                    ..MpcConfig::default()
-                };
-                let mut gov = MpcGovernor::new(
-                    FaultyPredictor::new(&ctx.rf, plan),
-                    sim.params().clone(),
-                    cfg,
-                );
-                let (profiling, measured) = profile_and_measure(&mut gov, false);
-                let stats = gov.stats().clone();
-                (Some(profiling), measured, Some(stats))
-            }
-            Scheme::MpcOracle => {
-                let cfg = MpcConfig {
-                    horizon_mode: HorizonMode::Full,
-                    overhead: OverheadModel::free(),
-                    store_truth: true,
-                    ..MpcConfig::default()
-                };
-                let mut gov = MpcGovernor::new(
-                    FaultyPredictor::new(OraclePredictor::new(sim), plan),
-                    sim.params().clone(),
-                    cfg,
-                );
-                let (profiling, measured) = profile_and_measure(&mut gov, true);
-                let stats = gov.stats().clone();
-                (Some(profiling), measured, Some(stats))
-            }
-            Scheme::MpcError { spec } => {
-                let cfg = MpcConfig {
-                    horizon_mode: HorizonMode::Full,
-                    overhead: OverheadModel::free(),
-                    store_truth: true,
-                    ..MpcConfig::default()
-                };
-                let predictor = ErrorInjectedPredictor::new(sim, spec, ctx.options.seed);
-                let mut gov = MpcGovernor::new(
-                    FaultyPredictor::new(predictor, plan),
-                    sim.params().clone(),
-                    cfg,
-                );
-                let (profiling, measured) = profile_and_measure(&mut gov, true);
-                let stats = gov.stats().clone();
-                (Some(profiling), measured, Some(stats))
-            }
+                },
+                false,
+            ),
+            Scheme::MpcRfIdealized => protocol.mpc(&ctx.rf, ideal, false),
+            Scheme::MpcOracle => protocol.mpc(OraclePredictor::new(sim), ideal_truth, true),
+            Scheme::MpcError { spec } => protocol.mpc(
+                ErrorInjectedPredictor::new(sim, spec, ctx.options.seed),
+                ideal_truth,
+                true,
+            ),
             Scheme::Equalizer { mode } => {
                 let mut gov = gpm_governors::Equalizer::new(mode);
-                let (profiling, measured) = profile_and_measure(&mut gov, false);
-                (Some(profiling), measured, None)
+                protocol.profile_and_measure(&mut gov, false)
             }
             Scheme::TheoreticallyOptimal => {
                 let to_plan = to::plan_optimal(
@@ -310,6 +240,71 @@ impl ExecEnv {
             measured,
             mpc_stats,
         }
+    }
+}
+
+/// What one scheme's evaluation measured: the profiling invocation (when
+/// the scheme has one), the measured invocation, and MPC's statistics.
+type Measured = (Option<RunResult>, RunResult, Option<MpcStats>);
+
+/// The standard two-invocation protocol for one (workload, target) pair:
+/// profile on run 0, measure on run 1, with the environment's middleware
+/// installed once and the scheme's predictor wrapped in the environment's
+/// fault plan.
+struct Protocol<'a> {
+    env: &'a ExecEnv,
+    ctx: &'a EvalContext,
+    workload: &'a Workload,
+    target: PerfTarget,
+}
+
+impl Protocol<'_> {
+    fn profile_and_measure(&self, gov: &mut dyn Governor, provide_truth: bool) -> Measured {
+        let Protocol {
+            env,
+            ctx,
+            workload,
+            target,
+            ..
+        } = *self;
+        env.install(gov);
+        let profiling = env.run(&ctx.sim, workload, gov, target, 0, provide_truth);
+        let measured = env.run(&ctx.sim, workload, gov, target, 1, provide_truth);
+        (Some(profiling), measured, None)
+    }
+
+    /// PPK over `predictor`; `provide_truth` also attaches ground truth
+    /// to its snapshots.
+    fn ppk<P: PowerPerfPredictor>(
+        &self,
+        predictor: P,
+        overhead: OverheadModel,
+        provide_truth: bool,
+    ) -> Measured {
+        let mut gov = PpkGovernor::new(
+            FaultyPredictor::new(predictor, self.env.fault_plan()),
+            self.ctx.sim.params().clone(),
+            self.ctx.campaign_space().clone(),
+            overhead,
+        )
+        .with_truth_snapshots(provide_truth);
+        self.profile_and_measure(&mut gov, provide_truth)
+    }
+
+    /// MPC over `predictor` under `cfg`.
+    fn mpc<P: PowerPerfPredictor>(
+        &self,
+        predictor: P,
+        cfg: MpcConfig,
+        provide_truth: bool,
+    ) -> Measured {
+        let mut gov = MpcGovernor::new(
+            FaultyPredictor::new(predictor, self.env.fault_plan()),
+            self.ctx.sim.params().clone(),
+            cfg,
+        );
+        let (profiling, measured, _) = self.profile_and_measure(&mut gov, provide_truth);
+        (profiling, measured, Some(gov.stats().clone()))
     }
 }
 

@@ -171,13 +171,6 @@ impl PatternExtractor {
         (position..reference.len().min(position + window + 1)).find(|&p| reference[p] == observed)
     }
 
-    /// On-line repetition detection over the current run (Totoni-style):
-    /// the smallest period consistent with everything seen so far, with at
-    /// least two periods of evidence.
-    pub fn current_period(&self) -> Option<usize> {
-        detect_period(&self.current_run)
-    }
-
     /// Access to a stored kernel record.
     pub fn record(&self, id: KernelId) -> Option<&KernelRecord> {
         self.store.get(id)
@@ -254,7 +247,7 @@ mod tests {
         assert_eq!(ids[0], ids[2]);
         assert_eq!(ids[0], ids[4]);
         assert_eq!(ids[1], ids[3]);
-        assert_eq!(px.current_period(), Some(2));
+        assert_eq!(detect_period(px.run_so_far()), Some(2));
     }
 
     #[test]

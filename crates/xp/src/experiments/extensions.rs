@@ -1,5 +1,6 @@
 //! Beyond-the-paper extension studies as registry run functions.
 
+use super::mpc_headline;
 use crate::artifact::emit_text;
 use crate::experiment::{metric, ExperimentOutput, XpEnv};
 use crate::suite::{evaluate_suite_with, suite_average};
@@ -8,17 +9,10 @@ use gpm_harness::metrics::{summarize, Comparison};
 use gpm_harness::report::{fmt, Table};
 use gpm_harness::{context, EvalOptions, Scheme};
 use gpm_hw::ConfigSpace;
-use gpm_mpc::HorizonMode;
 use gpm_sim::platform::Platform;
 use gpm_sim::{ApuSimulator, ReplayPlatform, SimParams};
 use gpm_workloads::{extended_suite, generate_population, suite, GeneratorParams};
 use std::fmt::Write;
-
-fn mpc_headline() -> Scheme {
-    Scheme::MpcRf {
-        horizon: HorizonMode::default(),
-    }
-}
 
 /// Extended baseline comparison: every implemented policy on the full
 /// suite — Turbo Core, Equalizer (both modes), PPK, MPC, and TO.

@@ -1,5 +1,6 @@
 //! Paper figures 2–15 as registry run functions.
 
+use super::mpc_headline;
 use crate::artifact::emit_text;
 use crate::experiment::{metric, ExperimentOutput, XpEnv};
 use crate::suite::{evaluate_suite_with, relative_rows, rows_details, suite_average, BenchRow};
@@ -10,20 +11,11 @@ use gpm_harness::svg::{bar_chart, line_chart, BarSeries};
 use gpm_harness::traces::{fig2_sweep, fig3_trace};
 use gpm_harness::Scheme;
 use gpm_model::ErrorSpec;
-use gpm_mpc::HorizonMode;
 use gpm_sim::{ApuSimulator, KernelCharacteristics};
 use gpm_workloads::{
     astar, max_flops, read_global_memory_coalesced, suite, workload_by_name, write_candidates,
 };
 use std::fmt::Write;
-
-/// The MPC scheme of the headline figures: RF prediction, adaptive
-/// horizon at α = 5%, all overheads charged.
-fn mpc_headline() -> Scheme {
-    Scheme::MpcRf {
-        horizon: HorizonMode::default(),
-    }
-}
 
 fn fig2_panel(
     out: &mut String,

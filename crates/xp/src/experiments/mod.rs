@@ -13,3 +13,14 @@ pub mod fleet;
 pub mod robustness;
 pub mod tables;
 pub mod telemetry;
+
+use gpm_harness::Scheme;
+use gpm_mpc::HorizonMode;
+
+/// The MPC scheme of the headline figures: RF prediction, adaptive
+/// horizon at α = 5%, all overheads charged.
+fn mpc_headline() -> Scheme {
+    Scheme::MpcRf {
+        horizon: HorizonMode::default(),
+    }
+}

@@ -331,7 +331,8 @@ pub fn run_suite(cfg: &RunConfig) -> SuiteReport {
             }
         })
         .collect();
-    let resumed = slots.iter().filter(|s| s.is_some()).count();
+    let from_checkpoint: Vec<bool> = slots.iter().map(Option::is_some).collect();
+    let resumed = from_checkpoint.iter().filter(|&&r| r).count();
 
     // One forest cache per run: the shared context seeds it, and every
     // experiment context with the same training input reuses that fit.
@@ -435,12 +436,13 @@ pub fn run_suite(cfg: &RunConfig) -> SuiteReport {
             baseline_cache_hits: bh,
             rows: records
                 .iter()
-                .map(|r| AggregateRow {
+                .zip(&from_checkpoint)
+                .map(|(r, &resumed)| AggregateRow {
                     name: r.name.clone(),
                     paper_ref: r.paper_ref.clone(),
                     passed: r.passed,
                     crashed: r.crashed,
-                    resumed: false,
+                    resumed,
                     duration_ms: r.duration_ms,
                     gates_total: r.gates.len(),
                     gates_failed: r.gates.iter().filter(|g| !g.pass).count(),
@@ -557,6 +559,15 @@ mod tests {
             assert_eq!(a.metrics, b.metrics);
             assert_eq!(a.text, b.text);
         }
+        // The aggregate marks every reused row.
+        let aggregate = std::fs::read_to_string(dir.join("REPRO_test.json")).unwrap();
+        let aggregate: Value = serde_json::from_str(&aggregate).unwrap();
+        let rows = aggregate["rows"].as_array().unwrap();
+        assert_eq!(rows.len(), 3);
+        assert!(
+            rows.iter().all(|r| r["resumed"] == Value::Bool(true)),
+            "{rows:?}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

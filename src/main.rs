@@ -82,30 +82,85 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     flags
 }
 
+/// Every scheme `gpm run --scheme` accepts, as (name, description,
+/// scheme); `gpm schemes` prints it.
+fn schemes() -> [(&'static str, &'static str, Scheme); 10] {
+    [
+        (
+            "turbo-core",
+            "AMD Turbo Core (the baseline)",
+            Scheme::TurboCore,
+        ),
+        (
+            "ppk",
+            "Predict Previous Kernel, Random-Forest prediction",
+            Scheme::PpkRf,
+        ),
+        (
+            "ppk-oracle",
+            "PPK with perfect prediction (limit study)",
+            Scheme::PpkOracle,
+        ),
+        (
+            "mpc",
+            "adaptive-horizon MPC, Random Forest (the paper's system)",
+            Scheme::MpcRf {
+                horizon: HorizonMode::default(),
+            },
+        ),
+        (
+            "mpc-full",
+            "MPC with the full horizon",
+            Scheme::MpcRf {
+                horizon: HorizonMode::Full,
+            },
+        ),
+        (
+            "mpc-oracle",
+            "MPC with perfect prediction, full horizon, no overhead",
+            Scheme::MpcOracle,
+        ),
+        (
+            "mpc-err15",
+            "MPC with 15%/10% half-normal prediction error",
+            Scheme::MpcError {
+                spec: ErrorSpec::ERR_15_10,
+            },
+        ),
+        (
+            "to",
+            "Theoretically Optimal offline solution",
+            Scheme::TheoreticallyOptimal,
+        ),
+        (
+            "equalizer-perf",
+            "reactive Equalizer, performance mode",
+            Scheme::Equalizer {
+                mode: EqualizerMode::Performance,
+            },
+        ),
+        (
+            "equalizer-eff",
+            "reactive Equalizer, efficiency mode",
+            Scheme::Equalizer {
+                mode: EqualizerMode::Efficiency,
+            },
+        ),
+    ]
+}
+
+/// A listed scheme name, or one of the unlisted aliases `turbocore`
+/// and `optimal`.
 fn parse_scheme(name: &str) -> Option<Scheme> {
-    Some(match name {
-        "turbo-core" | "turbocore" => Scheme::TurboCore,
-        "ppk" => Scheme::PpkRf,
-        "ppk-oracle" => Scheme::PpkOracle,
-        "mpc" => Scheme::MpcRf {
-            horizon: HorizonMode::default(),
-        },
-        "mpc-full" => Scheme::MpcRf {
-            horizon: HorizonMode::Full,
-        },
-        "mpc-oracle" => Scheme::MpcOracle,
-        "mpc-err15" => Scheme::MpcError {
-            spec: ErrorSpec::ERR_15_10,
-        },
-        "to" | "optimal" => Scheme::TheoreticallyOptimal,
-        "equalizer-perf" => Scheme::Equalizer {
-            mode: EqualizerMode::Performance,
-        },
-        "equalizer-eff" => Scheme::Equalizer {
-            mode: EqualizerMode::Efficiency,
-        },
-        _ => return None,
-    })
+    let name = match name {
+        "turbocore" => "turbo-core",
+        "optimal" => "to",
+        other => other,
+    };
+    schemes()
+        .into_iter()
+        .find(|(listed, ..)| *listed == name)
+        .map(|(.., scheme)| scheme)
 }
 
 fn cmd_list() {
@@ -122,16 +177,9 @@ fn cmd_list() {
 }
 
 fn cmd_schemes() {
-    println!("turbo-core     AMD Turbo Core (the baseline)");
-    println!("ppk            Predict Previous Kernel, Random-Forest prediction");
-    println!("ppk-oracle     PPK with perfect prediction (limit study)");
-    println!("mpc            adaptive-horizon MPC, Random Forest (the paper's system)");
-    println!("mpc-full       MPC with the full horizon");
-    println!("mpc-oracle     MPC with perfect prediction, full horizon, no overhead");
-    println!("mpc-err15      MPC with 15%/10% half-normal prediction error");
-    println!("to             Theoretically Optimal offline solution");
-    println!("equalizer-perf reactive Equalizer, performance mode");
-    println!("equalizer-eff  reactive Equalizer, efficiency mode");
+    for (name, description, _) in schemes() {
+        println!("{name:<14} {description}");
+    }
 }
 
 #[derive(Serialize)]
@@ -269,4 +317,24 @@ fn cmd_trace(flags: &HashMap<String, String>) -> ExitCode {
         println!("{:>3}  {:>6.2}  {}", i + 1, v, bar);
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_listed_scheme_parses_and_no_name_repeats() {
+        let table = schemes();
+        for (i, (name, _, scheme)) in table.iter().enumerate() {
+            assert_eq!(parse_scheme(name), Some(*scheme), "{name}");
+            assert!(
+                table[..i].iter().all(|(other, ..)| other != name),
+                "{name} listed twice"
+            );
+        }
+        assert_eq!(parse_scheme("turbocore"), Some(Scheme::TurboCore));
+        assert_eq!(parse_scheme("optimal"), Some(Scheme::TheoreticallyOptimal));
+        assert_eq!(parse_scheme("mpc-bogus"), None);
+    }
 }

@@ -97,9 +97,38 @@ thread_local! {
     static MEMO: RefCell<ValueMemo> = const { RefCell::new(ValueMemo::EMPTY) };
 }
 
-/// Snapshots the per-thread value memo holds before it starts over. The
-/// largest single suite evaluation touches 20 distinct snapshots.
-const MEMO_SNAPSHOTS: usize = 64;
+/// (predictor, snapshot) keys the per-thread value memo holds before it
+/// clears wholesale. Measured per thread on perfbench's workloads: a
+/// `suite_replay` pass prices 146 distinct snapshots, a `fleet_mixed`
+/// worker at most 212 in one scenario (median 127), and a
+/// `reproduce_fast` job at most 564 (under three predictors). So every
+/// measured working set fits, with room for three and a half times the
+/// largest.
+const MEMO_SNAPSHOTS: usize = 2048;
+
+/// Estimates the memo holds before it clears wholesale. The same runs
+/// price 566, at most 1,521 (median 569) and at most 2,336 distinct
+/// (snapshot, config) pairs per thread.
+const MEMO_ENTRIES: usize = 8192;
+
+/// Cells of the snapshot index: twice [`MEMO_SNAPSHOTS`], so the index is
+/// at most half full and a probe ends within a few cells.
+const INDEX_CELLS: usize = 2 * MEMO_SNAPSHOTS;
+
+/// Cells of the estimate table: twice [`MEMO_ENTRIES`], for the same
+/// reason. With 16-byte index cells, 72-byte keys and 24-byte estimate
+/// cells, a thread's memo is 592 KiB at most, less than the 860 KB of one
+/// dense 560-entry row per snapshot for 64 snapshots.
+const ENTRY_CELLS: usize = 2 * MEMO_ENTRIES;
+
+// Resizing the memo must keep it within the dense memo's 860 KB: 64
+// snapshots of one 24-byte entry per lattice point.
+const _: () = assert!(
+    INDEX_CELLS * std::mem::size_of::<IndexCell>()
+        + MEMO_SNAPSHOTS * std::mem::size_of::<SnapshotKey>()
+        + ENTRY_CELLS * std::mem::size_of::<EntryCell>()
+        <= 64 * HwConfig::DENSE_COUNT * 24
+);
 
 /// Everything a forest estimate depends on besides the configuration:
 /// the predictor's [`generation`](RandomForestPredictor::generation) and
@@ -119,7 +148,7 @@ impl SnapshotKey {
     }
 
     /// A 64-bit digest of the key: equal keys have equal fingerprints, so
-    /// a slot whose fingerprint differs cannot hold the key. Each counter
+    /// a cell whose fingerprint differs cannot hold the key. Each counter
     /// is rotated by its own amount, so equal values in swapped places
     /// still differ; the rotations are independent, so the digest costs a
     /// few cycles. A collision only costs a full-key compare.
@@ -142,127 +171,160 @@ impl SnapshotKey {
     }
 }
 
-/// Per-snapshot value memo: for a fixed (predictor, snapshot) pair the
-/// estimate is a pure function of the configuration, so each of the
-/// [`HwConfig::DENSE_COUNT`] lattice points is walked at most once per
-/// snapshot while the snapshot stays memoized. It holds the post-clamp
-/// estimates `predict` returns.
+/// A snapshot-index cell: (fingerprint, claim stamp, position of the key
+/// in [`ValueMemo::keys`]).
+type IndexCell = (u64, u32, u32);
+
+/// An estimate cell: ([`entry_tag`], `time_s`, `gpu_power_w`).
+type EntryCell = (u64, f64, f64);
+
+/// The estimate table's key for `cfg` under a snapshot's claim stamp: the
+/// stamp above the configuration's dense index.
+fn entry_tag(stamp: u32, cfg: HwConfig) -> u64 {
+    u64::from(stamp) << 32 | cfg.dense_index() as u64
+}
+
+/// The first cell a probe for `hash` reads in a table of `cells` cells (a
+/// power of two): the top bits of a Fibonacci multiply, so keys that
+/// differ only in their low bits still spread.
+fn home(hash: u64, cells: usize) -> usize {
+    (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - cells.trailing_zeros())) as usize
+}
+
+/// Sparse value memo: for a fixed (predictor, snapshot) pair the estimate
+/// is a pure function of the configuration, so each (snapshot, config)
+/// pair is walked at most once while the memo holds it. It holds the
+/// post-clamp estimates `predict` returns.
 ///
-/// A lookup scans the slots' 8-byte fingerprints and confirms a match
-/// with one full-key compare, so a miss over 64 slots reads 512 bytes and
-/// compares no key.
+/// Two open-addressed, linearly probed tables:
+/// - the snapshot index maps a key's fingerprint to the key's claim stamp,
+///   and confirms a match with one full-key compare against `keys`;
+/// - the estimate table maps ([`entry_tag`]) a claim stamp and a
+///   configuration to the estimate.
 ///
-/// Claiming a slot writes nothing but its key and a fresh claim stamp:
-/// an entry is valid only while it carries its slot's current stamp, so
-/// the estimates a slot held for an earlier snapshot go stale without a
-/// single store. Past each slot's first claim on a thread, only the
-/// entries actually priced are touched.
+/// Each claim hands out a fresh, increasing stamp. A cell whose stamp is
+/// below `floor`, the first stamp handed out since the last clear, is
+/// vacant, so a wholesale clear raises `floor` and stores nothing else.
+/// Cells are never vacated one by one, so a probe stops at the first
+/// vacant cell. The memo clears wholesale when a claim finds
+/// [`MEMO_SNAPSHOTS`] keys, or a lookup finds [`MEMO_ENTRIES`] estimates,
+/// stored since the last clear.
+///
+/// Both tables are allocated at a thread's first claim. A cell's zero is
+/// all-zero bytes, so `vec!` requests zeroed memory from the allocator
+/// and fills nothing in Rust; whether the allocator then clears reused
+/// memory itself or maps fresh zeroed pages is its own choice.
 struct ValueMemo {
-    /// The memoized snapshots, one slot each, at most [`MEMO_SNAPSHOTS`].
+    /// [`INDEX_CELLS`] snapshot-index cells.
+    index: Vec<IndexCell>,
+    /// The keys claimed since the last clear, in claim order.
     keys: Vec<SnapshotKey>,
-    /// [`SnapshotKey::fingerprint`] of each slot, index-aligned with `keys`.
-    fingerprints: Vec<u64>,
-    /// Claim stamp of each slot, index-aligned with `keys`.
-    stamps: Vec<u32>,
-    /// `MEMO_SNAPSHOTS * DENSE_COUNT` entries, slot-major by dense index,
-    /// allocated at the first claim and filled out slot by slot.
-    entries: Vec<MemoEntry>,
-    /// The last stamp handed out; 0 is never a slot's stamp.
+    /// [`ENTRY_CELLS`] estimate cells.
+    entries: Vec<EntryCell>,
+    /// Estimates stored since the last clear.
+    filled: usize,
+    /// The last stamp handed out; 0 is never a claim's stamp.
     stamp: u32,
-    /// Slot of the last lookup: consecutive calls nearly always price the
-    /// same snapshot.
+    /// The first stamp handed out since the last clear.
+    floor: u32,
+    /// Index cell of the last lookup: consecutive calls nearly always
+    /// price the same snapshot.
     last: usize,
 }
 
-/// One memoized estimate and the claim stamp it was written under.
-#[derive(Clone, Copy)]
-struct MemoEntry {
-    stamp: u32,
-    est: PowerPerfEstimate,
-}
-
-impl MemoEntry {
-    /// An entry no slot's stamp matches.
-    const UNPRICED: MemoEntry = MemoEntry {
-        stamp: 0,
-        est: PowerPerfEstimate {
-            time_s: f64::NAN,
-            gpu_power_w: f64::NAN,
-        },
-    };
-}
-
 impl ValueMemo {
-    /// A memo with no slot claimed and nothing allocated.
+    /// A memo with nothing claimed and nothing allocated.
     const EMPTY: ValueMemo = ValueMemo {
+        index: Vec::new(),
         keys: Vec::new(),
-        fingerprints: Vec::new(),
-        stamps: Vec::new(),
         entries: Vec::new(),
+        filled: 0,
         stamp: 0,
+        floor: 1,
         last: 0,
     };
 
-    /// The slot holding `key`'s estimates, where `fingerprint` is
-    /// `key.fingerprint()`. An unknown key claims the next slot with
-    /// every estimate unpriced; when all slots are taken, or the claim
-    /// stamps run out, the memo is cleared wholesale first.
-    fn slot(&mut self, key: &SnapshotKey, fingerprint: u64) -> usize {
-        let last = self.last;
-        if self.fingerprints.get(last) == Some(&fingerprint) && self.keys[last].same(key) {
-            return last;
+    /// The claim stamp of `key`, where `fingerprint` is
+    /// `key.fingerprint()`. An unknown key claims a fresh stamp, with
+    /// every estimate unpriced; when the memo is full, or the stamps run
+    /// out, it is cleared wholesale first.
+    fn stamp_of(&mut self, key: &SnapshotKey, fingerprint: u64) -> u32 {
+        if self.filled == MEMO_ENTRIES {
+            self.clear();
         }
-        self.last = match self
-            .fingerprints
-            .iter()
-            .zip(&self.keys)
-            .position(|(&f, k)| f == fingerprint && k.same(key))
-        {
-            Some(slot) => slot,
-            None => self.claim(key, fingerprint),
-        };
-        self.last
-    }
-
-    fn claim(&mut self, key: &SnapshotKey, fingerprint: u64) -> usize {
-        if self.keys.len() == MEMO_SNAPSHOTS || self.stamp == u32::MAX {
-            self.keys.clear();
-            self.fingerprints.clear();
-            self.stamps.clear();
-        }
-        if self.stamp == u32::MAX {
-            // Stamps are about to repeat: no entry may carry an old one.
-            self.stamp = 0;
-            for entry in &mut self.entries {
-                entry.stamp = 0;
+        if let Some(&(f, stamp, at)) = self.index.get(self.last) {
+            if stamp >= self.floor && f == fingerprint && self.keys[at as usize].same(key) {
+                return stamp;
             }
         }
-        let slot = self.keys.len();
-        let end = (slot + 1) * HwConfig::DENSE_COUNT;
-        if self.entries.len() < end {
-            // The whole table is allocated at the first claim.
-            self.entries
-                .reserve_exact(MEMO_SNAPSHOTS * HwConfig::DENSE_COUNT - self.entries.len());
-            self.entries.resize(end, MemoEntry::UNPRICED);
+        if self.index.is_empty() {
+            self.index = vec![(0, 0, 0); INDEX_CELLS];
+            self.entries = vec![(0, 0.0, 0.0); ENTRY_CELLS];
+            self.keys = Vec::with_capacity(MEMO_SNAPSHOTS);
+        }
+        let mut cell = home(fingerprint, INDEX_CELLS);
+        loop {
+            let (f, stamp, at) = self.index[cell];
+            if stamp < self.floor {
+                break;
+            }
+            if f == fingerprint && self.keys[at as usize].same(key) {
+                self.last = cell;
+                return stamp;
+            }
+            cell = (cell + 1) % INDEX_CELLS;
+        }
+        if self.keys.len() == MEMO_SNAPSHOTS || self.stamp == u32::MAX {
+            self.clear();
+            // Every cell is vacant now, the probe's first one included.
+            cell = home(fingerprint, INDEX_CELLS);
         }
         self.stamp += 1;
+        self.index[cell] = (fingerprint, self.stamp, self.keys.len() as u32);
         self.keys.push(*key);
-        self.fingerprints.push(fingerprint);
-        self.stamps.push(self.stamp);
-        slot
+        self.last = cell;
+        self.stamp
     }
 
-    /// The estimate of `cfg` in `slot`, if priced since the slot's claim.
-    fn get(&self, slot: usize, cfg: HwConfig) -> Option<PowerPerfEstimate> {
-        let entry = self.entries[slot * HwConfig::DENSE_COUNT + cfg.dense_index()];
-        (entry.stamp == self.stamps[slot]).then_some(entry.est)
+    /// Forgets every key and estimate.
+    fn clear(&mut self) {
+        if self.stamp == u32::MAX {
+            // Stamps are about to repeat: no cell may carry an old one.
+            self.stamp = 0;
+            self.index.fill((0, 0, 0));
+            self.entries.fill((0, 0.0, 0.0));
+        }
+        self.floor = self.stamp + 1;
+        self.keys.clear();
+        self.filled = 0;
     }
 
-    fn set(&mut self, slot: usize, cfg: HwConfig, est: PowerPerfEstimate) {
-        self.entries[slot * HwConfig::DENSE_COUNT + cfg.dense_index()] = MemoEntry {
-            stamp: self.stamps[slot],
-            est,
-        };
+    /// The estimate of `cfg` under the claim `stamp`, or the vacant cell
+    /// its estimate goes in.
+    fn get(&self, stamp: u32, cfg: HwConfig) -> Result<PowerPerfEstimate, usize> {
+        debug_assert!(stamp >= self.floor, "a stamp from before the last clear");
+        let tag = entry_tag(stamp, cfg);
+        let mut cell = home(tag, ENTRY_CELLS);
+        loop {
+            let (t, time_s, gpu_power_w) = self.entries[cell];
+            if t == tag {
+                return Ok(PowerPerfEstimate {
+                    time_s,
+                    gpu_power_w,
+                });
+            }
+            if ((t >> 32) as u32) < self.floor {
+                return Err(cell);
+            }
+            cell = (cell + 1) % ENTRY_CELLS;
+        }
+    }
+
+    /// Stores `est` for `cfg` under the claim `stamp` in `cell`, the
+    /// vacant cell [`get`](ValueMemo::get) returned.
+    fn set(&mut self, cell: usize, stamp: u32, cfg: HwConfig, est: PowerPerfEstimate) {
+        self.entries[cell] = (entry_tag(stamp, cfg), est.time_s, est.gpu_power_w);
+        self.filled += 1;
     }
 }
 
@@ -368,10 +430,13 @@ impl PowerPerfPredictor for RandomForestPredictor {
         MEMO.with(|memo| {
             let memo = &mut *memo.borrow_mut();
             let key = SnapshotKey::new(self.generation.0, &snapshot.counters);
-            let slot = memo.slot(&key, key.fingerprint());
-            if let Some(est) = memo.get(slot, cfg) {
-                return est;
-            }
+            let stamp = memo.stamp_of(&key, key.fingerprint());
+            let cell = match memo.get(stamp, cfg) {
+                Ok(est) => return est,
+                Err(cell) => cell,
+            };
+            #[cfg(test)]
+            tests::WALKS.with(|walks| walks.set(walks.get() + 1));
             let mut row = [0.0; NUM_FEATURES];
             let (counters, config) = row.split_at_mut(NUM_COUNTERS);
             counters.copy_from_slice(&encode_counter_features(&snapshot.counters));
@@ -380,7 +445,7 @@ impl PowerPerfPredictor for RandomForestPredictor {
                 time_s: self.time_forest.predict(&row).exp().max(1e-9),
                 gpu_power_w: self.power_forest.predict(&row).max(0.1),
             };
-            memo.set(slot, cfg, est);
+            memo.set(cell, stamp, cfg, est);
             est
         })
     }
@@ -576,40 +641,114 @@ mod tests {
         assert_eq!(clone, rf);
     }
 
+    thread_local! {
+        /// Forest walks `predict` paid for on this thread.
+        pub(super) static WALKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Forest walks on this thread so far.
+    fn walks() -> u64 {
+        WALKS.with(std::cell::Cell::get)
+    }
+
+    /// Starts this thread's value memo over, so a test sees only its own
+    /// claims whatever ran on the thread before.
+    fn fresh_memo() {
+        MEMO.with(|memo| *memo.borrow_mut() = ValueMemo::EMPTY);
+    }
+
+    /// A four-tree predictor: the memo does not depend on the forests, and
+    /// small ones keep the debug-mode walks of the memo tests cheap.
+    fn small_rf(seed: u64) -> RandomForestPredictor {
+        let (_, _, ds) = campaign();
+        let params = ForestParams {
+            num_trees: 4,
+            ..ForestParams::default()
+        };
+        RandomForestPredictor::train(&ds, &params, seed)
+    }
+
+    /// The `i`-th of a family of distinct snapshots.
+    fn snapshot(i: usize) -> KernelSnapshot {
+        let f = 1.0 + i as f64 * 0.37;
+        KernelSnapshot::counters_only(
+            gpm_sim::CounterSet::from_values([
+                1e7 * f,
+                (30.0 + 7.0 * i as f64) % 100.0,
+                (55.0 + 13.0 * i as f64) % 100.0,
+                1e4 * f,
+                (i % 16) as f64,
+                (i % 5) as f64,
+                1e5 * f * f,
+                1e5 * f,
+            ]),
+            HwConfig::FAIL_SAFE,
+            1.0,
+        )
+    }
+
+    /// The claim stamp of `key` under its real fingerprint.
+    fn claim(memo: &mut ValueMemo, key: &SnapshotKey) -> u32 {
+        memo.stamp_of(key, key.fingerprint())
+    }
+
+    /// Stores `est` for `cfg` under `stamp`, which must not have priced it.
+    fn price(memo: &mut ValueMemo, stamp: u32, cfg: HwConfig, est: PowerPerfEstimate) {
+        let cell = memo.get(stamp, cfg).expect_err("already priced");
+        memo.set(cell, stamp, cfg, est);
+    }
+
+    /// An estimate that names `i`.
+    fn est(i: usize) -> PowerPerfEstimate {
+        PowerPerfEstimate {
+            time_s: i as f64,
+            gpu_power_w: 1.0,
+        }
+    }
+
+    #[test]
+    fn a_working_set_that_fits_is_walked_once_per_pair() {
+        // More snapshots than a 64-snapshot memo holds, each priced at a
+        // few configurations and cycled three times: every pair is walked
+        // in the first round and served from the memo after it.
+        fresh_memo();
+        let rf = small_rf(11);
+        let nested = nested_reference(&rf);
+        let snaps: Vec<KernelSnapshot> = (0..200).map(snapshot).collect();
+        let cfgs: Vec<HwConfig> = ConfigSpace::paper_campaign().iter().step_by(53).collect();
+        let pairs = snaps.len() * cfgs.len();
+        assert!(snaps.len() > 64 && snaps.len() < MEMO_SNAPSHOTS);
+        assert!(cfgs.len() > 4 && pairs < MEMO_ENTRIES);
+        let before = walks();
+        for round in 0..3 {
+            for (i, snap) in snaps.iter().enumerate() {
+                for &cfg in &cfgs {
+                    let what = format!("round {round} snapshot {i} {cfg}");
+                    assert_bits_eq(rf.predict(snap, cfg), nested(snap, cfg), &what);
+                }
+            }
+            assert_eq!(walks() - before, pairs as u64, "round {round}");
+        }
+    }
+
     #[test]
     fn value_memo_invalidates_on_snapshot_and_predictor_change() {
-        // Interleaves single and batched pricing over more distinct
-        // snapshots than the value memo holds, under two predictors, on
-        // one thread: the memo must tell the predictors apart, start
-        // over when full without serving a reclaimed slot's old values,
-        // and match the nested reference throughout.
-        let (_, _, ds) = campaign();
-        let rf_a = RandomForestPredictor::train(&ds, &ForestParams::default(), 11);
-        let rf_b = RandomForestPredictor::train(&ds, &ForestParams::default(), 23);
+        // Interleaves single and batched pricing of more (predictor,
+        // snapshot, config) estimates than the value memo holds, under two
+        // predictors, on one thread: the memo must tell the predictors
+        // apart, start over when full without serving an estimate priced
+        // before the clear, and match the nested reference throughout.
+        fresh_memo();
+        let (rf_a, rf_b) = (small_rf(11), small_rf(23));
         let (nested_a, nested_b) = (nested_reference(&rf_a), nested_reference(&rf_b));
-        let snaps: Vec<KernelSnapshot> = (0..MEMO_SNAPSHOTS / 2 + 5)
-            .map(|i| {
-                let f = 1.0 + i as f64 * 0.37;
-                KernelSnapshot::counters_only(
-                    gpm_sim::CounterSet::from_values([
-                        1e7 * f,
-                        (30.0 + 7.0 * i as f64) % 100.0,
-                        (55.0 + 13.0 * i as f64) % 100.0,
-                        1e4 * f,
-                        (i % 16) as f64,
-                        (i % 5) as f64,
-                        1e5 * f * f,
-                        1e5 * f,
-                    ]),
-                    HwConfig::FAIL_SAFE,
-                    1.0,
-                )
-            })
-            .collect();
-        // Two (predictor, snapshot) keys per snapshot: the memo wraps
-        // more than once per round.
-        assert!(2 * snaps.len() > MEMO_SNAPSHOTS);
         let cfgs: Vec<HwConfig> = ConfigSpace::paper_campaign().iter().step_by(7).collect();
+        let snaps: Vec<KernelSnapshot> = (0..MEMO_ENTRIES / (2 * cfgs.len()) + 5)
+            .map(snapshot)
+            .collect();
+        // Two predictors per snapshot: the memo fills at least once per
+        // round.
+        let pairs = 2 * snaps.len() * cfgs.len();
+        assert!(pairs > MEMO_ENTRIES);
         let references: Vec<Vec<[PowerPerfEstimate; 2]>> = snaps
             .iter()
             .map(|snap| {
@@ -618,6 +757,7 @@ mod tests {
                     .collect()
             })
             .collect();
+        let before = walks();
         let mut batch = Vec::new();
         for round in 0..3 {
             for (i, snap) in snaps.iter().enumerate() {
@@ -648,6 +788,8 @@ mod tests {
                 }
             }
         }
+        // The clears made later rounds walk again.
+        assert!(walks() - before > pairs as u64, "the memo never filled");
     }
 
     #[test]
@@ -655,6 +797,7 @@ mod tests {
         // The claims of the first round run the stamps out mid-round: the
         // memo clears wholesale, and every later estimate, walked or
         // served, still matches the nested reference.
+        fresh_memo();
         let (_, _, ds) = campaign();
         let rf = RandomForestPredictor::train(&ds, &ForestParams::default(), 11);
         let nested = nested_reference(&rf);
@@ -694,17 +837,9 @@ mod tests {
 
     #[test]
     fn a_reclaimed_slot_never_serves_the_previous_snapshot() {
-        let key = |i: u64| SnapshotKey {
+        let key = |i: usize| SnapshotKey {
             generation: 1,
-            counters: [i; NUM_COUNTERS],
-        };
-        let lookup = |memo: &mut ValueMemo, i: u64| {
-            let key = key(i);
-            memo.slot(&key, key.fingerprint())
-        };
-        let est = |i: u64| PowerPerfEstimate {
-            time_s: i as f64,
-            gpu_power_w: 1.0,
+            counters: [i as u64; NUM_COUNTERS],
         };
         let cfg = HwConfig::FAIL_SAFE;
         for start_stamp in [0, u32::MAX - MEMO_SNAPSHOTS as u32] {
@@ -712,45 +847,54 @@ mod tests {
                 stamp: start_stamp,
                 ..ValueMemo::EMPTY
             };
-            for i in 0..MEMO_SNAPSHOTS as u64 {
-                let slot = lookup(&mut memo, i);
-                assert_eq!(slot, i as usize);
-                memo.set(slot, cfg, est(i));
+            for i in 0..MEMO_SNAPSHOTS {
+                let stamp = claim(&mut memo, &key(i));
+                assert_eq!(stamp, start_stamp + 1 + i as u32);
+                price(&mut memo, stamp, cfg, est(i));
             }
-            let slot = lookup(&mut memo, 0);
-            assert_eq!(memo.get(slot, cfg), Some(est(0)));
-            // Full (or out of stamps): a new snapshot clears the memo and
-            // reclaims slot 0, whose entry still holds snapshot 0's
-            // estimate under the old stamp.
-            let slot = lookup(&mut memo, 1000);
-            assert_eq!(slot, 0, "start stamp {start_stamp}");
-            assert_eq!(memo.get(slot, cfg), None, "start stamp {start_stamp}");
-            memo.set(slot, cfg, est(1000));
-            // Snapshot 0 is forgotten too, and its new slot is unpriced.
-            let slot = lookup(&mut memo, 0);
-            assert_eq!(slot, 1, "start stamp {start_stamp}");
-            assert_eq!(memo.get(slot, cfg), None, "start stamp {start_stamp}");
-            let slot = lookup(&mut memo, 1000);
-            assert_eq!(memo.get(slot, cfg), Some(est(1000)));
+            let stamp = claim(&mut memo, &key(0));
+            assert_eq!(memo.get(stamp, cfg), Ok(est(0)));
+            // A snapshot none of the first claims is, whose home index
+            // cell one of them holds, so its probe passes live cells.
+            let new = (MEMO_SNAPSHOTS..)
+                .find(|&i| memo.index[home(key(i).fingerprint(), INDEX_CELLS)].1 >= memo.floor)
+                .expect("an occupied home cell");
+            // Full (or out of stamps): the new snapshot clears the memo
+            // and takes key position 0, which still holds snapshot 0's
+            // key, and its home cell, not the one its probe stopped at.
+            let claimed = claim(&mut memo, &key(new));
+            assert_eq!(memo.keys.len(), 1, "start stamp {start_stamp}");
+            assert!(memo.get(claimed, cfg).is_err(), "start stamp {start_stamp}");
+            price(&mut memo, claimed, cfg, est(new));
+            // Snapshot 0 is forgotten too, and its new claim is unpriced.
+            let stamp = claim(&mut memo, &key(0));
+            assert_eq!(memo.keys.len(), 2, "start stamp {start_stamp}");
+            assert!(memo.get(stamp, cfg).is_err(), "start stamp {start_stamp}");
+            // The new snapshot is found again under its one claim.
+            assert_eq!(claim(&mut memo, &key(new)), claimed);
+            assert_eq!(memo.get(claimed, cfg), Ok(est(new)));
         }
-        // Stamps that run out start over at 1, the stamp slot 0's first
-        // entries were written under: the wholesale clear must erase them.
+        // Stamps that run out start over at 1, the stamp snapshot 0's first
+        // estimates were written under: the wholesale clear must erase them.
         let mut memo = ValueMemo::EMPTY;
-        let slot = lookup(&mut memo, 0);
-        memo.set(slot, cfg, est(0));
+        let stamp = claim(&mut memo, &key(0));
+        price(&mut memo, stamp, cfg, est(0));
         memo.stamp = u32::MAX;
-        let slot = lookup(&mut memo, 1000);
-        assert_eq!((slot, memo.stamp), (0, 1));
-        assert_eq!(memo.get(slot, cfg), None);
+        let stamp = claim(&mut memo, &key(1));
+        assert_eq!(stamp, 1);
+        assert!(memo.get(stamp, cfg).is_err());
     }
 
     #[test]
     fn colliding_fingerprints_still_resolve_each_key_to_its_own_slot() {
-        // Every key is looked up under one shared fingerprint, so only the
-        // full-key compare tells them apart; the keys differ in a single
-        // word (one counter, or the generation alone), and there are more
-        // of them than the memo holds, so it clears wholesale twice.
-        const FINGERPRINT: u64 = 0x5EED;
+        // Each run of 256 keys is looked up under one shared fingerprint,
+        // so the run shares one probe chain and only the full-key compare
+        // tells its keys apart (runs keep the debug-mode probes short); the
+        // keys differ in a single word (one counter, or the generation
+        // alone), and there are more of them than the memo holds, so it
+        // clears wholesale twice and the chains are rebuilt over their
+        // stale cells.
+        let fingerprint = |i: usize| 0x5EED + (i / 256) as u64;
         let key = |i: usize| {
             let mut counters = [3; NUM_COUNTERS];
             let generation = if i.is_multiple_of(2) {
@@ -764,29 +908,91 @@ mod tests {
                 counters,
             }
         };
-        let est = |i: usize| PowerPerfEstimate {
-            time_s: i as f64,
-            gpu_power_w: 1.0,
-        };
         let cfg = HwConfig::MAX_PERF;
         let mut memo = ValueMemo::EMPTY;
-        for i in 0..2 * MEMO_SNAPSHOTS + 3 {
-            let slot = memo.slot(&key(i), FINGERPRINT);
-            assert_eq!(slot, i % MEMO_SNAPSHOTS, "key {i}");
-            assert_eq!(memo.get(slot, cfg), None, "key {i} found a priced slot");
-            memo.set(slot, cfg, est(i));
-            // Every key claimed since the last clear, looked up in either
-            // order, still resolves to its own slot and estimate.
-            let since_clear = i - i % MEMO_SNAPSHOTS..=i;
+        // The stamp of each key claimed since the last clear.
+        let mut stamps = Vec::new();
+        let total = 2 * MEMO_SNAPSHOTS + 3;
+        for i in 0..total {
+            if i.is_multiple_of(MEMO_SNAPSHOTS) {
+                stamps.clear();
+            }
+            let stamp = memo.stamp_of(&key(i), fingerprint(i));
+            assert_eq!(memo.keys.len(), stamps.len() + 1, "key {i}");
+            assert!(
+                memo.get(stamp, cfg).is_err(),
+                "key {i} found a priced claim"
+            );
+            price(&mut memo, stamp, cfg, est(i));
+            stamps.push(stamp);
+            // The first key since the clear still resolves; with a full
+            // memo, or at the end, so does every key claimed since then,
+            // looked up in either order.
+            let first = i - i % MEMO_SNAPSHOTS;
+            let full = stamps.len() == MEMO_SNAPSHOTS || i + 1 == total;
+            let since_clear = if full { first..=i } else { first..=first };
             for j in since_clear.clone().chain(since_clear.rev()) {
-                let slot = memo.slot(&key(j), FINGERPRINT);
-                assert_eq!(slot, j % MEMO_SNAPSHOTS, "key {j} after claiming {i}");
-                assert_eq!(memo.get(slot, cfg), Some(est(j)), "key {j}");
+                let stamp = memo.stamp_of(&key(j), fingerprint(j));
+                assert_eq!(stamp, stamps[j - first], "key {j} after claiming {i}");
+                assert_eq!(memo.get(stamp, cfg), Ok(est(j)), "key {j}");
             }
         }
         // The real fingerprint separates keys that differ in one word.
         assert_ne!(key(0).fingerprint(), key(2).fingerprint());
         assert_ne!(key(1).fingerprint(), key(3).fingerprint());
+    }
+
+    #[test]
+    fn estimates_sharing_a_probe_chain_across_a_wholesale_clear_stay_apart() {
+        // Claim stamps are chosen so that every estimate of `cfg` starts
+        // its probe at one cell: three before a clear fill a chain of three
+        // cells, two after it take the chain's stale cells over.
+        let cfg = HwConfig::MAX_PERF;
+        let h = home(entry_tag(1, cfg), ENTRY_CELLS);
+        let mut colliding = (2..).filter(|&s| home(entry_tag(s, cfg), ENTRY_CELLS) == h);
+        let mut next = || colliding.next().expect("a colliding stamp");
+        let key = |i: usize| SnapshotKey {
+            generation: 7,
+            counters: [i as u64; NUM_COUNTERS],
+        };
+        // Claims key `i` under exactly `stamp`: stamps only ever grow.
+        let claim_at = |memo: &mut ValueMemo, i: usize, stamp: u32| {
+            memo.stamp = stamp - 1;
+            assert_eq!(claim(memo, &key(i)), stamp);
+        };
+        let cell = |k: usize| (h + k) % ENTRY_CELLS;
+        let mut memo = ValueMemo::EMPTY;
+        let before = [1, next(), next()];
+        for (i, &stamp) in before.iter().enumerate() {
+            claim_at(&mut memo, i, stamp);
+            assert_eq!(memo.get(stamp, cfg), Err(cell(i)));
+            price(&mut memo, stamp, cfg, est(i));
+        }
+        assert_eq!(memo.get(before[2], cfg), Ok(est(2)));
+        // A full estimate table clears at the next lookup.
+        memo.filled = MEMO_ENTRIES;
+        let d = next();
+        claim_at(&mut memo, 3, d);
+        assert_eq!((memo.filled, memo.keys.len()), (0, 1));
+        // The first stale cell is vacant: D's estimate goes there, and a
+        // probe for it reads no further.
+        assert_eq!(memo.get(d, cfg), Err(cell(0)));
+        price(&mut memo, d, cfg, est(3));
+        // Snapshot 2, claimed again, is unpriced although its old estimate
+        // sits further down the chain: its probe passes D's live cell and
+        // stops at snapshot 1's stale one, which it then takes.
+        let again = next();
+        claim_at(&mut memo, 2, again);
+        assert_eq!(memo.get(again, cfg), Err(cell(1)));
+        price(&mut memo, again, cfg, est(20));
+        assert_eq!(memo.entries[cell(2)].0, entry_tag(before[2], cfg));
+        assert_eq!(memo.get(d, cfg), Ok(est(3)));
+        assert_eq!(memo.get(again, cfg), Ok(est(20)));
+        // A third claim walks the whole chain: two live cells, then the
+        // stale cell of snapshot 2's first claim.
+        let e = next();
+        claim_at(&mut memo, 4, e);
+        assert_eq!(memo.get(e, cfg), Err(cell(2)));
     }
 
     /// The keys of a JSON object, in order.

@@ -1,9 +1,11 @@
 //! Property tests for the forest predictor's value memo: retraining
 //! (through any `fit_with_threads` thread count) assembles a predictor
-//! with a strictly newer generation tag, and the thread-local
-//! per-snapshot value memo never serves an estimate priced by an older
-//! predictor — predictions after a retrain are bit-identical to the
-//! fresh predictor's nested-forest reference.
+//! with a strictly newer generation tag, and the thread-local value memo,
+//! keyed by (generation, snapshot, configuration), never serves an
+//! estimate priced by an older predictor — predictions after a retrain
+//! are bit-identical to the fresh predictor's nested-forest reference,
+//! also when a sweep holds more estimates than the memo and it clears
+//! wholesale midway.
 
 use gpm_hw::{ConfigSpace, HwConfig};
 use gpm_model::{
@@ -55,6 +57,11 @@ fn fit_predictor(seed: u64, threads: usize) -> RandomForestPredictor {
     let power = RandomForest::fit_with_threads(&xs, &ys_power, &params(), seed ^ 1, threads);
     RandomForestPredictor::from_forests(time, power)
 }
+
+/// Snapshots of one memo-overflowing sweep: 25 snapshots at the
+/// campaign's 336 configurations are 8,400 estimates, more than the 8,192
+/// a thread's value memo holds.
+const OVERFLOW_SNAPSHOTS: u64 = 25;
 
 fn snapshot(seed: u64) -> KernelSnapshot {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -151,8 +158,64 @@ proptest! {
         prop_assert_ne!(&b_memo, &a_first, "distinct forests predicted identically");
 
         // Swap back to A: its values must round-trip exactly, from A's
-        // own memo slot, not B's.
+        // own memo entries, not B's.
         let a_again = memo_sweep(&a, &snap, &cfgs);
+        prop_assert_eq!(&a_again, &a_first, "A's values did not survive the B interleave");
+    }
+
+    /// The same property when every sweep holds more estimates than the
+    /// memo, so each one clears it wholesale midway. A sweep keeps only
+    /// the estimates it stored since its last clear, the tail of its
+    /// order; so the sweeps alternate direction, and each starts on the
+    /// estimates its predecessor left live: A's second sweep on A's
+    /// (memo hits), B's on A's, and A's last on B's. A memo key that
+    /// confused two predictors would serve the other's values there.
+    #[test]
+    fn an_overflowing_sweep_never_serves_another_predictors_estimates(
+        seed in 0u64..(1u64 << 32),
+        threads in 0usize..4,
+    ) {
+        let cfgs: Vec<HwConfig> = ConfigSpace::paper_campaign().iter().collect();
+        let snaps: Vec<KernelSnapshot> = (0..OVERFLOW_SNAPSHOTS)
+            .map(|i| snapshot(seed ^ 0xC0FFEE ^ (i << 40)))
+            .collect();
+        let pairs: Vec<(&KernelSnapshot, HwConfig)> = snaps
+            .iter()
+            .flat_map(|snap| cfgs.iter().map(move |&cfg| (snap, cfg)))
+            .collect();
+        // Prices every pair in `pairs`' order, or in reverse; either way
+        // the values come back in `pairs`' order.
+        let sweep = |rf: &RandomForestPredictor, reversed: bool| -> Vec<u64> {
+            let price = |&(snap, cfg): &(&KernelSnapshot, HwConfig)| {
+                let est = rf.predict(snap, cfg);
+                [est.time_s.to_bits(), est.gpu_power_w.to_bits()]
+            };
+            let mut values: Vec<[u64; 2]> = if reversed {
+                pairs.iter().rev().map(price).collect()
+            } else {
+                pairs.iter().map(price).collect()
+            };
+            if reversed {
+                values.reverse();
+            }
+            values.concat()
+        };
+
+        let a = fit_predictor(seed, threads);
+        let a_first = sweep(&a, false);
+        let a_memo = sweep(&a, true);
+        prop_assert_eq!(&a_first, &a_memo, "A's memo hit diverged from its own fill");
+
+        let b = fit_predictor(seed ^ 0xB00_57ED, threads);
+        let b_memo = sweep(&b, false);
+        let b_reference: Vec<u64> = snaps
+            .iter()
+            .flat_map(|snap| reference_sweep(&b, snap, &cfgs))
+            .collect();
+        prop_assert_eq!(&b_memo, &b_reference, "B served stale estimates primed by A");
+        prop_assert_ne!(&b_memo, &a_first, "distinct forests predicted identically");
+
+        let a_again = sweep(&a, true);
         prop_assert_eq!(&a_again, &a_first, "A's values did not survive the B interleave");
     }
 

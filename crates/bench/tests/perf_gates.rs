@@ -1,7 +1,9 @@
 //! Host-timed performance gates: the forest predictor's memoized and
 //! fresh sweeps and its fresh single estimate against the nested
-//! traversal, the flat walk's bit-identity to it, the MPC search's candidate count,
-//! forest-fit determinism and span coverage, and fleet scaling.
+//! traversal, the flat walk's bit-identity to it, the simulator's
+//! memoized measurements against the noiseless model, the MPC search's
+//! candidate count, forest-fit determinism and span coverage, and fleet
+//! scaling.
 //!
 //! Debug-build timings are meaningless and a parallel test runner skews
 //! them, so every gate is `#[ignore]`d and runs on its own:
@@ -15,7 +17,7 @@ use gpm_hw::{ConfigSpace, HwConfig};
 use gpm_model::{encode_features, Dataset, RandomForest, RegressionTree};
 use gpm_mpc::HorizonMode;
 use gpm_sim::predictor::{KernelSnapshot, PowerPerfPredictor};
-use gpm_sim::{CounterSet, PowerPerfEstimate, NUM_COUNTERS};
+use gpm_sim::{ApuSimulator, CounterSet, PowerPerfEstimate, NUM_COUNTERS};
 use gpm_workloads::workload_by_name;
 use gpm_xp::experiments::fleet::fleet_scaling;
 use gpm_xp::{Mode, XpEnv};
@@ -35,6 +37,10 @@ const MIN_FRESH_SCALAR_SPEEDUP: f64 = 1.5;
 /// Never-seen snapshots the scalar path is checked against the nested
 /// forests on, each over the full sweep.
 const SCALAR_ORACLE_SNAPSHOTS: usize = 64;
+/// Repeated `ApuSimulator::evaluate` calls over one kernel's sweep,
+/// served by the measurement memo, must beat measuring the same sweep on
+/// a fresh simulator by this factor.
+const MIN_MEASUREMENT_MEMO_SPEEDUP: f64 = 4.0;
 /// Fleet wall-time speedup of the auto worker count over one worker:
 /// the median over `FLEET_ROUNDS` calls of the `fleet_scaling` experiment.
 const MIN_FLEET_SCALING: f64 = 1.05;
@@ -142,6 +148,52 @@ fn batched_inference_clears_its_speedup_floors() {
     assert!(
         fresh_speedup >= MIN_FRESH_SPEEDUP,
         "fresh-snapshot speedup {fresh_speedup:.2}x below the {MIN_FRESH_SPEEDUP}x floor"
+    );
+}
+
+#[test]
+#[ignore = "release-only gate; run with --ignored --test-threads=1"]
+fn warm_measurements_are_served_from_the_memo() {
+    let params = EvalOptions::default().sim_params;
+    let kernel = &context::training_kernels()[0];
+    let cfgs = sweep();
+    // What every call cost before the memo: a fresh simulator measures
+    // each configuration of the sweep, noise and all.
+    let cold = calls_per_s(|| {
+        let fresh = ApuSimulator::new(params.clone());
+        for &cfg in &cfgs {
+            black_box(fresh.evaluate(black_box(kernel), cfg));
+        }
+    });
+    // The first sweep (the warm-up call) measures; every later one is
+    // served from the memo.
+    let sim = ApuSimulator::new(params);
+    let warm = calls_per_s(|| {
+        for &cfg in &cfgs {
+            black_box(sim.evaluate(black_box(kernel), cfg));
+        }
+    });
+    // The noiseless model, for scale: the noise draws cost most of a
+    // measurement.
+    let exact = calls_per_s(|| {
+        for &cfg in &cfgs {
+            black_box(sim.evaluate_exact(black_box(kernel), cfg));
+        }
+    });
+    let speedup = warm / cold;
+    let rate = |sweeps: f64| sweeps * cfgs.len() as f64;
+    println!(
+        "cold evaluate {:.0}, warm evaluate {:.0} ({speedup:.2}x), evaluate_exact {:.0} \
+         calls/s on {}",
+        rate(cold),
+        rate(warm),
+        rate(exact),
+        kernel.name()
+    );
+    assert!(
+        speedup >= MIN_MEASUREMENT_MEMO_SPEEDUP,
+        "warm evaluate is {speedup:.2}x a cold one, below the \
+         {MIN_MEASUREMENT_MEMO_SPEEDUP}x floor"
     );
 }
 

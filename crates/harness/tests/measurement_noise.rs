@@ -8,6 +8,10 @@
 //! kernel name, configuration) from scratch, and each counter taking the
 //! first normal of a full Box–Muller pair.
 //!
+//! The simulator serves a repeated measurement from its memo, which its
+//! clones share: a second call, on the simulator or on a clone, must
+//! report what the first did.
+//!
 //! The campaign reads only the time/power half of a measurement; it must
 //! report what the full `evaluate` does.
 
@@ -108,20 +112,21 @@ fn noise_matches_the_per_draw_hashing_formula_on_every_kernel_and_config() {
             }
         }
     }
+    let clone = sim.clone();
     let mut pairs = 0;
     for k in &kernels {
         for idx in 0..HwConfig::DENSE_COUNT {
             let cfg = HwConfig::from_dense_index(idx).unwrap();
-            let got = sim.evaluate(k, cfg);
-            let want = reference_evaluate(&sim, k, cfg);
             // `f64`'s `Debug` text round-trips its bits, so equal text is
             // bit-equality of every field.
-            assert_eq!(
-                format!("{got:?}"),
-                format!("{want:?}"),
-                "{} at {cfg}",
-                k.name()
-            );
+            let want = format!("{:?}", reference_evaluate(&sim, k, cfg));
+            for (call, got) in [
+                ("measured", sim.evaluate(k, cfg)),
+                ("served to the simulator", sim.evaluate(k, cfg)),
+                ("served to a clone", clone.evaluate(k, cfg)),
+            ] {
+                assert_eq!(format!("{got:?}"), want, "{} at {cfg}, {call}", k.name());
+            }
             pairs += 1;
         }
     }

@@ -2,6 +2,7 @@
 
 use crate::counters::CounterSet;
 use crate::kernel::KernelCharacteristics;
+use crate::memo::MeasurementMemo;
 use crate::outcome::{EnergyBreakdown, KernelOutcome, PowerBreakdown, TimeBreakdown, TimePower};
 use crate::params::SimParams;
 use crate::perf;
@@ -18,6 +19,14 @@ use std::hash::{Hash, Hasher};
 /// `evaluate_exact` exposes the noiseless analytical model (used as the
 /// ground truth for "perfect prediction" studies).
 ///
+/// `evaluate` is a pure function of (parameters, kernel, configuration),
+/// and the parameters are fixed when the simulator is built. The
+/// simulator relies on that: it measures each (kernel, configuration)
+/// pair once and serves repeats from a memo that keys every field of the
+/// kernel bit for bit, so a repeat returns exactly what a fresh
+/// measurement would. Clones share the memo; a simulator built with
+/// [`new`](ApuSimulator::new) starts with an empty one.
+///
 /// # Examples
 ///
 /// ```
@@ -33,19 +42,22 @@ use std::hash::{Hash, Hasher};
 #[derive(Debug, Clone, Default)]
 pub struct ApuSimulator {
     params: SimParams,
+    /// The outcomes `evaluate` has measured, shared by clones.
+    measured: MeasurementMemo,
 }
 
 impl ApuSimulator {
     /// Creates a simulator with the given calibration parameters.
     pub fn new(params: SimParams) -> ApuSimulator {
-        ApuSimulator { params }
+        ApuSimulator {
+            params,
+            measured: MeasurementMemo::default(),
+        }
     }
 
     /// A simulator with measurement noise disabled.
     pub fn noiseless() -> ApuSimulator {
-        ApuSimulator {
-            params: SimParams::noiseless(),
-        }
+        ApuSimulator::new(SimParams::noiseless())
     }
 
     /// The calibration parameters in use.
@@ -61,8 +73,16 @@ impl ApuSimulator {
     ///
     /// The composition of the time/power half
     /// ([`measure_time_power`](ApuSimulator::measure_time_power) reads
-    /// it alone) and the counter half.
+    /// it alone) and the counter half, computed on the first call for a
+    /// (kernel, configuration) pair and served from the memo after.
     pub fn evaluate(&self, kernel: &KernelCharacteristics, cfg: HwConfig) -> KernelOutcome {
+        self.measured
+            .get_or_measure(kernel, cfg, || self.simulate(kernel, cfg))
+    }
+
+    /// What [`evaluate`](ApuSimulator::evaluate) reports, computed afresh
+    /// and not stored: for callers that measure each pair once.
+    pub(crate) fn simulate(&self, kernel: &KernelCharacteristics, cfg: HwConfig) -> KernelOutcome {
         self.complete(kernel, cfg, self.measure(kernel, cfg, true))
     }
 
@@ -242,7 +262,175 @@ fn noise_factor(z: f64, rel_std: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::KernelClass;
+    use crate::memo::CAPACITY;
     use gpm_hw::{ConfigSpace, CuCount, GpuDpm, NbState};
+    use std::sync::Barrier;
+
+    /// Whether two outcomes are equal bit for bit: `f64`'s `Debug` text
+    /// round-trips its bits.
+    fn same(a: &KernelOutcome, b: &KernelOutcome) -> bool {
+        format!("{a:?}") == format!("{b:?}")
+    }
+
+    fn cfg(idx: usize) -> HwConfig {
+        HwConfig::from_dense_index(idx).unwrap()
+    }
+
+    #[test]
+    fn same_name_kernels_that_differ_in_one_field_never_share_an_entry() {
+        let b = || KernelCharacteristics::builder("k", 4.0).ginstructions(3.0);
+        let base = b().build();
+        let variants = [
+            ("class", b().class(KernelClass::Peak).build()),
+            (
+                "compute_gops",
+                KernelCharacteristics::builder("k", 5.0)
+                    .ginstructions(3.0)
+                    .build(),
+            ),
+            ("memory_gb", b().memory_gb(0.2).build()),
+            ("cache_hit_base", b().cache_hit(0.5).build()),
+            ("cache_interference", b().cache_interference(0.01).build()),
+            ("parallel_fraction", b().parallel_fraction(0.9).build()),
+            ("occupancy", b().occupancy(0.6).build()),
+            ("fixed_time_s", b().fixed_time(1e-4).build()),
+            ("launch_overhead_s", b().launch_overhead(40e-6).build()),
+            ("global_work_size", b().global_work_size(4096.0).build()),
+            ("lds_conflict", b().lds_conflict(0.1).build()),
+            ("scratch_regs", b().scratch_regs(16.0).build()),
+            ("ginstructions", b().ginstructions(6.0).build()),
+        ];
+        for (field, variant) in &variants {
+            assert_ne!(&base, variant, "{field}: the variant equals the base");
+            let sim = ApuSimulator::default();
+            let first = sim.evaluate(&base, HwConfig::FAIL_SAFE);
+            let got = sim.evaluate(variant, HwConfig::FAIL_SAFE);
+            assert_eq!(
+                sim.measured.len(),
+                2,
+                "{field}: the variant shared an entry"
+            );
+            assert!(
+                same(&got, &sim.simulate(variant, HwConfig::FAIL_SAFE)),
+                "{field}: the variant was served the base's outcome"
+            );
+            let again = sim.evaluate(&base, HwConfig::FAIL_SAFE);
+            assert!(same(&again, &first), "{field}: the base lost its entry");
+        }
+        // The name is compared by content: a kernel equal in every field
+        // but built separately is served the stored outcome.
+        let sim = ApuSimulator::default();
+        sim.evaluate(&base, HwConfig::FAIL_SAFE);
+        sim.evaluate(&b().build(), HwConfig::FAIL_SAFE);
+        assert_eq!(sim.measured.len(), 1);
+        sim.evaluate(&base.renamed("k2"), HwConfig::FAIL_SAFE);
+        assert_eq!(sim.measured.len(), 2, "a renamed kernel shared an entry");
+    }
+
+    #[test]
+    fn a_simulator_with_another_noise_seed_never_sees_the_first_ones_outcomes() {
+        let first = ApuSimulator::default();
+        let other = ApuSimulator::new(SimParams {
+            noise_seed: first.params().noise_seed + 1,
+            ..first.params().clone()
+        });
+        let k = KernelCharacteristics::memory_bound("mb", 1.0);
+        let mut differ = 0;
+        for idx in 0..HwConfig::DENSE_COUNT {
+            let mine = first.evaluate(&k, cfg(idx));
+            let theirs = other.evaluate(&k, cfg(idx));
+            assert!(
+                same(&theirs, &other.simulate(&k, cfg(idx))),
+                "at {}",
+                cfg(idx)
+            );
+            differ += usize::from(mine.time_s != theirs.time_s);
+        }
+        assert!(
+            differ > HwConfig::DENSE_COUNT / 2,
+            "{differ} outcomes differ"
+        );
+        // A clone shares its original's table.
+        assert_eq!(first.clone().measured.len(), HwConfig::DENSE_COUNT);
+        assert_eq!(other.measured.len(), HwConfig::DENSE_COUNT);
+    }
+
+    #[test]
+    fn filling_past_capacity_clears_the_table_and_refills_it_correctly() {
+        let sim = ApuSimulator::default();
+        let kernels: Vec<_> = (0..CAPACITY.div_ceil(HwConfig::DENSE_COUNT) + 1)
+            .map(|i| KernelCharacteristics::compute_bound(format!("k{i}"), 1.0 + i as f64))
+            .collect();
+        let pairs: Vec<_> = kernels
+            .iter()
+            .flat_map(|k| (0..HwConfig::DENSE_COUNT).map(move |idx| (k, cfg(idx))))
+            .collect();
+        for (n, &(k, c)) in pairs[..CAPACITY].iter().enumerate() {
+            sim.evaluate(k, c);
+            assert_eq!(sim.measured.len(), n + 1);
+        }
+        let (k, c) = pairs[CAPACITY];
+        assert!(same(&sim.evaluate(k, c), &sim.simulate(k, c)));
+        assert_eq!(sim.measured.len(), 1, "a full table did not clear");
+        // The pairs measured before the clear are measured again, right.
+        for (n, &(k, c)) in pairs[..CAPACITY - 1].iter().enumerate() {
+            assert!(same(&sim.evaluate(k, c), &sim.simulate(k, c)), "{k} at {c}");
+            assert_eq!(sim.measured.len(), n + 2);
+        }
+        for &(k, c) in &pairs[..CAPACITY - 1] {
+            assert!(same(&sim.evaluate(k, c), &sim.simulate(k, c)), "{k} at {c}");
+        }
+        assert_eq!(sim.measured.len(), CAPACITY);
+    }
+
+    #[test]
+    fn two_threads_filling_one_table_get_the_serial_answers() {
+        let kernels = [
+            KernelCharacteristics::compute_bound("cb", 20.0),
+            KernelCharacteristics::memory_bound("mb", 1.0),
+            KernelCharacteristics::peak("pk", 10.0),
+        ];
+        let pairs: Vec<_> = kernels
+            .iter()
+            .flat_map(|k| {
+                (0..HwConfig::DENSE_COUNT)
+                    .step_by(3)
+                    .map(move |i| (k, cfg(i)))
+            })
+            .collect();
+        let serial = ApuSimulator::default();
+        let want: Vec<_> = pairs.iter().map(|&(k, c)| serial.simulate(k, c)).collect();
+        let shared = ApuSimulator::default();
+        let barrier = Barrier::new(2);
+        // Both threads walk the pairs forward in lockstep, so they miss on
+        // the same pair at once and both store it; then one walks forward
+        // and the other backward, hitting different entries at once.
+        let walk = |backward: bool| {
+            let sim = shared.clone();
+            let second: Vec<usize> = if backward {
+                (0..pairs.len()).rev().collect()
+            } else {
+                (0..pairs.len()).collect()
+            };
+            (0..pairs.len())
+                .chain(second)
+                .map(|i| {
+                    barrier.wait();
+                    (i, sim.evaluate(pairs[i].0, pairs[i].1))
+                })
+                .collect::<Vec<_>>()
+        };
+        let (forward, backward) = std::thread::scope(|s| {
+            let f = s.spawn(|| walk(false));
+            let b = s.spawn(|| walk(true));
+            (f.join().unwrap(), b.join().unwrap())
+        });
+        for (i, got) in forward.iter().chain(&backward) {
+            assert!(same(got, &want[*i]), "{} at {}", pairs[*i].0, pairs[*i].1);
+        }
+        assert_eq!(shared.measured.len(), pairs.len());
+    }
 
     #[test]
     fn evaluate_is_deterministic() {

@@ -299,6 +299,44 @@ impl KernelCharacteristics {
         k.name = Arc::from(name.into());
         k
     }
+
+    /// Every field of the kernel: its name, its class and the bits of
+    /// each numeric field. Two kernels with equal keys measure alike at
+    /// every configuration. Destructured without `..`, so a field added
+    /// to the struct does not compile until it is keyed here.
+    pub(crate) fn key(&self) -> (&Arc<str>, KernelClass, [u64; 12]) {
+        let KernelCharacteristics {
+            name,
+            class,
+            compute_gops,
+            memory_gb,
+            cache_hit_base,
+            cache_interference,
+            parallel_fraction,
+            occupancy,
+            fixed_time_s,
+            launch_overhead_s,
+            global_work_size,
+            lds_conflict,
+            scratch_regs,
+            ginstructions,
+        } = self;
+        let fields = [
+            compute_gops,
+            memory_gb,
+            cache_hit_base,
+            cache_interference,
+            parallel_fraction,
+            occupancy,
+            fixed_time_s,
+            launch_overhead_s,
+            global_work_size,
+            lds_conflict,
+            scratch_regs,
+            ginstructions,
+        ];
+        (name, *class, fields.map(|v| v.to_bits()))
+    }
 }
 
 impl fmt::Display for KernelCharacteristics {

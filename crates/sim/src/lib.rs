@@ -35,6 +35,7 @@
 pub mod apu;
 pub mod counters;
 pub mod kernel;
+mod memo;
 pub mod outcome;
 pub mod params;
 pub mod perf;

@@ -87,7 +87,7 @@ impl ReplayPlatform {
         for kernel in kernels {
             let per_cfg = records.entry(kernel.name().to_string()).or_default();
             for cfg in space {
-                per_cfg.insert(cfg.dense_index(), sim.evaluate(kernel, cfg));
+                per_cfg.insert(cfg.dense_index(), sim.simulate(kernel, cfg));
             }
         }
         ReplayPlatform {
